@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 import time
@@ -57,18 +56,6 @@ REFERENCE_ROWS = {
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("NONLOCALITY_WB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"NONLOCALITY_WB_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _paradox_from_arg(target: str) -> HardyParadox:
@@ -143,7 +130,7 @@ def _cmd_optimize(args) -> tuple[dict, int, list[str]]:
     cfg = OptimizerConfig.from_json_dict({**cfg.to_json_dict(), "seed": args.seed})
     if args.tol is not None:
         cfg = OptimizerConfig.from_json_dict({**cfg.to_json_dict(), "constraint_tol": args.tol})
-    result = maximize_hardy(paradox, cfg, threads=_threads(args))
+    result = maximize_hardy(paradox, cfg)
     outputs = result.to_json_dict()
     outputs["paradox_id"] = paradox.paradox_id
     reference = paradox.quantum_value_reference
@@ -264,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paradox", help="even setting count or 'original'")
     p.add_argument("--config", help="optimizer config JSON file")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--tol", type=float, default=None, help="constraint tolerance override")
     common(p)
     p.set_defaults(handler=_cmd_optimize)

@@ -3,13 +3,17 @@
 A deterministic strategy assigns one fixed outcome to every setting of each
 party; these are the extreme points of the local polytope, so the maximum of
 a Bell expression over them is its maximum over all local models (convexity).
-For ``n`` settings per party there are ``4^n`` strategies; enumeration is
-capped at ``n <= 12`` and evaluates expressions by direct coefficient
-matching in fixed-size chunks, never materializing behavior tensors.
+For ``n`` settings per party there are ``4^n`` strategies, capped at
+``n <= 12``.  Bounds and certificates never visit them one by one: for fixed
+outcomes of Alice a two-party expression splits over Bob's settings, so Bob's
+best response is chosen setting by setting and only Alice's ``2^n``
+strategies are enumerated.  ``enumerate_strategies`` and ``behavior_of`` list
+and evaluate single strategies for checks at small ``n``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -28,7 +32,6 @@ if TYPE_CHECKING:
     from .hardy import HardyParadox
 
 MAX_SETTINGS = 12  # 4^12 = 16.7M joint strategies
-_CHUNK = 1 << 14
 
 
 class CapacityError(ValidationError):
@@ -69,12 +72,6 @@ def _check_capacity(scenario: Scenario) -> None:
         )
 
 
-def _bits(values: np.ndarray, n: int) -> np.ndarray:
-    """Decode integers to outcome arrays, setting 1 in the leading position."""
-    shifts = np.arange(n - 1, -1, -1)
-    return (values[:, None] >> shifts[None, :]) & 1
-
-
 def enumerate_strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:
     """Yield all ``4^n`` deterministic strategies exactly once.
 
@@ -104,35 +101,38 @@ def behavior_of(strategy: DeterministicStrategy, scenario: Scenario) -> Behavior
     return Behavior(scenario, p)
 
 
-def _expression_arrays(expr: BellExpression):
-    keys = list(expr.items())
-    i = np.array([k[0] for k, _ in keys], dtype=np.int64)
-    j = np.array([k[1] for k, _ in keys], dtype=np.int64)
-    x = np.array([k[2] - 1 for k, _ in keys], dtype=np.int64)
-    y = np.array([k[3] - 1 for k, _ in keys], dtype=np.int64)
-    c = np.array([v for _, v in keys], dtype=float)
-    return i, j, x, y, c
+def _alice_strategies(n: int) -> np.ndarray:
+    """``alice[a, x]``: outcome of Alice's ``a``-th strategy for setting ``x + 1``,
+    in enumeration order (setting 1 is the leading bit of ``a``)."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
-def _chunk_values(
-    exprs: list[tuple],
-    codes: np.ndarray,
-    n: int,
-) -> list[np.ndarray]:
-    """Evaluate several compiled expressions on a chunk of strategy codes."""
-    a_bits = _bits(codes >> n, n)
-    b_bits = _bits(codes & ((1 << n) - 1), n)
-    out = []
-    for (ti, tj, tx, ty, tc) in exprs:
-        hits = (a_bits[:, tx] == ti[None, :]) & (b_bits[:, ty] == tj[None, :])
-        out.append(hits @ tc)
-    return out
+def _scores(expr: BellExpression, alice: np.ndarray) -> np.ndarray:
+    """``s[a, y, j] = sum_x c[a_x, j, x, y]``: the worth of Bob answering ``j``
+    to setting ``y + 1`` against Alice's strategy ``a``, so that the strategy
+    ``(a, b)`` is worth ``sum_y s[a, y, b_y]``."""
+    n = expr.scenario.n_settings
+    coeff = np.zeros((n, 2, n, 2))  # [x, i, y, j]
+    for (i, j, x, y), c in expr.items():
+        coeff[x - 1, i, y - 1, j] += c
+    s = np.zeros((1 << n, n, 2))
+    for x in range(n):
+        s += coeff[x][alice[:, x]]
+    return s
 
 
-def _strategy_from_code(code: int, n: int) -> DeterministicStrategy:
-    a = tuple((int(code) >> (2 * n - 1 - k)) & 1 for k in range(n))
-    b = tuple((int(code) >> (n - 1 - k)) & 1 for k in range(n))
-    return DeterministicStrategy(a, b)
+def _best_responses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per Alice strategy: its best value and the mask of Bob's best answers."""
+    top = s.max(axis=2)
+    return top.sum(axis=1), s >= top[:, :, None] - TOLERANCES.saturation
+
+
+def _strategies(a: np.ndarray, answers: np.ndarray) -> Iterator[DeterministicStrategy]:
+    """Alice's strategy ``a`` against every Bob map allowed by ``answers[y, j]``,
+    in lexicographic order of ``b``."""
+    a = tuple(int(v) for v in a)
+    for b in itertools.product(*(np.flatnonzero(row).tolist() for row in answers)):
+        yield DeterministicStrategy(a, b)
 
 
 class ClassicalMax(NamedTuple):
@@ -142,42 +142,20 @@ class ClassicalMax(NamedTuple):
 
 def classical_max(expr: BellExpression) -> ClassicalMax:
     """Maximum of ``expr`` over all deterministic strategies, with all
-    maximizers (within ``TOLERANCES.saturation``) in enumeration order."""
-    scenario = expr.scenario
-    _check_capacity(scenario)
-    n = scenario.n_settings
-    arrays = _expression_arrays(expr)
-    total = 1 << (2 * n)
+    maximizers (ties within ``TOLERANCES.saturation``) in enumeration order.
 
-    best = -np.inf
-    best_codes: list[int] = []
-    tol = TOLERANCES.saturation
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        values = _chunk_values([arrays], codes, n)[0]
-        chunk_best = values.max()
-        if chunk_best > best + tol:
-            best = chunk_best
-            best_codes = [int(c) for c in codes[values >= best - tol]]
-        elif chunk_best >= best - tol:
-            best = max(best, chunk_best)
-            best_codes.extend(int(c) for c in codes[values >= best - tol])
-    # A late chunk may raise `best`; re-filter retained codes at the final value.
-    survivors = []
-    for code in best_codes:
-        strat = _strategy_from_code(code, n)
-        value = _strategy_value(arrays, strat)
-        if value >= best - tol:
-            survivors.append(strat)
-    return ClassicalMax(float(best), tuple(survivors))
-
-
-def _strategy_value(arrays, strategy: DeterministicStrategy) -> float:
-    ti, tj, tx, ty, tc = arrays
-    a = np.array(strategy.a)
-    b = np.array(strategy.b)
-    hits = (a[tx] == ti) & (b[ty] == tj)
-    return float(tc @ hits)
+    For fixed Alice outcomes the expression splits over Bob's settings, so the
+    maximum is ``max_a sum_y max_j s[a, y, j]`` and the maximizers are, per
+    maximizing ``a``, the product of Bob's per-setting best answers.
+    """
+    _check_capacity(expr.scenario)
+    alice = _alice_strategies(expr.scenario.n_settings)
+    values, answers = _best_responses(_scores(expr, alice))
+    best = values.max()
+    maximizers = []
+    for a in np.flatnonzero(values >= best - TOLERANCES.saturation):
+        maximizers.extend(_strategies(alice[a], answers[a]))
+    return ClassicalMax(float(best), tuple(maximizers))
 
 
 @dataclass(frozen=True)
@@ -186,8 +164,9 @@ class SoundnessReport:
 
     ``sound`` is true iff every deterministic strategy that saturates all
     condition targets has zero probability on the Hardy term.  Soundness over
-    extreme points extends to mixtures: the condition value is a maximum, so
-    a mixture attains it only if every strategy in its support does.
+    extreme points extends to mixtures: each condition target is the maximum
+    (or minimum) of its condition, so a mixture attains it only if every
+    strategy in its support does.
     """
 
     paradox_id: str
@@ -219,37 +198,51 @@ def certify_hardy_soundness(paradox: "HardyParadox") -> SoundnessReport:
     A counterexample is a strategy whose condition values all equal their
     targets within ``TOLERANCES.saturation`` yet whose Hardy-term probability
     is 1 (deterministic behaviors only take values 0 or 1 there).
+
+    Each target must be its condition's deterministic maximum or minimum, so
+    that the saturating strategies of a condition are, per Alice strategy
+    reaching the extremum, the product of Bob's per-setting best (or worst)
+    answers; a target outside that range is saturated by no strategy.  A
+    target strictly inside the range raises ``ValidationError``.
     """
     scenario = paradox.scenario
     _check_capacity(scenario)
     n = scenario.n_settings
-    cond_arrays = [_expression_arrays(expr) for expr, _ in paradox.conditions]
-    targets = [target for _, target in paradox.conditions]
-    hi, hj, hx, hy = paradox.hardy_term
-    total = 1 << (2 * n)
     tol = TOLERANCES.saturation
+    alice = _alice_strategies(n)
+    allowed = np.ones(1 << n, dtype=bool)
+    answers = np.ones((1 << n, n, 2), dtype=bool)
+    for k, (expr, target) in enumerate(paradox.conditions):
+        s = _scores(expr, alice)
+        top_values, top_answers = _best_responses(s)
+        low_values, low_answers = _best_responses(-s)  # values negated
+        top, low = top_values.max(), s.min(axis=2).sum(axis=1).min()
+        if abs(target - top) <= tol:
+            allowed &= top_values >= top - tol
+            answers &= top_answers
+        elif abs(target - low) <= tol:
+            allowed &= -low_values <= low + tol
+            answers &= low_answers
+        elif low < target < top:
+            raise ValidationError(
+                f"condition {k} target {target:g} lies strictly inside its "
+                f"deterministic range [{low:g}, {top:g}]; only an extremal "
+                "target defines a face of the local polytope"
+            )
+        else:
+            allowed[:] = False
 
-    saturating = 0
+    saturating = int(answers.sum(axis=2).prod(axis=1)[allowed].sum())
+    hi, hj, hx, hy = paradox.hardy_term
+    answers[:, hy - 1, 1 - hj] = False
     counterexamples: list[DeterministicStrategy] = []
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        values = _chunk_values(cond_arrays, codes, n)
-        mask = np.ones(len(codes), dtype=bool)
-        for vals, target in zip(values, targets):
-            mask &= np.abs(vals - target) <= tol
-        if not mask.any():
-            continue
-        saturating += int(mask.sum())
-        a_bits = _bits(codes[mask] >> n, n)
-        b_bits = _bits(codes[mask] & ((1 << n) - 1), n)
-        hardy_hit = (a_bits[:, hx - 1] == hi) & (b_bits[:, hy - 1] == hj)
-        for code in codes[mask][hardy_hit]:
-            counterexamples.append(_strategy_from_code(int(code), n))
+    for a in np.flatnonzero(allowed & (alice[:, hx - 1] == hi)):
+        counterexamples.extend(_strategies(alice[a], answers[a]))
 
     return SoundnessReport(
         paradox_id=paradox.paradox_id,
         n=n,
-        checked=total,
+        checked=4**n,
         saturating=saturating,
         counterexamples=tuple(counterexamples),
     )

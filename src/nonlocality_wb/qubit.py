@@ -98,27 +98,10 @@ def state_vector(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
 
 
-def _probability_tensor(theta, alpha, beta):
-    """Closed-form ``p[x, y, i, j]`` for vectors of measurement angles."""
-    c2t = math.cos(2.0 * theta)
-    s2t = math.sin(2.0 * theta)
-    ca, sa = np.cos(2.0 * alpha), np.sin(2.0 * alpha)
-    cb, sb = np.cos(2.0 * beta), np.sin(2.0 * beta)
-    si = np.array([1.0, -1.0])
-    corr = ca[:, None] * cb[None, :] + s2t * sa[:, None] * sb[None, :]
-    p = 0.25 * (
-        1.0
-        + si[None, None, :, None] * (c2t * ca)[:, None, None, None]
-        + si[None, None, None, :] * (c2t * cb)[None, :, None, None]
-        + (si[:, None] * si[None, :])[None, None, :, :] * corr[:, :, None, None]
-    )
-    return p
-
-
 def behavior_of_model(model: QubitModel) -> Behavior:
     """Born-rule behavior of the model (closed-form evaluation)."""
     scenario = Scenario(model.n_settings)
-    p = _probability_tensor(model.theta, np.array(model.alpha), np.array(model.beta))
+    p = _tensors_with_gradient(model.as_vector(), model.n_settings)[0]
     # clip float dust so Behavior validation never trips on exact-zero entries
     p = np.clip(p, 0.0, 1.0)
     p /= p.sum(axis=(2, 3), keepdims=True)
@@ -398,7 +381,6 @@ def _result_from_vector(problem, x, cfg, restarts_used, converged) -> Optimizati
 def maximize_hardy(
     paradox: HardyParadox,
     cfg: OptimizerConfig | None = None,
-    threads: int = 1,
 ) -> OptimizationResult:
     """Maximize the Hardy value over qubit models meeting the conditions.
 
@@ -408,33 +390,18 @@ def maximize_hardy(
     residuals end within ``cfg.constraint_tol``.  The best feasible restart
     (ties broken by lowest restart index) is returned; if none is feasible
     the result carries ``converged=False`` and the least-infeasible model.
-
-    Restarts are independent; with ``threads > 1`` they are evaluated by a
-    thread pool and reduced in restart order, so the outcome does not depend
-    on the worker count.
     """
     cfg = cfg or OptimizerConfig.default_for(paradox)
     problem = _PenaltyProblem(paradox)
     dim = 1 + 2 * problem.n
 
-    def run_restart(idx: int):
-        rng = np.random.default_rng((cfg.seed, idx))
-        x0 = rng.uniform(-math.pi, math.pi, size=dim)
-        x = _polish(problem, x0, cfg)
-        hardy, residuals, feasible = _evaluate_candidate(problem, x, cfg)
-        return x, hardy, float(np.max(np.abs(residuals), initial=0.0)), feasible
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_restart, range(cfg.restarts)))
-    else:
-        outcomes = [run_restart(idx) for idx in range(cfg.restarts)]
-
     best_x, best_hardy, best_feasible = None, -np.inf, False
     best_infeasibility = np.inf
-    for x, hardy, infeasibility, feasible in outcomes:  # restart order: ties keep first
+    for idx in range(cfg.restarts):  # restart order: ties keep first
+        rng = np.random.default_rng((cfg.seed, idx))
+        x = _polish(problem, rng.uniform(-math.pi, math.pi, size=dim), cfg)
+        hardy, residuals, feasible = _evaluate_candidate(problem, x, cfg)
+        infeasibility = float(np.max(np.abs(residuals), initial=0.0))
         if feasible:
             if not best_feasible or hardy > best_hardy:
                 best_x, best_hardy, best_feasible = x, hardy, True

@@ -27,6 +27,7 @@ memory; no sparsity is assumed in ``H`` itself.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -215,6 +216,7 @@ def solve_lmi(
         if trace:
             print(
                 f"    it={it:3d} gap={rel_gap:9.2e} pinf={pinf:9.2e} dinf={dinf:9.2e} mu={mu:9.2e}",
+                file=sys.stderr,
                 flush=True,
             )
         if score < 0.98 * best_score:

@@ -70,7 +70,7 @@ def npa_solutions():
 def test_criterion_1_classical_bounds_by_exhaustion():
     t0 = time.perf_counter()
     ok = True
-    for n, expected in ((2, 3.0), (4, 10.0), (6, 21.0)):
+    for n, expected in ((2, 3.0), (4, 10.0), (6, 21.0), (8, 36.0), (10, 55.0)):
         result = classical_max(as_inequality(n))
         ok &= record(
             f"criterion 1: classical_max(n={n}) = {expected:g}",
@@ -85,7 +85,7 @@ def test_criterion_1_classical_bounds_by_exhaustion():
 def test_criterion_2_hardy_soundness_certificates():
     t0 = time.perf_counter()
     ok = True
-    for n in (2, 4, 6):
+    for n in (2, 4, 6, 8, 10):
         report = certify_hardy_soundness(realigned_hardy(n))
         ok &= record(
             f"criterion 2: realigned n={n} sound over {report.checked} strategies",

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nonlocality_wb
 from nonlocality_wb.cli import main
 
 
@@ -101,6 +104,14 @@ class TestNpa:
         _, report = run_json(capsys, "npa", "2", "--level", "2")
         assert 0.4139 <= report["outputs"]["upper_bound"] <= 0.41422
 
+    def test_solver_trace_goes_to_stderr(self, capsys, monkeypatch):
+        monkeypatch.setenv("NONLOCALITY_WB_SDP_TRACE", "1")
+        code = main(["npa", "2", "--level", "1", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["outputs"]["status"] == "optimal"
+        assert "it=" in captured.err
+
     def test_original_paradox_level1(self, capsys):
         code, report = run_json(capsys, "npa", "original", "--level", "1")
         assert code == 0
@@ -169,10 +180,14 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # run the package under test, installed or not
+        package_root = str(Path(nonlocality_wb.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "nonlocality_wb.cli", "classical-bound", "2", "--json"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         report = json.loads(proc.stdout)

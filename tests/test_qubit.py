@@ -177,13 +177,6 @@ class TestMaximizeHardy:
         assert r1.hardy_value == r2.hardy_value
         assert r1.model == r2.model
 
-    def test_thread_count_does_not_change_result(self):
-        cfg = OptimizerConfig(restarts=8, seed=123)
-        r1 = maximize_hardy(realigned_hardy(2), cfg, threads=1)
-        r2 = maximize_hardy(realigned_hardy(2), cfg, threads=3)
-        assert r1.hardy_value == r2.hardy_value
-        assert r1.model == r2.model
-
     def test_result_json(self):
         result = maximize_hardy(realigned_hardy(2), OptimizerConfig(restarts=4))
         doc = result.to_json_dict()
