@@ -143,7 +143,9 @@ def _cmd_optimize(args) -> tuple[dict, int, list[str]]:
         f"theta: {_fmt(result.model.theta)}",
         "alpha: " + " ".join(_fmt(a) for a in result.model.alpha),
         "beta:  " + " ".join(_fmt(b) for b in result.model.beta),
-        f"restarts: {result.restarts_used}",
+        f"restarts: {result.restarts_used} ({result.feasible_restarts} feasible, "
+        f"{result.restarts_near_best} within 1e-6 of the best)",
+        f"objective evaluations: {result.objective_evals}",
     ]
     code = 0 if result.converged else 1
     inputs = {"paradox": args.paradox, "config": cfg.to_json_dict()}

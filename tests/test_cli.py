@@ -79,6 +79,19 @@ class TestOptimize:
         assert code == 1
         assert report["outputs"]["converged"] is False
 
+    def test_human_output_reports_restart_statistics(self, capsys, tmp_path):
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({"restarts": 4, "seed": 42}))
+        _, report = run_json(capsys, "optimize", "2", "--config", str(cfg))
+        out = report["outputs"]
+        code, text = run_cli(capsys, "optimize", "2", "--config", str(cfg))
+        assert code == 0
+        assert (
+            f"restarts: 4 ({out['feasible_restarts']} feasible, "
+            f"{out['restarts_near_best']} within 1e-6 of the best)"
+        ) in text
+        assert f"objective evaluations: {out['objective_evals']}" in text
+
     def test_bad_target_exits_2(self, capsys):
         assert main(["optimize", "five"]) == 2
 

@@ -1,12 +1,16 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from nonlocality_wb import qubit
 from nonlocality_wb.hardy import check, original_hardy, realigned_hardy
 from nonlocality_wb.qubit import (
     OptimizerConfig,
     QubitModel,
+    _full_grid,
     _PenaltyProblem,
     behavior_of_model,
     behavior_of_model_trace,
@@ -15,8 +19,12 @@ from nonlocality_wb.qubit import (
     refine_from,
     state_vector,
 )
-from nonlocality_wb.scenario import ValidationError, as_inequality, evaluate
+from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality, evaluate
 from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4
+
+
+def paradox_of(name):
+    return original_hardy() if name == "original" else realigned_hardy(name)
 
 
 def random_model(rng, n):
@@ -83,7 +91,7 @@ class TestBehaviorOfModel:
     def test_closed_form_matches_trace_formula(self):
         rng = np.random.default_rng(3)
         for _ in range(60):
-            m = random_model(rng, int(rng.choice([2, 4])))
+            m = random_model(rng, int(rng.choice([2, 4, 6])))
             np.testing.assert_allclose(
                 behavior_of_model(m).p, behavior_of_model_trace(m).p, atol=1e-12
             )
@@ -99,14 +107,55 @@ class TestBehaviorOfModel:
             assert np.abs(marg_b - marg_b[:1, :, :]).max() <= 1e-12
 
 
+def gathered_components(paradox, x):
+    """Penalty components from the full-grid tensors, one expression at a time."""
+    n = paradox.scenario.n_settings
+    p, dtheta, dalpha, dbeta = (t.reshape(n, n, 2, 2) for t in _full_grid(n)(x))
+    expressions = [BellExpression(paradox.scenario, {paradox.hardy_term: 1.0})]
+    expressions += [expr for expr, _ in paradox.conditions]
+    values, grads = [], []
+    for expr in expressions:
+        keys, coeffs = zip(*expr.items())
+        c = np.array(coeffs)
+        i, j, xs, ys = np.array(keys).T
+        xs, ys = xs - 1, ys - 1
+        grad = np.zeros(1 + 2 * n)
+        grad[0] = c @ dtheta[xs, ys, i, j]
+        grad[1 : n + 1] = np.bincount(xs, weights=c * dalpha[xs, ys, i, j], minlength=n)
+        grad[n + 1 :] = np.bincount(ys, weights=c * dbeta[xs, ys, i, j], minlength=n)
+        values.append(c @ p[xs, ys, i, j])
+        grads.append(grad)
+    targets = np.array([target for _, target in paradox.conditions])
+    return values[0], grads[0], np.array(values[1:]) - targets, np.array(grads[1:])
+
+
+class TestPerTermEvaluation:
+    @pytest.mark.parametrize("name", ["original", 2, 4, 6])
+    def test_components_equal_full_grid_entries(self, name):
+        # a term's value must not depend on which other terms share its batch
+        paradox = paradox_of(name)
+        problem = _PenaltyProblem(paradox)
+        n = paradox.scenario.n_settings
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            x = rng.uniform(-math.pi, math.pi, 1 + 2 * n)
+            hardy, hardy_grad, residuals, cond_grads = problem.components(x)
+            ref_hardy, ref_grad, ref_residuals, ref_cond_grads = gathered_components(paradox, x)
+            assert hardy == ref_hardy
+            assert np.array_equal(hardy_grad, ref_grad)
+            assert np.array_equal(residuals, ref_residuals)
+            assert np.array_equal(cond_grads, ref_cond_grads)
+
+
 class TestGradients:
-    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("n", [2, 4, "original"])
     def test_matches_central_differences(self, n):
-        problem = _PenaltyProblem(realigned_hardy(n))
+        paradox = paradox_of(n)
+        problem = _PenaltyProblem(paradox)
         rng = np.random.default_rng(5)
         step = 1e-6
         for _ in range(5):
-            x = rng.uniform(-math.pi, math.pi, 1 + 2 * n)
+            x = rng.uniform(-math.pi, math.pi, 1 + 2 * paradox.scenario.n_settings)
             hardy, hardy_grad, _, cond_grads = problem.components(x)
             for k in range(len(x)):
                 xp, xm = x.copy(), x.copy()
@@ -115,11 +164,9 @@ class TestGradients:
                 hp, _, rp, _ = problem.components(xp)
                 hm, _, rm, _ = problem.components(xm)
                 fd_h = (hp - hm) / (2 * step)
-                fd_c = (rp[0] - rm[0]) / (2 * step)
                 assert fd_h == pytest.approx(hardy_grad[k], abs=1e-4 * (1 + abs(hardy_grad[k])))
-                assert fd_c == pytest.approx(
-                    cond_grads[0][k], abs=1e-4 * (1 + abs(cond_grads[0][k]))
-                )
+                for fd_c, grad in zip((rp - rm) / (2 * step), cond_grads):
+                    assert fd_c == pytest.approx(grad[k], abs=1e-4 * (1 + abs(grad[k])))
 
 
 class TestOptimizerConfig:
@@ -152,6 +199,11 @@ class TestOptimizerConfig:
             OptimizerConfig(penalty_growth=1.0)
 
 
+def assert_restart_statistics(result):
+    assert 0 < result.restarts_near_best <= result.feasible_restarts <= result.restarts_used
+    assert result.objective_evals > 0
+
+
 class TestMaximizeHardy:
     def test_realigned_2(self):
         result = maximize_hardy(realigned_hardy(2), OptimizerConfig(restarts=40))
@@ -159,6 +211,7 @@ class TestMaximizeHardy:
         assert 0.4135 <= result.hardy_value <= 0.4143
         assert max(abs(r) for r in result.condition_residuals) <= 1e-6
         assert result.restarts_used == 40
+        assert_restart_statistics(result)
 
     def test_realigned_4(self):
         result = maximize_hardy(realigned_hardy(4), OptimizerConfig(restarts=60))
@@ -169,6 +222,21 @@ class TestMaximizeHardy:
         result = maximize_hardy(original_hardy(), OptimizerConfig(restarts=40))
         assert result.converged
         assert 0.0896 <= result.hardy_value <= 0.0903
+        assert_restart_statistics(result)
+
+    def test_objective_evals_count_every_objective_call(self):
+        calls, minimize = [], qubit.minimize
+
+        def counting_minimize(fun, *args, **kwargs):
+            def counted(*fargs):
+                calls.append(fargs)
+                return fun(*fargs)
+
+            return minimize(counted, *args, **kwargs)
+
+        with mock.patch.object(qubit, "minimize", counting_minimize):
+            result = maximize_hardy(original_hardy(), OptimizerConfig(restarts=4))
+        assert result.objective_evals == len(calls)
 
     def test_deterministic_for_fixed_seed(self):
         cfg = OptimizerConfig(restarts=8, seed=123)
@@ -183,6 +251,10 @@ class TestMaximizeHardy:
         assert doc["kind"] == "optimization_result"
         assert len(doc["model"]["alpha"]) == 2
         assert isinstance(doc["converged"], bool)
+        assert doc["restarts_used"] == 4
+        for key in ("feasible_restarts", "restarts_near_best", "objective_evals"):
+            assert doc[key] == getattr(result, key)
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_weak_penalty_reports_nonconvergence(self):
         cfg = OptimizerConfig(
