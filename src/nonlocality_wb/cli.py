@@ -30,7 +30,7 @@ import time
 from . import __version__
 from .hardy import HardyParadox, check, original_hardy, realigned_hardy
 from .lhv import certify_hardy_soundness, classical_max
-from .npa import SdpConfig, build_program, solve
+from .npa import MAX_LEVEL, SdpConfig, build_program, solve
 from .qubit import (
     OptimizerConfig,
     QubitModel,
@@ -40,16 +40,13 @@ from .qubit import (
 from .scenario import SCHEMA_VERSION, ValidationError, as_inequality
 
 #: Reference qubit models reproduced by ``table1``: per setting count, the
-#: optimized parameters and the Hardy value they are known to reach.
-REFERENCE_ROWS = {
-    2: (QubitModel(0.7968, (-0.1996, 0.5901), (0.1996, -0.5901)), 0.4140),
-    4: (
-        QubitModel(
-            1.0793,
-            (-1.5309, 1.3084, 2.1179, 0.9181),
-            (-1.6107, -1.3084, -2.1179, -0.9181),
-        ),
-        0.7734,
+#: optimized parameters reaching the paradox's reference Hardy value.
+REFERENCE_MODELS = {
+    2: QubitModel(0.7968, (-0.1996, 0.5901), (0.1996, -0.5901)),
+    4: QubitModel(
+        1.0793,
+        (-1.5309, 1.3084, 2.1179, 0.9181),
+        (-1.6107, -1.3084, -2.1179, -0.9181),
     ),
 }
 
@@ -184,8 +181,9 @@ def _cmd_npa(args) -> tuple[dict, int, list[str]]:
 def _cmd_table1(args) -> tuple[dict, int, list[str]]:
     tol = args.tol if args.tol is not None else 2e-3
     rows = []
-    for n, (model, reference) in sorted(REFERENCE_ROWS.items()):
+    for n, model in sorted(REFERENCE_MODELS.items()):
         paradox = realigned_hardy(n)
+        reference = paradox.quantum_value_reference
         result = check(paradox, behavior_of_model(model), tol=tol)
         delta = abs(result.hardy_value - reference)
         rows.append(
@@ -233,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "qubit optimization, and moment-matrix upper bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    levels = tuple(range(1, MAX_LEVEL + 1))
 
     def common(p, csv=False):
         p.add_argument("--json", action="store_true", help="emit a machine-readable run report")
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("npa", help="moment-relaxation upper bound")
     p.add_argument("paradox", help="even setting count or 'original'")
-    p.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
+    p.add_argument("--level", type=int, choices=levels, default=2)
     p.add_argument("--config", help="solver config JSON file")
     common(p)
     p.set_defaults(handler=_cmd_npa)
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-paradox", help="print the paradox JSON document")
     p.add_argument("paradox", help="even setting count or 'original'")
-    p.add_argument("--level", type=int, choices=(1, 2, 3), default=None,
+    p.add_argument("--level", type=int, choices=levels, default=None,
                    help="also dump the moment program at this level")
     common(p)
     p.set_defaults(handler=_cmd_dump_paradox)

@@ -16,19 +16,24 @@ maximize the Hardy-term moment subject to the moment matrix being positive
 semidefinite, the identity moment pinned to 1, and each condition expression
 (in moment form) pinned to its target.
 
-Solving dualizes nothing exotic: equalities are eliminated by substitution,
-and when the program data is invariant under swapping the parties the
-variables are folded onto swap orbits and the matrix splits into symmetric /
-antisymmetric blocks, roughly halving the variable count (an 8x cheaper
-Schur factorization).  The reduction is validated against the program data
-and skipped when the invariance does not hold exactly.
+Solving passes the program to the LMI solver through one affine map: the
+class moments are ``y = y0 + N z`` in the solver variables ``z``, and block
+``b`` of the LMI is ``V_b^T M(y) V_b`` for a sparse basis map ``V_b``.
+Classes that the equalities and positivity pin to zero get no column, and
+their diagonal rows are left out of every ``V_b`` (facial reduction).  When
+the program data is invariant under swapping the parties, swapped classes
+share a column and ``V_b`` holds the symmetric and antisymmetric ``1/sqrt(2)``
+combinations of swapped rows, so the matrix splits into two blocks; the
+swap is validated against the program data and skipped when the invariance
+does not hold exactly.  The row-reduced equalities put their pivots into
+``y0`` and their dependence on the free columns into ``N``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -40,6 +45,7 @@ from .scenario import (
     SCHEMA_VERSION,
     BellExpression,
     ValidationError,
+    config_from_json_dict,
 )
 from .sdp import (
     LmiBlockData,
@@ -166,13 +172,7 @@ class SdpConfig:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "SdpConfig":
-        allowed = {"max_iterations", "gap_tol", "feas_tol", "use_symmetry"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValidationError(f"unknown sdp config keys: {sorted(unknown)}")
-        defaults = SdpConfig()
-        kwargs = {k: type(getattr(defaults, k))(v) for k, v in data.items()}
-        return replace(defaults, **kwargs)
+        return config_from_json_dict(SdpConfig(), data, "sdp")
 
 
 @dataclass(frozen=True)
@@ -267,57 +267,44 @@ def _check_level(level: int) -> None:
         raise ValidationError(f"hierarchy level must be an integer in 1..{MAX_LEVEL}, got {level!r}")
 
 
-def build_program(paradox: HardyParadox, level: int) -> MomentProgram:
-    """Moment program maximizing the paradox's Hardy term under its conditions."""
+def _program(
+    objective: BellExpression, conditions, level: int, description: str
+) -> MomentProgram:
+    """Maximize ``objective`` with the identity moment pinned to 1 and each
+    ``(expression, target)`` condition pinned to its target."""
     _check_level(level)
-    n = paradox.scenario.n_settings
+    n = objective.scenario.n_settings
     basis, class_words, class_index, cell_class = _moment_structure(n, level)
     n_classes = len(class_words)
-
-    hi, hj, hx, hy = paradox.hardy_term
-    objective, offset = _expression_to_moments(
-        BellExpression(paradox.scenario, {(hi, hj, hx, hy): 1.0}), class_index, n_classes
-    )
-
+    vec, offset = _expression_to_moments(objective, class_index, n_classes)
     pin = np.zeros(n_classes)
     pin[class_index[Monomial()]] = 1.0
     equalities: list[tuple[np.ndarray, float]] = [(pin, 1.0)]
-    for expr, target in paradox.conditions:
-        vec, const = _expression_to_moments(expr, class_index, n_classes)
-        equalities.append((vec, target - const))
-
+    for expr, target in conditions:
+        row, const = _expression_to_moments(expr, class_index, n_classes)
+        equalities.append((row, target - const))
     return MomentProgram(
         n_settings=n,
         level=level,
         basis=basis,
         class_words=class_words,
         cell_class=cell_class,
-        objective=objective,
+        objective=vec,
         objective_offset=offset,
         equalities=tuple(equalities),
-        description=f"hardy:{paradox.paradox_id}",
+        description=description,
     )
+
+
+def build_program(paradox: HardyParadox, level: int) -> MomentProgram:
+    """Moment program maximizing the paradox's Hardy term under its conditions."""
+    hardy = BellExpression(paradox.scenario, {paradox.hardy_term: 1.0})
+    return _program(hardy, paradox.conditions, level, f"hardy:{paradox.paradox_id}")
 
 
 def build_expression_program(expr: BellExpression, level: int) -> MomentProgram:
     """Moment program maximizing a bare Bell expression (no condition pins)."""
-    _check_level(level)
-    n = expr.scenario.n_settings
-    basis, class_words, class_index, cell_class = _moment_structure(n, level)
-    objective, offset = _expression_to_moments(expr, class_index, len(class_words))
-    pin = np.zeros(len(class_words))
-    pin[class_index[Monomial()]] = 1.0
-    return MomentProgram(
-        n_settings=n,
-        level=level,
-        basis=basis,
-        class_words=class_words,
-        cell_class=cell_class,
-        objective=objective,
-        objective_offset=offset,
-        equalities=((pin, 1.0),),
-        description="expression-maximum",
-    )
+    return _program(expr, (), level, "expression-maximum")
 
 
 @dataclass(frozen=True)
@@ -347,171 +334,6 @@ class SdpSolution:
             "moment_matrix": [float(v) for v in self.moment_matrix.ravel()],
             "diagnostics": dict(self.diagnostics),
         }
-
-
-class _SwapSymmetry:
-    """Validated party-swap action on classes and basis, if the program has it."""
-
-    def __init__(self, class_perm: np.ndarray, basis_perm: np.ndarray):
-        self.class_perm = class_perm
-        self.basis_perm = basis_perm
-
-    @staticmethod
-    def detect(program: MomentProgram) -> "_SwapSymmetry | None":
-        class_index = {w: k for k, w in enumerate(program.class_words)}
-        basis_index = {m: i for i, m in enumerate(program.basis)}
-        class_perm = np.empty(program.n_classes, dtype=np.int64)
-        for k, w in enumerate(program.class_words):
-            image = class_index.get(moment_key(w.swap_parties()))
-            if image is None:
-                return None
-            class_perm[k] = image
-        basis_perm = np.empty(program.size, dtype=np.int64)
-        for i, m in enumerate(program.basis):
-            image = basis_index.get(m.swap_parties())
-            if image is None:
-                return None
-            basis_perm[i] = image
-
-        def invariant_vec(vec: np.ndarray) -> bool:
-            moved = np.empty_like(vec)
-            moved[class_perm] = vec
-            return bool(np.allclose(moved, vec, rtol=0.0, atol=1e-12))
-
-        if not invariant_vec(program.objective):
-            return None
-        rows = [(vec, rhs) for vec, rhs in program.equalities]
-        for vec, rhs in rows:
-            moved = np.empty_like(vec)
-            moved[class_perm] = vec
-            if not any(
-                rhs == rhs2 and np.allclose(moved, vec2, rtol=0.0, atol=1e-12)
-                for vec2, rhs2 in rows
-            ):
-                return None
-        return _SwapSymmetry(class_perm, basis_perm)
-
-
-class _ReducedSpace:
-    """Orbit variables and block-diagonalizing basis map.
-
-    Without symmetry this is the identity reduction: one block, every class
-    its own orbit.  With the party swap, basis vectors split into symmetric
-    and antisymmetric combinations (two blocks) and swapped classes share a
-    variable.
-    """
-
-    def __init__(self, program: MomentProgram, symmetry: "_SwapSymmetry | None"):
-        size = program.size
-        n_classes = program.n_classes
-        if symmetry is None:
-            self.orbit_of_class = np.arange(n_classes)
-            self.n_orbits = n_classes
-            self.block_dims = [size]
-            img_block = np.zeros((size, 2), dtype=np.int64)
-            img_col = np.stack([np.arange(size), np.zeros(size, dtype=np.int64)], axis=1)
-            img_w = np.stack([np.ones(size), np.zeros(size)], axis=1)
-            img_block[:, 1] = 0
-            self.img_block, self.img_col, self.img_w = img_block, img_col, img_w
-            return
-
-        perm = symmetry.class_perm
-        orbit_of_class = -np.ones(n_classes, dtype=np.int64)
-        n_orbits = 0
-        for k in range(n_classes):
-            if orbit_of_class[k] < 0:
-                orbit_of_class[k] = n_orbits
-                orbit_of_class[perm[k]] = n_orbits
-                n_orbits += 1
-        self.orbit_of_class = orbit_of_class
-        self.n_orbits = n_orbits
-
-        bperm = symmetry.basis_perm
-        fixed = [i for i in range(size) if bperm[i] == i]
-        pairs = [(i, bperm[i]) for i in range(size) if i < bperm[i]]
-        dim_plus = len(fixed) + len(pairs)
-        dim_minus = len(pairs)
-        self.block_dims = [dim_plus, dim_minus] if dim_minus else [dim_plus]
-
-        # each original basis index maps to <= 2 (block, column, weight) images
-        img_block = np.zeros((size, 2), dtype=np.int64)
-        img_col = np.zeros((size, 2), dtype=np.int64)
-        img_w = np.zeros((size, 2))
-        for col, i in enumerate(fixed):
-            img_block[i, 0], img_col[i, 0], img_w[i, 0] = 0, col, 1.0
-        root = 1.0 / math.sqrt(2.0)
-        for col, (i, ip) in enumerate(pairs):
-            img_block[i, 0], img_col[i, 0], img_w[i, 0] = 0, len(fixed) + col, root
-            img_block[i, 1], img_col[i, 1], img_w[i, 1] = 1, col, root
-            img_block[ip, 0], img_col[ip, 0], img_w[ip, 0] = 0, len(fixed) + col, root
-            img_block[ip, 1], img_col[ip, 1], img_w[ip, 1] = 1, col, -root
-        self.img_block, self.img_col, self.img_w = img_block, img_col, img_w
-
-    def reduce_vector(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_orbits)
-        np.add.at(out, self.orbit_of_class, vec)
-        return out
-
-    def expand_vector(self, reduced: np.ndarray) -> np.ndarray:
-        return reduced[self.orbit_of_class]
-
-    def constraint_entries(self, cell_class: np.ndarray):
-        """Per-block sparse entries of the orbit matrices A_o = sum of cells."""
-        size = cell_class.shape[0]
-        p_idx, q_idx = np.indices((size, size))
-        p_idx, q_idx = p_idx.ravel(), q_idx.ravel()
-        orbit = self.orbit_of_class[cell_class.ravel()]
-        per_block: dict[int, list] = {b: [] for b in range(len(self.block_dims))}
-        for s in (0, 1):
-            for t in (0, 1):
-                wp = self.img_w[p_idx, s]
-                wq = self.img_w[q_idx, t]
-                mask = (wp != 0.0) & (wq != 0.0) & (
-                    self.img_block[p_idx, s] == self.img_block[q_idx, t]
-                )
-                if not mask.any():
-                    continue
-                blocks = self.img_block[p_idx[mask], s]
-                rows = self.img_col[p_idx[mask], s]
-                cols = self.img_col[q_idx[mask], t]
-                vals = wp[mask] * wq[mask]
-                var = orbit[mask]
-                for b in range(len(self.block_dims)):
-                    sel = blocks == b
-                    if sel.any():
-                        per_block[b].append((var[sel], rows[sel], cols[sel], vals[sel]))
-        out = []
-        for b, dim in enumerate(self.block_dims):
-            if per_block[b]:
-                var = np.concatenate([e[0] for e in per_block[b]])
-                row = np.concatenate([e[1] for e in per_block[b]])
-                col = np.concatenate([e[2] for e in per_block[b]])
-                val = np.concatenate([e[3] for e in per_block[b]])
-                # coalesce duplicate (var, row, col) triplets
-                coo = scipy.sparse.csr_matrix(
-                    (val, (row * dim + col, var)), shape=(dim * dim, self.n_orbits)
-                ).tocoo()
-                flat, var, val = coo.row, coo.col, coo.data
-                out.append(
-                    LmiBlockData(
-                        dim=dim,
-                        var=var.astype(np.int64),
-                        row=(flat // dim).astype(np.int64),
-                        col=(flat % dim).astype(np.int64),
-                        val=val.astype(float),
-                    )
-                )
-            else:
-                out.append(
-                    LmiBlockData(
-                        dim=dim,
-                        var=np.empty(0, dtype=np.int64),
-                        row=np.empty(0, dtype=np.int64),
-                        col=np.empty(0, dtype=np.int64),
-                        val=np.empty(0),
-                    )
-                )
-        return out
 
 
 def _pinned_zero_classes(program: MomentProgram) -> set[int]:
@@ -547,57 +369,6 @@ def _pinned_zero_classes(program: MomentProgram) -> set[int]:
     return pinned
 
 
-def _facial_reduction(program: MomentProgram):
-    """Drop basis rows whose diagonal moment is a hard zero.
-
-    Restores a strictly feasible interior when conditions pin probabilities
-    to zero (the zero classes become explicit ``y_k = 0`` rows and their
-    matrix rows leave the cone constraint).  Returns
-    ``(sub_program, kept_rows, kept_classes)`` with ``kept_rows = None``
-    when no safe reduction applies.
-    """
-    pinned = _pinned_zero_classes(program)
-    if not pinned:
-        return program, None, None
-    diag = program.cell_class.diagonal()
-    keep = np.array([p for p in range(program.size) if diag[p] not in pinned], dtype=np.int64)
-    sub_cell = program.cell_class[np.ix_(keep, keep)]
-    present = set(int(k) for k in np.unique(sub_cell))
-    used = set(int(k) for k in np.nonzero(program.objective)[0])
-    for vec, _ in program.equalities:
-        used.update(int(k) for k in np.nonzero(vec)[0])
-    if used - present - pinned:
-        return program, None, None  # a live class would lose its matrix presence
-    kept_classes = sorted(present | ((pinned & used)))
-    remap = {old: new for new, old in enumerate(kept_classes)}
-    new_cell = np.vectorize(remap.__getitem__)(sub_cell)
-    n_new = len(kept_classes)
-
-    def project(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(n_new)
-        for k in np.nonzero(vec)[0]:
-            out[remap[int(k)]] = vec[k]
-        return out
-
-    equalities = [(project(vec), rhs) for vec, rhs in program.equalities]
-    for k in sorted(kc for kc in kept_classes if kc in pinned):
-        pin_row = np.zeros(n_new)
-        pin_row[remap[k]] = 1.0
-        equalities.append((pin_row, 0.0))
-    sub = MomentProgram(
-        n_settings=program.n_settings,
-        level=program.level,
-        basis=tuple(program.basis[p] for p in keep),
-        class_words=tuple(program.class_words[k] for k in kept_classes),
-        cell_class=new_cell,
-        objective=project(program.objective),
-        objective_offset=program.objective_offset,
-        equalities=tuple(equalities),
-        description=program.description + "+facial",
-    )
-    return sub, keep, np.array(kept_classes, dtype=np.int64)
-
-
 def _row_reduce(rows: list[tuple[np.ndarray, float]]):
     """RREF of a small equality system; returns (pivots, solved rows) or None
     if the system is inconsistent."""
@@ -626,88 +397,169 @@ def _row_reduce(rows: list[tuple[np.ndarray, float]]):
     return pivots, solved
 
 
+def _swap_permutations(program: MomentProgram, live: np.ndarray):
+    """Party swap as ``(class_perm, basis_perm)``, or None unless it maps the
+    live classes onto themselves and leaves the objective and the set of
+    equality rows invariant (to 1e-12)."""
+    class_index = {w: k for k, w in enumerate(program.class_words)}
+    basis_index = {m: i for i, m in enumerate(program.basis)}
+    class_perm = [class_index.get(moment_key(w.swap_parties())) for w in program.class_words]
+    basis_perm = [basis_index.get(m.swap_parties()) for m in program.basis]
+    if None in class_perm or None in basis_perm:
+        return None
+    class_perm, basis_perm = np.array(class_perm), np.array(basis_perm)
+    if not np.array_equal(live[class_perm], live):
+        return None
+
+    def moved(vec: np.ndarray) -> np.ndarray:
+        out = np.empty_like(vec)
+        out[class_perm] = vec
+        return out
+
+    def same(u: np.ndarray, v: np.ndarray) -> bool:
+        return bool(np.allclose(u, v, rtol=0.0, atol=1e-12))
+
+    if not same(moved(program.objective), program.objective):
+        return None
+    rows = program.equalities
+    for vec, rhs in rows:
+        image = moved(vec)
+        if not any(rhs == rhs2 and same(image, vec2) for vec2, rhs2 in rows):
+            return None
+    return class_perm, basis_perm
+
+
+@dataclass(frozen=True)
+class _AffineMap:
+    """Class moments ``y = y0 + n @ z`` of the solver variables ``z``.
+
+    Block ``b`` of the LMI is ``V_b^T M(y) V_b`` with ``V_b = bases[b]``, the
+    ``size x dim_b`` map onto the kept rows or their swap combinations.
+    ``kept_rows`` is None when no class is pinned to zero.
+    """
+
+    y0: np.ndarray
+    n: scipy.sparse.csr_matrix
+    bases: tuple[scipy.sparse.csr_matrix, ...]
+    problem: LmiProblem
+    symmetric: bool
+    kept_rows: int | None
+
+
+def _affine_map(program: MomentProgram, use_symmetry: bool) -> _AffineMap | None:
+    """Map from the free solver variables to the LMI blocks; None if the
+    equalities are inconsistent.
+
+    Classes pinned to zero get no column, so their diagonal rows leave the
+    cone (every class of a dropped row is pinned).  Swapped live classes
+    share a column, and the row-reduced equalities express each pivot
+    column through the free ones.
+    """
+    n_classes, size = program.n_classes, program.size
+    live = np.ones(n_classes, dtype=bool)
+    live[list(_pinned_zero_classes(program))] = False
+    keep = np.flatnonzero(live[program.cell_class.diagonal()])
+    swap = _swap_permutations(program, live) if use_symmetry else None
+    class_perm, basis_perm = swap or (np.arange(n_classes), np.arange(size))
+
+    classes = np.flatnonzero(live)
+    reps, orbit = np.unique(np.minimum(classes, class_perm[classes]), return_inverse=True)
+    n_orbits = len(reps)
+    orbits = scipy.sparse.csr_matrix(
+        (np.ones(len(classes)), (classes, orbit)), shape=(n_classes, n_orbits)
+    )
+    reduced = _row_reduce([(orbits.T @ vec, rhs) for vec, rhs in program.equalities])
+    if reduced is None:
+        return None
+    pivots, solved = reduced
+    free = np.setdiff1d(np.arange(n_orbits), pivots)
+    # orbit moments w0 + P z: free orbits are the variables, pivots follow
+    w0 = np.zeros(n_orbits)
+    rows, cols, vals = [free], [np.arange(len(free))], [np.ones(len(free))]
+    for p, pvec, prhs in solved:
+        w0[p] = prhs
+        c = np.flatnonzero(pvec[free])
+        rows.append(np.full(len(c), p))
+        cols.append(c)
+        vals.append(-pvec[free[c]])
+    p_map = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_orbits, len(free)),
+    )
+    y0 = orbits @ w0
+    n_map = (orbits @ p_map).tocsr()
+
+    fixed = keep[basis_perm[keep] == keep]
+    lo = keep[basis_perm[keep] > keep]
+    hi = basis_perm[lo]
+    d, k = len(fixed), len(lo)
+    root = 1.0 / math.sqrt(2.0)
+    plus = scipy.sparse.csr_matrix(
+        (
+            np.concatenate([np.ones(d), np.full(2 * k, root)]),
+            (
+                np.concatenate([fixed, lo, hi]),
+                np.concatenate([np.arange(d), d + np.arange(k), d + np.arange(k)]),
+            ),
+        ),
+        shape=(size, d + k),
+    )
+    minus = scipy.sparse.csr_matrix(
+        (
+            np.concatenate([np.full(k, root), np.full(k, -root)]),
+            (np.concatenate([lo, hi]), np.tile(np.arange(k), 2)),
+        ),
+        shape=(size, k),
+    )
+    bases = (plus, minus) if k else (plus,)
+
+    # cells: one-hot map from the row-major cells of M to their classes
+    cells = scipy.sparse.csr_matrix(
+        (np.ones(size * size), (np.arange(size * size), program.cell_class.ravel())),
+        shape=(size * size, n_classes),
+    )
+    f0_blocks, entries = [], []
+    for v in bases:
+        dim = v.shape[1]
+        to_block = (scipy.sparse.kron(v, v, format="csr").T @ cells).tocsr()
+        f0_blocks.append((to_block @ y0).reshape(dim, dim))
+        f = (to_block @ n_map).tocsr()
+        f.eliminate_zeros()
+        f = f.tocoo()
+        flat = f.row.astype(np.int64)
+        var = f.col.astype(np.int64)
+        entries.append(LmiBlockData(dim=dim, var=var, row=flat // dim, col=flat % dim, val=f.data))
+    return _AffineMap(
+        y0=y0,
+        n=n_map,
+        bases=bases,
+        problem=LmiProblem(f0_blocks, entries, n_map.T @ program.objective),
+        symmetric=swap is not None,
+        kept_rows=None if live.all() else len(keep),
+    )
+
+
 def solve(program: MomentProgram, cfg: SdpConfig | None = None) -> SdpSolution:
     """Solve a moment program; maximizes its objective over PSD moment matrices."""
     cfg = cfg or SdpConfig()
-    work, keep_rows, kept_classes = _facial_reduction(program)
-    symmetry = _SwapSymmetry.detect(work) if cfg.use_symmetry else None
-    space = _ReducedSpace(work, symmetry)
-
-    blocks = space.constraint_entries(work.cell_class)
-    b_red = space.reduce_vector(work.objective)
-    rows_red = [(space.reduce_vector(vec), rhs) for vec, rhs in work.equalities]
-
-    reduced = _row_reduce(rows_red)
-    if reduced is None:
+    amap = _affine_map(program, cfg.use_symmetry)
+    if amap is None:
         return _infeasible_solution(program, "inconsistent equality constraints")
-    pivots, solved = reduced
-
-    pivot_set = set(pivots)
-    free = np.array([k for k in range(space.n_orbits) if k not in pivot_set], dtype=np.int64)
-    free_pos = -np.ones(space.n_orbits, dtype=np.int64)
-    free_pos[free] = np.arange(len(free))
-
-    # substitution y_pivot = prhs - sum_c pvec[c] y_c folds pivot columns into
-    # the constant block F0 and corrects the free columns and the objective
-    f0_blocks = [np.zeros((dim, dim)) for dim in space.block_dims]
-    b_free = b_red[free].copy()
-    for p, pvec, prhs in solved:
-        b_free -= b_red[p] * pvec[free]
-
-    entries = []
-    for bi, blk in enumerate(blocks):
-        keep = free_pos[blk.var] >= 0
-        parts_var = [free_pos[blk.var[keep]]]
-        parts_row = [blk.row[keep]]
-        parts_col = [blk.col[keep]]
-        parts_val = [blk.val[keep]]
-        for p, pvec, prhs in solved:
-            sel = blk.var == p
-            if not sel.any():
-                continue
-            prow, pcol, pval = blk.row[sel], blk.col[sel], blk.val[sel]
-            np.add.at(f0_blocks[bi], (prow, pcol), prhs * pval)
-            for c in np.nonzero(pvec[free])[0]:
-                parts_var.append(np.full(len(prow), c, dtype=np.int64))
-                parts_row.append(prow)
-                parts_col.append(pcol)
-                parts_val.append(-pvec[free[c]] * pval)
-        entries.append(
-            LmiBlockData(
-                dim=blk.dim,
-                var=np.concatenate(parts_var),
-                row=np.concatenate(parts_row),
-                col=np.concatenate(parts_col),
-                val=np.concatenate(parts_val),
-            )
-        )
-
-    problem = LmiProblem(f0_blocks, entries, b_free)
     raw = solve_lmi(
-        problem,
+        amap.problem,
         max_iterations=cfg.max_iterations,
         gap_tol=cfg.gap_tol,
         feas_tol=cfg.feas_tol,
         trace=bool(os.environ.get("NONLOCALITY_WB_SDP_TRACE")),
     )
 
-    y_orbit = np.zeros(space.n_orbits)
-    y_orbit[free] = raw.y
-    for p, pvec, prhs in solved:
-        y_orbit[p] = prhs - pvec[free] @ raw.y
-    y_work = space.expand_vector(y_orbit)
-    if keep_rows is None:
-        y_class = y_work
-    else:
-        # classes outside the face are hard zeros, so scattering the kept
-        # moments reconstructs the full matrix including the dropped rows
-        y_class = np.zeros(program.n_classes)
-        y_class[kept_classes] = y_work
-
+    y_class = amap.y0 + amap.n @ raw.y
     moment_matrix = y_class[program.cell_class]
     residuals = np.array([abs(vec @ y_class - rhs) for vec, rhs in program.equalities])
     min_eig = float(np.linalg.eigvalsh(moment_matrix)[0])
     objective_value = float(program.objective @ y_class + program.objective_offset)
+    # the solver maximizes b . z; the objective at z = 0 is this constant
+    constant = float(program.objective @ amap.y0) + program.objective_offset
 
     status = raw.status
     if status == STATUS_OPTIMAL and (min_eig < -1e-8 or residuals.max(initial=0.0) > 1e-7):
@@ -723,14 +575,14 @@ def solve(program: MomentProgram, cfg: SdpConfig | None = None) -> SdpSolution:
             "rel_gap": raw.rel_gap,
             "primal_infeasibility": raw.primal_infeasibility,
             "dual_infeasibility": raw.dual_infeasibility,
-            "dual_objective": raw.objective + program.objective_offset,
-            "primal_objective": raw.primal_objective + program.objective_offset,
+            "dual_objective": raw.objective + constant,
+            "primal_objective": raw.primal_objective + constant,
             "matrix_size": program.size,
             "classes": program.n_classes,
-            "variables": len(free),
-            "block_dims": list(space.block_dims),
-            "symmetry_reduced": symmetry is not None,
-            "facially_reduced_size": None if keep_rows is None else work.size,
+            "variables": amap.problem.m,
+            "block_dims": [v.shape[1] for v in amap.bases],
+            "symmetry_reduced": amap.symmetric,
+            "facially_reduced_size": amap.kept_rows,
         },
     )
 

@@ -31,7 +31,7 @@ within 1e-6 of the best value, and the total objective evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .scenario import (
     Behavior,
     Scenario,
     ValidationError,
+    config_from_json_dict,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -220,21 +221,7 @@ class OptimizerConfig:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "OptimizerConfig":
-        allowed = {
-            "restarts",
-            "seed",
-            "constraint_tol",
-            "penalty_start",
-            "penalty_growth",
-            "penalty_stages",
-            "inner_iters",
-        }
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValidationError(f"unknown optimizer config keys: {sorted(unknown)}")
-        defaults = OptimizerConfig()
-        kwargs = {k: type(getattr(defaults, k))(v) for k, v in data.items()}
-        return replace(defaults, **kwargs)
+        return config_from_json_dict(OptimizerConfig(), data, "optimizer")
 
 
 @dataclass(frozen=True)

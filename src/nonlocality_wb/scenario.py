@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -69,6 +69,35 @@ class Tolerances:
 
 
 TOLERANCES = Tolerances()
+
+
+def config_from_json_dict(defaults, data: Mapping, kind: str):
+    """``defaults`` (a frozen config dataclass) with the fields in ``data``.
+
+    Config files are outside input, so values are checked against the type
+    of each field's default rather than coerced: a bool field takes only a
+    bool, an int field an integral number that is not a bool, and a float
+    field a finite number that is not a bool.
+    """
+    unknown = set(data) - set(defaults.to_json_dict())
+    if unknown:
+        raise ValidationError(f"unknown {kind} config keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in data.items():
+        expected = type(getattr(defaults, key))
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if expected is bool:
+            ok = isinstance(value, bool)
+        elif expected is int:
+            ok = number and float(value).is_integer()
+        else:
+            ok = number and math.isfinite(value)
+        if not ok:
+            raise ValidationError(
+                f"{kind} config key {key!r} must be of type {expected.__name__}, got {value!r}"
+            )
+        kwargs[key] = expected(value)
+    return replace(defaults, **kwargs)
 
 
 @dataclass(frozen=True)

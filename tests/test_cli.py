@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import nonlocality_wb
-from nonlocality_wb.cli import main
+from nonlocality_wb.cli import build_parser, main
+from nonlocality_wb.npa import MAX_LEVEL
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,20 @@ class TestNpa:
         assert code == 0
         assert report["outputs"]["status"] == "optimal"
         assert report["outputs"]["upper_bound"] >= 0.09016
+
+    def test_mistyped_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "sdp.json"
+        cfg.write_text(json.dumps({"use_symmetry": "false"}))
+        assert main(["npa", "2", "--level", "1", "--config", str(cfg)]) == 2
+        assert "use_symmetry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["npa", "dump-paradox"])
+    def test_level_choices_follow_max_level(self, capsys, command):
+        parser = build_parser()
+        assert parser.parse_args([command, "2", "--level", str(MAX_LEVEL)]).level == MAX_LEVEL
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "2", "--level", str(MAX_LEVEL + 1)])
+        assert exc.value.code == 2
 
 
 class TestTable1:

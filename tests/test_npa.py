@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realigned_hardy
 from nonlocality_wb.npa import (
     Monomial,
     SdpConfig,
+    _affine_map,
     basis_monomials,
     build_expression_program,
     build_program,
@@ -198,9 +202,28 @@ class TestSolve:
             full = solve(prog, SdpConfig(use_symmetry=False))
             assert reduced.status == "optimal"
             assert full.status == "optimal"
-            assert reduced.objective_value == pytest.approx(full.objective_value, abs=2e-6)
+            assert reduced.objective_value == pytest.approx(full.objective_value, abs=1e-9)
             assert reduced.diagnostics["symmetry_reduced"]
             assert not full.diagnostics["symmetry_reduced"]
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_diagnostic_objectives_include_eliminated_moments(self, level):
+        # the condition fixes P(00|A1B1) = 0.3, so the Hardy moment is a pivot
+        # of the eliminated equalities and carries the whole objective value
+        base = realigned_hardy(2)
+        terms = {(0, 1, 1, 1): 1.0, (1, 0, 1, 1): 1.0, (1, 1, 1, 1): 1.0}
+        expr = BellExpression(base.scenario, terms)
+        paradox = HardyParadox(
+            paradox_id="fixed-hardy-term",
+            scenario=base.scenario,
+            conditions=(Condition(expr, 0.7),),
+            hardy_term=(0, 0, 1, 1),
+        )
+        sol = solve(build_program(paradox, level))
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(0.3, abs=1e-9)
+        assert sol.diagnostics["dual_objective"] == pytest.approx(sol.objective_value, abs=1e-6)
+        assert sol.diagnostics["primal_objective"] == pytest.approx(sol.objective_value, abs=1e-6)
 
     def test_certificates_on_optimal_solution(self):
         sol = solve(build_program(realigned_hardy(2), 2))
@@ -270,6 +293,64 @@ class TestSolve:
         assert sol2.objective_value == pytest.approx(0.09017, abs=5e-4)
 
 
+MAP_CASES = [
+    ("chsh", 1),
+    ("realigned-2", 2),
+    ("realigned-2", 3),
+    ("realigned-4", 1),
+    ("realigned-4", 2),
+    ("original", 1),
+    ("original", 2),
+    ("original", 3),
+]
+
+
+def map_case_program(name, level):
+    if name == "chsh":
+        return build_expression_program(chsh_probability_form(), level)
+    if name == "original":
+        return build_program(original_hardy(), level)
+    return build_program(realigned_hardy(int(name.split("-")[1])), level)
+
+
+class TestAffineMap:
+    @pytest.mark.parametrize("use_symmetry", [True, False])
+    @pytest.mark.parametrize("name,level", MAP_CASES)
+    def test_blocks_and_equalities_at_random_variables(self, name, level, use_symmetry):
+        prog = map_case_program(name, level)
+        amap = _affine_map(prog, use_symmetry)
+        assert amap.symmetric == use_symmetry
+        assert amap.n.shape == (prog.n_classes, amap.problem.m)
+        # the block bases together are orthonormal, so the blocks hold the
+        # kept rows' moment matrix in full: V^T M V is block diagonal
+        v = scipy.sparse.hstack(amap.bases).toarray()
+        np.testing.assert_allclose(v.T @ v, np.eye(v.shape[1]), rtol=0.0, atol=1e-15)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            z = rng.standard_normal(amap.problem.m)
+            y = amap.y0 + amap.n @ z
+            blocks = scipy.linalg.block_diag(*amap.problem.mat(z))
+            assert np.abs(blocks - v.T @ y[prog.cell_class] @ v).max() <= 1e-12
+            for vec, rhs in prog.equalities:
+                assert abs(vec @ y - rhs) <= 1e-12
+
+    def test_pinned_rows_leave_the_cone(self):
+        # the original paradox pins probabilities to zero, so some diagonal
+        # moments are zero and their rows are not in any block
+        prog = build_program(original_hardy(), 2)
+        amap = _affine_map(prog, True)
+        assert amap.kept_rows is not None and amap.kept_rows < prog.size
+        assert sum(v.shape[1] for v in amap.bases) == amap.kept_rows
+        assert _affine_map(build_program(realigned_hardy(2), 2), True).kept_rows is None
+
+    def test_inconsistent_equalities(self):
+        prog = build_program(realigned_hardy(2), 1)
+        pin, _ = prog.equalities[0]
+        bad = replace(prog, equalities=prog.equalities + ((pin, 0.5),))
+        assert _affine_map(bad, True) is None
+        assert solve(bad).status == "infeasible"
+
+
 class TestModelMomentMatrix:
     @pytest.mark.parametrize("n,level", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
     def test_psd_and_identifications(self, n, level):
@@ -321,6 +402,26 @@ class TestSdpConfig:
     def test_unknown_keys(self):
         with pytest.raises(ValidationError):
             SdpConfig.from_json_dict({"bogus": 1})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"use_symmetry": "false"},
+            {"use_symmetry": 1},
+            {"max_iterations": 99.9},
+            {"max_iterations": True},
+            {"gap_tol": "1e-7"},
+            {"feas_tol": float("inf")},
+        ],
+    )
+    def test_mistyped_values_rejected(self, data):
+        with pytest.raises(ValidationError):
+            SdpConfig.from_json_dict(data)
+
+    def test_integral_numbers_accepted(self):
+        cfg = SdpConfig.from_json_dict({"max_iterations": 40.0, "gap_tol": 1})
+        assert cfg.max_iterations == 40 and isinstance(cfg.max_iterations, int)
+        assert cfg.gap_tol == 1.0 and isinstance(cfg.gap_tol, float)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

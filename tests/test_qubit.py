@@ -192,6 +192,27 @@ class TestOptimizerConfig:
         with pytest.raises(ValidationError):
             OptimizerConfig.from_json_dict({"restartz": 3})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"restarts": True},
+            {"restarts": 99.9},
+            {"seed": "42"},
+            {"constraint_tol": "1e-6"},
+            {"penalty_start": False},
+            {"penalty_growth": float("nan")},
+            {"penalty_stages": None},
+        ],
+    )
+    def test_mistyped_values_rejected(self, data):
+        with pytest.raises(ValidationError):
+            OptimizerConfig.from_json_dict(data)
+
+    def test_integral_and_integer_numbers_accepted(self):
+        cfg = OptimizerConfig.from_json_dict({"restarts": 12.0, "penalty_start": 5})
+        assert cfg.restarts == 12 and isinstance(cfg.restarts, int)
+        assert cfg.penalty_start == 5.0 and isinstance(cfg.penalty_start, float)
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValidationError):
             OptimizerConfig(restarts=0)
