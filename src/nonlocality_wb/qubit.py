@@ -14,18 +14,24 @@ this family reduces to the closed form
 
 with ``c2t = cos 2*theta``, ``s2t = sin 2*theta``.  The closed form is written
 once, per term: it evaluates any list of terms ``(i, j, x, y)`` together with
-the derivatives w.r.t. theta and the two angles the term depends on.  The
+the first and, on request, second derivatives w.r.t. theta and the two angles
+the term depends on, at one parameter vector or at a stack of them.  The
 behavior tensor is that list over the full grid; the explicit trace form is
 kept as the verification oracle and agrees to machine precision.
 
 Maximization of a paradox's Hardy value subject to its condition equalities
 uses a quadratic-penalty schedule (default 10 -> 1e6, factor 10 per stage)
-with an inner quasi-Newton solve per stage and uniform multi-start over all
-angles; a restart counts as converged only if every condition residual ends
-within ``constraint_tol``.  The penalty objective evaluates only the terms the
+and uniform multi-start over all angles, in two steps.  A batched screen
+advances every restart at once as one ``(restarts, 1 + 2n)`` array of damped
+Newton steps with analytic Hessians; each row stops on its own, so a
+restart's outcome does not depend on the others.  Then scipy's L-BFGS-B
+polishes the best feasible restart through the same schedule.  A restart
+counts as feasible only if every condition residual ends within
+``constraint_tol``.  The penalty objective evaluates only the terms the
 paradox touches (4 of the 16 probabilities for the original paradox).  Each
-result reports how many restarts ended feasible, how many of those came
-within 1e-6 of the best value, and the total objective evaluations.
+result reports how many screened restarts ended feasible, how many of those
+came within 1e-6 of the best screened value, and the objective evaluations
+of the screen (one per row evaluated) and the polish.
 """
 
 from __future__ import annotations
@@ -139,12 +145,16 @@ def behavior_of_model_trace(model: QubitModel) -> Behavior:
 class _BornTerms:
     """Closed-form Born rule for a fixed list of terms ``P(i j | x y)``.
 
-    ``x`` and ``y`` are 0-based setting indices.  A call returns, per term,
-    the probability ``p`` and its derivatives ``dtheta``, ``dalpha`` (w.r.t.
-    ``alpha_x``) and ``dbeta`` (w.r.t. ``beta_y``); the derivative w.r.t. any
-    other angle vanishes.  Every term is computed by the same elementwise
-    operations whatever else is in the list, so a term's value does not
-    depend on which other terms share the call.
+    ``x`` and ``y`` are 0-based setting indices.  A call on a parameter
+    vector, or on an ``(R, 1 + 2n)`` stack of them, returns per term (along
+    the last axis) the probability ``p`` and its derivatives ``dtheta``,
+    ``dalpha`` (w.r.t. ``alpha_x``) and ``dbeta`` (w.r.t. ``beta_y``); the
+    derivative w.r.t. any other angle vanishes.  With ``hessian=True`` it also
+    returns the second derivatives over (theta, alpha_x, beta_y): ``d2tt``,
+    ``d2ta``, ``d2tb``, ``d2aa``, ``d2ab`` and ``d2bb``.  Every term and every
+    row is computed by the same elementwise operations whatever else is in
+    the call, so a value does not depend on which other terms or rows share
+    the call.
     """
 
     def __init__(self, n: int, i, j, x, y):
@@ -155,13 +165,14 @@ class _BornTerms:
         self.sj = np.where(np.asarray(j) == 0, 1.0, -1.0)
         self.sij = self.si * self.sj
 
-    def __call__(self, vec: np.ndarray):
+    def __call__(self, vec: np.ndarray, hessian: bool = False):
         n, si, sj, sij = self.n, self.si, self.sj, self.sij
-        theta, alpha, beta = vec[0], vec[1 : n + 1], vec[n + 1 :]
-        c2t, s2t = math.cos(2 * theta), math.sin(2 * theta)
+        theta, alpha, beta = vec[..., :1], vec[..., 1 : n + 1], vec[..., n + 1 :]
+        two_theta = 2 * theta
+        c2t, s2t = np.cos(two_theta), np.sin(two_theta)
         two_alpha, two_beta = 2 * alpha, 2 * beta
-        ca, sa = np.cos(two_alpha)[self.x], np.sin(two_alpha)[self.x]
-        cb, sb = np.cos(two_beta)[self.y], np.sin(two_beta)[self.y]
+        ca, sa = np.cos(two_alpha)[..., self.x], np.sin(two_alpha)[..., self.x]
+        cb, sb = np.cos(two_beta)[..., self.y], np.sin(two_beta)[..., self.y]
 
         # Keep the order of every operation below: the optimizer's iterates,
         # and so its reported models, depend on the last bit of these values.
@@ -173,7 +184,15 @@ class _BornTerms:
         # d(cos 2a) = -2 sin 2a, d(sin 2a) = 2 cos 2a
         dalpha = 0.25 * (si * (c2t * -2.0 * sa) + sij * (-2.0 * sa * cb + s2t * (2.0 * ca) * sb))
         dbeta = 0.25 * (sj * (c2t * -2.0 * sb) + sij * (ca * (-2.0 * sb) + s2t * sa * (2.0 * cb)))
-        return p, dtheta, dalpha, dbeta
+        if not hessian:
+            return p, dtheta, dalpha, dbeta
+        d2tt = -(si * (c2t * ca) + sj * (c2t * cb) + sij * (s2t * sa * sb))
+        d2ta = si * (s2t * sa) + sij * (c2t * ca * sb)
+        d2tb = sj * (s2t * sb) + sij * (c2t * sa * cb)
+        d2aa = -(si * (c2t * ca) + sij * corr)
+        d2ab = sij * (sa * sb + s2t * ca * cb)
+        d2bb = -(sj * (c2t * cb) + sij * corr)
+        return p, dtheta, dalpha, dbeta, d2tt, d2ta, d2tb, d2aa, d2ab, d2bb
 
 
 def _full_grid(n: int) -> _BornTerms:
@@ -184,7 +203,11 @@ def _full_grid(n: int) -> _BornTerms:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Penalty/multi-start settings; JSON keys mirror the field names."""
+    """Penalty/multi-start settings; JSON keys mirror the field names.
+
+    ``inner_iters`` caps each penalty stage: Newton iterations per row in the
+    batched screen, L-BFGS-B iterations in the polish.
+    """
 
     restarts: int = 200
     seed: int = 42
@@ -197,6 +220,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.penalty_stages < 1 or self.inner_iters < 1:
             raise ValidationError("restarts, penalty_stages and inner_iters must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.constraint_tol <= 0 or self.penalty_start <= 0 or self.penalty_growth <= 1:
             raise ValidationError(
                 "constraint_tol and penalty_start must be positive, penalty_growth > 1"
@@ -276,6 +301,16 @@ class _PenaltyProblem:
         # one bincount bin per (expression, angle) pair
         self.alpha_bins = segment * n + x - 1
         self.beta_bins = segment * n + y - 1
+        # a term's jet (value, gradient, Hessian over its angles u) goes to the
+        # bins of its expression's jet (value, gradient, Hessian over all angles)
+        d = 1 + 2 * n
+        width = 1 + d + d * d
+        self.jet_size = len(expressions) * width
+        u = np.stack((np.zeros_like(x), x, n + y), axis=1)
+        hess_bins = 1 + d + u[:, :, None] * d + u[:, None, :]
+        self.jet_bins = segment[:, None] * width + np.concatenate(
+            (np.zeros((len(x), 1), dtype=np.intp), 1 + u, hess_bins.reshape(-1, 9)), axis=1
+        )
 
     def components(self, vec: np.ndarray):
         """Hardy value and gradient, condition residuals and their gradients."""
@@ -293,6 +328,24 @@ class _PenaltyProblem:
             self.beta_bins, weights=c * dbeta, minlength=count * n
         ).reshape(count, n)
         return values[0], grads[0], values[1:] - self.targets, grads[1:]
+
+    def jets(self, X: np.ndarray):
+        """Values, gradients and Hessians of every expression at each row of X.
+
+        Returns arrays of shape ``(R, E)``, ``(R, E, d)`` and ``(R, E, d, d)``
+        for the ``E`` expressions (the Hardy term first, then each condition
+        without its target).  One ``bincount`` scatter-adds each term's jet
+        into its expression's in term order, so a row's jets depend on that
+        row alone.
+        """
+        p, dt, da, db, tt, ta, tb, aa, ab, bb = self.terms(X, hessian=True)
+        parts = np.stack((p, dt, da, db, tt, ta, tb, ta, aa, ab, tb, ab, bb), axis=-1)
+        rows, size, d = len(X), self.jet_size, 1 + 2 * self.n
+        index = np.arange(rows)[:, None, None] * size + self.jet_bins
+        flat = np.bincount(
+            index.ravel(), weights=(parts * self.c[:, None]).ravel(), minlength=rows * size
+        ).reshape(rows, len(self.segments), -1)
+        return flat[..., 0], flat[..., 1 : 1 + d], flat[..., 1 + d :].reshape(rows, -1, d, d)
 
     def penalized(self, vec: np.ndarray, mu: float):
         hardy, hardy_grad, residuals, grads = self.components(vec)
@@ -316,7 +369,7 @@ def _feasible(residuals: np.ndarray, cfg: OptimizerConfig) -> bool:
 
 
 def _polish(problem: _PenaltyProblem, x0: np.ndarray, cfg: OptimizerConfig):
-    """Run the penalty schedule from one start.
+    """Run the penalty schedule from one start with scipy's L-BFGS-B.
 
     Returns the final vector, its Hardy value and condition residuals, and
     the number of objective evaluations the inner solves made.
@@ -360,10 +413,14 @@ def _polish(problem: _PenaltyProblem, x0: np.ndarray, cfg: OptimizerConfig):
 _NEAR_BEST_TOL = 1e-6
 
 
-def _result_from_vector(problem, x, outcomes, objective_evals, converged) -> OptimizationResult:
+def _result_from_vector(
+    problem, x, outcomes, objective_evals, converged, best=None
+) -> OptimizationResult:
     """Result for the vector ``x``; ``outcomes`` holds (Hardy value, feasible)
-    of every restart that was run."""
+    of every restart that was run, and ``best`` the value that restarts count
+    as near to (default: the Hardy value at ``x``)."""
     hardy, _, residuals, _ = problem.components(x)
+    best = hardy if best is None else best
     feasible = [value for value, ok in outcomes if ok]
     return OptimizationResult(
         model=QubitModel.from_vector(x),
@@ -372,8 +429,122 @@ def _result_from_vector(problem, x, outcomes, objective_evals, converged) -> Opt
         restarts_used=len(outcomes),
         converged=converged,
         feasible_restarts=len(feasible),
-        restarts_near_best=sum(int(hardy - value <= _NEAR_BEST_TOL) for value in feasible),
+        restarts_near_best=sum(int(best - value <= _NEAR_BEST_TOL) for value in feasible),
         objective_evals=objective_evals,
+    )
+
+
+# The batched Newton screen.  A row's stage ends when its Newton decrement or
+# its accepted decrease is at most _FTOL * max(|f|, 1), as the polish's ftol
+# does, when its line search fails, or after inner_iters iterations.  Hessian
+# eigenvalues are replaced by max(|lambda|, _EIG_FLOOR), so every step
+# descends, also near saddles; a step moves no angle by more than _MAX_STEP
+# radians, and the Armijo line search halves it at most _BACKTRACKS times.
+_FTOL = 1e-15
+_EIG_FLOOR = 1e-8
+_MAX_STEP = 1.0
+_ARMIJO = 1e-4
+_BACKTRACKS = 30
+
+
+def _penalty(jets, targets: np.ndarray, mu: float):
+    """Penalty value, gradient and Hessian per row from the expression jets."""
+    values, grads, hess = jets
+    f, g, h = -values[:, 0], -grads[:, 0], -hess[:, 0]
+    for k, target in enumerate(targets, start=1):
+        r, gk = values[:, k] - target, grads[:, k]
+        f = f + mu * (r * r)
+        g = g + (2.0 * mu * r)[:, None] * gk
+        h = h + 2.0 * mu * (gk[:, :, None] * gk[:, None, :] + r[:, None, None] * hess[:, k])
+    return f, g, h
+
+
+def _newton_stage(problem, X, jets, rows, mu: float, cfg: OptimizerConfig) -> int:
+    """Minimize the penalty at ``mu`` from the rows ``rows`` of ``X``, in place.
+
+    ``jets`` holds the expression jets at every row of ``X`` and is kept up
+    to date.  Every operation acts on each row alone, so a row's iterates do
+    not depend on which other rows are still active.  Returns the number of
+    row evaluations made.
+    """
+    evals, active = 0, rows
+    for _ in range(cfg.inner_iters):
+        if not len(active):
+            break
+        f, g, h = _penalty(tuple(a[active] for a in jets), problem.targets, mu)
+        # a penalty that overflowed leaves its row where it is
+        finite = np.isfinite(h).all(axis=(1, 2))
+        active, f, g, h = active[finite], f[finite], g[finite], h[finite]
+        w, V = np.linalg.eigh(h)
+        b = (g[:, None, :] @ V)[:, 0]
+        coef = b / np.maximum(np.abs(w), _EIG_FLOOR)
+        step = -(V @ coef[:, :, None])[..., 0]
+        shrink = _MAX_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_STEP)
+        step *= shrink[:, None]
+        slope = -shrink * (b * coef).sum(axis=1)
+
+        f_new, t = f.copy(), np.ones(len(active))
+        pending = np.flatnonzero(-slope > _FTOL * np.maximum(np.abs(f), 1.0))
+        for _ in range(_BACKTRACKS):
+            if not len(pending):
+                break
+            idx = active[pending]
+            trial = X[idx] + t[pending, None] * step[pending]
+            trial_jets = problem.jets(trial)
+            evals += len(idx)
+            f_trial = _penalty(trial_jets, problem.targets, mu)[0]
+            ok = f_trial <= f[pending] + _ARMIJO * t[pending] * slope[pending]
+            X[idx[ok]] = trial[ok]
+            for array, new in zip(jets, trial_jets):
+                array[idx[ok]] = new[ok]
+            f_new[pending[ok]] = f_trial[ok]
+            pending = pending[~ok]
+            t[pending] *= 0.5
+        scale = np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
+        active = active[f - f_new > _FTOL * scale]
+    return evals
+
+
+def _screen(problem: _PenaltyProblem, X: np.ndarray, cfg: OptimizerConfig):
+    """Run the penalty schedule from every row of ``X`` at once, in place.
+
+    The base schedule runs on all rows; the continuation then runs a row
+    only while it is infeasible or, after the first extra stage, while its
+    Hardy value still drifts, as ``_polish`` does.  Returns the Hardy values
+    and condition residuals the rows end with and the row evaluations made.
+    """
+    jets = problem.jets(X)
+    evals = len(X)
+    rows = np.arange(len(X))
+    mu = cfg.penalty_start
+    for _ in range(cfg.penalty_stages):
+        evals += _newton_stage(problem, X, jets, rows, mu, cfg)
+        mu *= cfg.penalty_growth
+
+    stall = min(1e-6, cfg.constraint_tol)
+    drop = np.zeros(len(X))
+    hardy = jets[0][:, 0].copy()
+    for extra in range(_EXTRA_PENALTY_STAGES):
+        infeasible = np.abs(jets[0][:, 1:] - problem.targets).max(axis=1, initial=0.0)
+        keep = (infeasible > cfg.constraint_tol) | ((extra > 0) & (drop > stall))
+        rows = rows[keep[rows]]
+        if not len(rows):
+            break
+        evals += _newton_stage(problem, X, jets, rows, mu, cfg)
+        mu *= cfg.penalty_growth
+        drop[rows] = np.abs(jets[0][rows, 0] - hardy[rows])
+        hardy[rows] = jets[0][rows, 0]
+    return hardy, jets[0][:, 1:] - problem.targets, evals
+
+
+def _starts(cfg: OptimizerConfig, dim: int) -> np.ndarray:
+    """One row per restart, drawn uniformly from [-pi, pi) out of the
+    restart's own ``(seed, restart index)`` stream."""
+    return np.array(
+        [
+            np.random.default_rng((cfg.seed, idx)).uniform(-math.pi, math.pi, size=dim)
+            for idx in range(cfg.restarts)
+        ]
     )
 
 
@@ -383,35 +554,38 @@ def maximize_hardy(
 ) -> OptimizationResult:
     """Maximize the Hardy value over qubit models meeting the conditions.
 
-    Multi-start quadratic-penalty search: every restart draws all angles
-    uniformly from [-pi, pi) out of its own ``(seed, restart index)`` stream,
-    runs the full penalty schedule, and is kept only if all condition
-    residuals end within ``cfg.constraint_tol``.  The best feasible restart
-    (ties broken by lowest restart index) is returned; if none is feasible
-    the result carries ``converged=False`` and the least-infeasible model.
+    Multi-start quadratic-penalty search in two steps.  The screen: every
+    restart draws all angles uniformly from [-pi, pi) out of its own
+    ``(seed, restart index)`` stream, and all restarts run the penalty
+    schedule together, one ``(restarts, 1 + 2n)`` array of damped Newton
+    steps; a restart's outcome does not depend on the others.  A restart is
+    feasible if all its condition residuals end within
+    ``cfg.constraint_tol``.  The polish: scipy's L-BFGS-B runs the penalty
+    schedule once more from the best feasible restart (ties broken by lowest
+    restart index), or from the least-infeasible one if none is feasible.
+    The polished model is returned if it ends feasible, else the screened
+    one; ``converged`` says whether the returned model is feasible.  The
+    restart statistics describe the screen; ``restarts_near_best`` counts
+    feasible restarts within 1e-6 of the best screened value.
     """
     cfg = cfg or OptimizerConfig.default_for(paradox)
     problem = _PenaltyProblem(paradox)
-    dim = 1 + 2 * problem.n
-
-    best_x, best_hardy, best_feasible = None, -np.inf, False
-    best_infeasibility = np.inf
-    outcomes, evals = [], 0
-    for idx in range(cfg.restarts):  # restart order: ties keep first
-        rng = np.random.default_rng((cfg.seed, idx))
-        x, hardy, residuals, restart_evals = _polish(
-            problem, rng.uniform(-math.pi, math.pi, size=dim), cfg
-        )
-        infeasibility = float(np.max(np.abs(residuals), initial=0.0))
-        feasible = infeasibility <= cfg.constraint_tol
-        outcomes.append((hardy, feasible))
-        evals += restart_evals
-        if feasible:
-            if not best_feasible or hardy > best_hardy:
-                best_x, best_hardy, best_feasible = x, hardy, True
-        elif not best_feasible and infeasibility < best_infeasibility:
-            best_x, best_infeasibility = x, infeasibility
-    return _result_from_vector(problem, best_x, outcomes, evals, best_feasible)
+    X = _starts(cfg, 1 + 2 * problem.n)
+    hardy, residuals, evals = _screen(problem, X, cfg)
+    infeasibility = np.abs(residuals).max(axis=1, initial=0.0)
+    feasible = infeasibility <= cfg.constraint_tol
+    if feasible.any():  # argmax/argmin keep the lowest index on ties
+        best = int(np.argmax(np.where(feasible, hardy, -np.inf)))
+    else:
+        best = int(np.argmin(infeasibility))
+    x, _, polished_residuals, polish_evals = _polish(problem, X[best], cfg)
+    converged = _feasible(polished_residuals, cfg)
+    if not converged:
+        x, converged = X[best], bool(feasible[best])
+    outcomes = list(zip(hardy.tolist(), feasible.tolist()))
+    return _result_from_vector(
+        problem, x, outcomes, evals + polish_evals, converged, best=float(hardy[best])
+    )
 
 
 def refine_from(

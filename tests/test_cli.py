@@ -101,6 +101,15 @@ class TestOptimize:
         cfg.write_text(json.dumps({"nope": 1}))
         assert main(["optimize", "2", "--config", str(cfg)]) == 2
 
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        assert main(["optimize", "2", "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        # the config file's seed is checked before --seed replaces it
+        assert main(["optimize", "2", "--config", str(cfg)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
 
 class TestNpa:
     def test_level1_value(self, capsys):
@@ -206,18 +215,36 @@ class TestDeterminism:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def run_module(*argv, **env):
+    """Run the package under test, installed or not, in a fresh interpreter.
+
+    ``env`` overrides the inherited environment; a value of None unsets it.
+    """
+    package_root = str(Path(nonlocality_wb.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    environ = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run(
+        [sys.executable, "-m", "nonlocality_wb.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={key: value for key, value in environ.items() if value is not None},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # run the package under test, installed or not
-        package_root = str(Path(nonlocality_wb.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nonlocality_wb.cli", "classical-bound", "2", "--json"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_module("classical-bound", "2", "--json")
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["outputs"]["value"] == 3.0
         assert report["versions"]["schema_version"] == "1"
+
+    def test_optimize_payload_does_not_depend_on_blas_threads(self):
+        payloads = []
+        for threads in (None, "1"):
+            proc = run_module("optimize", "2", "--seed", "42", "--json", OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            report.pop("wall_time_ms")
+            payloads.append(json.dumps(report, sort_keys=True))
+        assert payloads[0] == payloads[1]

@@ -12,6 +12,8 @@ from nonlocality_wb.qubit import (
     QubitModel,
     _full_grid,
     _PenaltyProblem,
+    _screen,
+    _starts,
     behavior_of_model,
     behavior_of_model_trace,
     maximize_hardy,
@@ -147,6 +149,71 @@ class TestPerTermEvaluation:
             assert np.array_equal(cond_grads, ref_cond_grads)
 
 
+def mixed_scale_vectors(rng, rows, n):
+    """Parameter vectors, every third one with angles up to +-10 pi."""
+    scales = np.where(np.arange(rows) % 3 == 0, 10 * math.pi, math.pi)[:, None]
+    return rng.uniform(-1.0, 1.0, (rows, 1 + 2 * n)) * scales
+
+
+class TestBatchedBornTerms:
+    @pytest.mark.parametrize("name", ["original", 2, 4, 6])
+    @pytest.mark.parametrize("hessian", [False, True])
+    def test_rows_equal_single_vector_calls(self, name, hessian):
+        paradox = paradox_of(name)
+        n = paradox.scenario.n_settings
+        terms = [_PenaltyProblem(paradox).terms, _full_grid(n)]
+        X = mixed_scale_vectors(np.random.default_rng(12), 30, n)
+        for born in terms:
+            batched = born(X, hessian=hessian)
+            assert len(batched) == (10 if hessian else 4)
+            for r, x in enumerate(X):
+                for batch_part, part in zip(batched, born(x, hessian=hessian)):
+                    assert np.array_equal(batch_part[r], part)
+
+    @pytest.mark.parametrize("name", ["original", 2, 4, 6])
+    def test_second_derivatives_match_central_differences(self, name):
+        # each term's Hessian over (theta, alpha_x, beta_y) against central
+        # differences of its analytic gradient
+        paradox = paradox_of(name)
+        n = paradox.scenario.n_settings
+        born = _PenaltyProblem(paradox).terms
+        step = 1e-6
+        for x in mixed_scale_vectors(np.random.default_rng(13), 6, n):
+            _, _, _, _, tt, ta, tb, aa, ab, bb = born(x, hessian=True)
+            hessian = np.array([[tt, ta, tb], [ta, aa, ab], [tb, ab, bb]])
+            for row, angles in enumerate((np.zeros_like(born.x), 1 + born.x, 1 + n + born.y)):
+                fd = np.empty((3, len(born.x)))
+                for t, k in enumerate(angles):
+                    xp, xm = x.copy(), x.copy()
+                    xp[k] += step
+                    xm[k] -= step
+                    fd[:, t] = [
+                        (gp[t] - gm[t]) / (2 * step)
+                        for gp, gm in zip(born(xp)[1:], born(xm)[1:])
+                    ]
+                np.testing.assert_allclose(fd, hessian[row], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("name", ["original", 2, 4, 6])
+    def test_jets_match_components_and_gradient_differences(self, name):
+        paradox = paradox_of(name)
+        problem = _PenaltyProblem(paradox)
+        d = 1 + 2 * paradox.scenario.n_settings
+        X = mixed_scale_vectors(np.random.default_rng(14), 6, paradox.scenario.n_settings)
+        values, grads, hess = problem.jets(X)
+        step = 1e-6
+        for r, x in enumerate(X):
+            hardy, hardy_grad, residuals, cond_grads = problem.components(x)
+            np.testing.assert_allclose(values[r], np.r_[hardy, residuals + problem.targets], atol=1e-13)
+            np.testing.assert_allclose(grads[r], np.vstack((hardy_grad, cond_grads)), atol=1e-13)
+            assert np.array_equal(hess[r], hess[r].transpose(0, 2, 1))
+            for k in range(d):
+                xp, xm = x.copy(), x.copy()
+                xp[k] += step
+                xm[k] -= step
+                fd = (problem.jets(xp[None])[1][0] - problem.jets(xm[None])[1][0]) / (2 * step)
+                np.testing.assert_allclose(fd, hess[r][:, :, k], rtol=0, atol=1e-6)
+
+
 class TestGradients:
     @pytest.mark.parametrize("n", [2, 4, "original"])
     def test_matches_central_differences(self, n):
@@ -218,6 +285,10 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValidationError):
             OptimizerConfig(penalty_growth=1.0)
+        with pytest.raises(ValidationError, match="seed"):
+            OptimizerConfig(seed=-1)
+        with pytest.raises(ValidationError, match="seed"):
+            OptimizerConfig.from_json_dict({"seed": -1})
 
 
 def assert_restart_statistics(result):
@@ -245,8 +316,13 @@ class TestMaximizeHardy:
         assert 0.0896 <= result.hardy_value <= 0.0903
         assert_restart_statistics(result)
 
-    def test_objective_evals_count_every_objective_call(self):
-        calls, minimize = [], qubit.minimize
+    def test_objective_evals_count_screen_rows_and_polish_calls(self):
+        rows, calls = [], []
+        jets, minimize = _PenaltyProblem.jets, qubit.minimize
+
+        def counting_jets(problem, X):
+            rows.append(len(X))
+            return jets(problem, X)
 
         def counting_minimize(fun, *args, **kwargs):
             def counted(*fargs):
@@ -255,9 +331,24 @@ class TestMaximizeHardy:
 
             return minimize(counted, *args, **kwargs)
 
-        with mock.patch.object(qubit, "minimize", counting_minimize):
+        with mock.patch.object(_PenaltyProblem, "jets", counting_jets), mock.patch.object(
+            qubit, "minimize", counting_minimize
+        ):
             result = maximize_hardy(original_hardy(), OptimizerConfig(restarts=4))
-        assert result.objective_evals == len(calls)
+        assert sum(rows) > 4 and calls
+        assert result.objective_evals == sum(rows) + len(calls)
+
+    @pytest.mark.parametrize("name", ["original", 4])
+    def test_screened_restarts_do_not_depend_on_the_batch(self, name):
+        problem = _PenaltyProblem(paradox_of(name))
+        d = 1 + 2 * problem.n
+        outcomes = []
+        for restarts in (40, 200):
+            X = _starts(OptimizerConfig(restarts=restarts), d)
+            hardy, residuals, _ = _screen(problem, X, OptimizerConfig(restarts=restarts))
+            outcomes.append((X[:40], hardy[:40], residuals[:40]))
+        for small, large in zip(*outcomes):
+            assert np.array_equal(small, large)
 
     def test_deterministic_for_fixed_seed(self):
         cfg = OptimizerConfig(restarts=8, seed=123)
@@ -276,6 +367,15 @@ class TestMaximizeHardy:
         for key in ("feasible_restarts", "restarts_near_best", "objective_evals"):
             assert doc[key] == getattr(result, key)
         assert json.loads(json.dumps(doc)) == doc
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_penalty_schedule_still_reports(self):
+        # the penalty reaches inf in the second stage; rows whose penalty
+        # Hessian overflows stay where they are instead of failing eigh
+        cfg = OptimizerConfig(restarts=3, penalty_start=1e300, penalty_growth=1e10)
+        result = maximize_hardy(realigned_hardy(2), cfg)
+        assert result.restarts_used == 3
+        assert result.converged == (max(abs(r) for r in result.condition_residuals) <= 1e-6)
 
     def test_weak_penalty_reports_nonconvergence(self):
         cfg = OptimizerConfig(
