@@ -21,17 +21,16 @@ kept as the verification oracle and agrees to machine precision.
 
 Maximization of a paradox's Hardy value subject to its condition equalities
 uses a quadratic-penalty schedule (default 10 -> 1e6, factor 10 per stage)
-and uniform multi-start over all angles, in two steps.  A batched screen
-advances every restart at once as one ``(restarts, 1 + 2n)`` array of damped
-Newton steps with analytic Hessians; each row stops on its own, so a
-restart's outcome does not depend on the others.  Then scipy's L-BFGS-B
-polishes the best feasible restart through the same schedule.  A restart
-counts as feasible only if every condition residual ends within
+and uniform multi-start over all angles.  One batched screen advances every
+restart at once as one ``(restarts, 1 + 2n)`` array of damped Newton steps
+with analytic Hessians; each row stops on its own, so a restart's outcome
+does not depend on the others.  The best feasible row is the result.  A
+restart counts as feasible only if every condition residual ends within
 ``constraint_tol``.  The penalty objective evaluates only the terms the
 paradox touches (4 of the 16 probabilities for the original paradox).  Each
-result reports how many screened restarts ended feasible, how many of those
-came within 1e-6 of the best screened value, and the objective evaluations
-of the screen (one per row evaluated) and the polish.
+result reports how many restarts ended feasible, how many of those came
+within 1e-6 of the best value, and the objective evaluations made (one per
+row evaluated).
 """
 
 from __future__ import annotations
@@ -41,7 +40,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+
+# Not called here: the benchmark's tracer (perfbench/tracer.py) patches
+# ``qubit.minimize`` by name and fails if the attribute is missing.
+from scipy.optimize import minimize  # noqa: F401
 
 from .hardy import HardyParadox
 from .scenario import (
@@ -205,8 +207,8 @@ def _full_grid(n: int) -> _BornTerms:
 class OptimizerConfig:
     """Penalty/multi-start settings; JSON keys mirror the field names.
 
-    ``inner_iters`` caps each penalty stage: Newton iterations per row in the
-    batched screen, L-BFGS-B iterations in the polish.
+    ``inner_iters`` caps each penalty stage at that many Newton iterations
+    per restart.
     """
 
     restarts: int = 200
@@ -279,9 +281,8 @@ class _PenaltyProblem:
     """Hardy objective and condition residuals over the parameter vector.
 
     The paradox is compiled once into one list of terms: the Hardy term, then
-    each condition's terms in canonical order.  ``segments[s]`` holds the
-    slice of that list owned by expression ``s`` and its coefficients; only
-    these terms are ever evaluated.
+    each condition's terms in canonical order, with one coefficient per term;
+    only these terms are ever evaluated.
     """
 
     def __init__(self, paradox: HardyParadox):
@@ -293,14 +294,7 @@ class _PenaltyProblem:
         i, j, x, y = np.array(keys, dtype=np.intp).T
         self.terms = _BornTerms(n, i, j, x - 1, y - 1)
         self.c = np.array([c for items in expressions for _, c in items])
-        bounds = np.cumsum([0] + [len(items) for items in expressions]).tolist()
-        self.segments = [
-            (slice(lo, hi), self.c[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        segment = np.repeat(np.arange(len(expressions)), np.diff(bounds))
-        # one bincount bin per (expression, angle) pair
-        self.alpha_bins = segment * n + x - 1
-        self.beta_bins = segment * n + y - 1
+        segment = np.repeat(np.arange(len(expressions)), [len(items) for items in expressions])
         # a term's jet (value, gradient, Hessian over its angles u) goes to the
         # bins of its expression's jet (value, gradient, Hessian over all angles)
         d = 1 + 2 * n
@@ -311,23 +305,6 @@ class _PenaltyProblem:
         self.jet_bins = segment[:, None] * width + np.concatenate(
             (np.zeros((len(x), 1), dtype=np.intp), 1 + u, hess_bins.reshape(-1, 9)), axis=1
         )
-
-    def components(self, vec: np.ndarray):
-        """Hardy value and gradient, condition residuals and their gradients."""
-        p, dtheta, dalpha, dbeta = self.terms(vec)
-        c, n, count = self.c, self.n, len(self.segments)
-        values = np.empty(count)
-        grads = np.empty((count, 1 + 2 * n))
-        for s, (terms, coeffs) in enumerate(self.segments):
-            values[s] = coeffs @ p[terms]
-            grads[s, 0] = coeffs @ dtheta[terms]
-        grads[:, 1 : n + 1] = np.bincount(
-            self.alpha_bins, weights=c * dalpha, minlength=count * n
-        ).reshape(count, n)
-        grads[:, n + 1 :] = np.bincount(
-            self.beta_bins, weights=c * dbeta, minlength=count * n
-        ).reshape(count, n)
-        return values[0], grads[0], values[1:] - self.targets, grads[1:]
 
     def jets(self, X: np.ndarray):
         """Values, gradients and Hessians of every expression at each row of X.
@@ -344,16 +321,8 @@ class _PenaltyProblem:
         index = np.arange(rows)[:, None, None] * size + self.jet_bins
         flat = np.bincount(
             index.ravel(), weights=(parts * self.c[:, None]).ravel(), minlength=rows * size
-        ).reshape(rows, len(self.segments), -1)
+        ).reshape(rows, 1 + len(self.targets), -1)
         return flat[..., 0], flat[..., 1 : 1 + d], flat[..., 1 + d :].reshape(rows, -1, d, d)
-
-    def penalized(self, vec: np.ndarray, mu: float):
-        hardy, hardy_grad, residuals, grads = self.components(vec)
-        value = -hardy + mu * float(residuals @ residuals)
-        grad = -hardy_grad
-        for r, g in zip(residuals, grads):
-            grad = grad + 2.0 * mu * r * g
-        return value, grad
 
 
 # Conditions that pin a probability at zero are degenerate: the constraint
@@ -368,78 +337,35 @@ def _feasible(residuals: np.ndarray, cfg: OptimizerConfig) -> bool:
     return bool(np.max(np.abs(residuals), initial=0.0) <= cfg.constraint_tol)
 
 
-def _polish(problem: _PenaltyProblem, x0: np.ndarray, cfg: OptimizerConfig):
-    """Run the penalty schedule from one start with scipy's L-BFGS-B.
-
-    Returns the final vector, its Hardy value and condition residuals, and
-    the number of objective evaluations the inner solves made.
-    """
-    x = np.asarray(x0, dtype=float)
-    mu = cfg.penalty_start
-    evals = 0
-
-    def stage(x, mu):
-        nonlocal evals
-        result = minimize(
-            problem.penalized,
-            x,
-            args=(mu,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.inner_iters, "ftol": 1e-15, "gtol": 1e-11},
-        )
-        evals += result.nfev
-        return result.x
-
-    for _ in range(cfg.penalty_stages):
-        x = stage(x, mu)
-        mu *= cfg.penalty_growth
-
-    stall = min(1e-6, cfg.constraint_tol)
-    drop = 0.0
-    hardy, _, residuals, _ = problem.components(x)
-    for extra in range(_EXTRA_PENALTY_STAGES):
-        if _feasible(residuals, cfg) and (extra == 0 or drop <= stall):
-            break
-        x = stage(x, mu)
-        mu *= cfg.penalty_growth
-        hardy_next, _, residuals, _ = problem.components(x)
-        drop = abs(hardy_next - hardy)
-        hardy = hardy_next
-    return x, hardy, residuals, evals
-
-
 #: A feasible restart counts as reaching the best value within this distance.
 _NEAR_BEST_TOL = 1e-6
 
 
 def _result_from_vector(
-    problem, x, outcomes, objective_evals, converged, best=None
+    x, hardy, residuals, outcomes, objective_evals, cfg: OptimizerConfig
 ) -> OptimizationResult:
-    """Result for the vector ``x``; ``outcomes`` holds (Hardy value, feasible)
-    of every restart that was run, and ``best`` the value that restarts count
-    as near to (default: the Hardy value at ``x``)."""
-    hardy, _, residuals, _ = problem.components(x)
-    best = hardy if best is None else best
+    """Result for the vector ``x`` with its Hardy value and condition
+    residuals; ``outcomes`` holds (Hardy value, feasible) of every restart
+    that was run, and restarts count as near to ``hardy``."""
     feasible = [value for value, ok in outcomes if ok]
     return OptimizationResult(
         model=QubitModel.from_vector(x),
         hardy_value=float(hardy),
         condition_residuals=tuple(float(r) for r in residuals),
         restarts_used=len(outcomes),
-        converged=converged,
+        converged=_feasible(residuals, cfg),
         feasible_restarts=len(feasible),
-        restarts_near_best=sum(int(best - value <= _NEAR_BEST_TOL) for value in feasible),
+        restarts_near_best=sum(int(hardy - value <= _NEAR_BEST_TOL) for value in feasible),
         objective_evals=objective_evals,
     )
 
 
 # The batched Newton screen.  A row's stage ends when its Newton decrement or
-# its accepted decrease is at most _FTOL * max(|f|, 1), as the polish's ftol
-# does, when its line search fails, or after inner_iters iterations.  Hessian
-# eigenvalues are replaced by max(|lambda|, _EIG_FLOOR), so every step
-# descends, also near saddles; a step moves no angle by more than _MAX_STEP
-# radians, and the Armijo line search halves it at most _BACKTRACKS times.
+# its accepted decrease is at most _FTOL * max(|f|, 1), when its line search
+# fails, or after inner_iters iterations.  Hessian eigenvalues are replaced by
+# max(|lambda|, _EIG_FLOOR), so every step descends, also near saddles; a step
+# moves no angle by more than _MAX_STEP radians, and the Armijo line search
+# halves it at most _BACKTRACKS times.
 _FTOL = 1e-15
 _EIG_FLOOR = 1e-8
 _MAX_STEP = 1.0
@@ -510,8 +436,8 @@ def _screen(problem: _PenaltyProblem, X: np.ndarray, cfg: OptimizerConfig):
 
     The base schedule runs on all rows; the continuation then runs a row
     only while it is infeasible or, after the first extra stage, while its
-    Hardy value still drifts, as ``_polish`` does.  Returns the Hardy values
-    and condition residuals the rows end with and the row evaluations made.
+    Hardy value still drifts.  Returns the Hardy values and condition
+    residuals the rows end with and the row evaluations made.
     """
     jets = problem.jets(X)
     evals = len(X)
@@ -554,19 +480,15 @@ def maximize_hardy(
 ) -> OptimizationResult:
     """Maximize the Hardy value over qubit models meeting the conditions.
 
-    Multi-start quadratic-penalty search in two steps.  The screen: every
-    restart draws all angles uniformly from [-pi, pi) out of its own
-    ``(seed, restart index)`` stream, and all restarts run the penalty
-    schedule together, one ``(restarts, 1 + 2n)`` array of damped Newton
-    steps; a restart's outcome does not depend on the others.  A restart is
-    feasible if all its condition residuals end within
-    ``cfg.constraint_tol``.  The polish: scipy's L-BFGS-B runs the penalty
-    schedule once more from the best feasible restart (ties broken by lowest
-    restart index), or from the least-infeasible one if none is feasible.
-    The polished model is returned if it ends feasible, else the screened
-    one; ``converged`` says whether the returned model is feasible.  The
-    restart statistics describe the screen; ``restarts_near_best`` counts
-    feasible restarts within 1e-6 of the best screened value.
+    Multi-start quadratic-penalty search: every restart draws all angles
+    uniformly from [-pi, pi) out of its own ``(seed, restart index)`` stream,
+    and all restarts run the penalty schedule together, one
+    ``(restarts, 1 + 2n)`` array of damped Newton steps; a restart's outcome
+    does not depend on the others.  A restart is feasible if all its condition residuals end
+    within ``cfg.constraint_tol``.  The result is the best feasible restart
+    (ties broken by lowest restart index), or the least-infeasible one if
+    none is feasible; ``converged`` says whether it is feasible.
+    ``restarts_near_best`` counts feasible restarts within 1e-6 of its value.
     """
     cfg = cfg or OptimizerConfig.default_for(paradox)
     problem = _PenaltyProblem(paradox)
@@ -578,14 +500,8 @@ def maximize_hardy(
         best = int(np.argmax(np.where(feasible, hardy, -np.inf)))
     else:
         best = int(np.argmin(infeasibility))
-    x, _, polished_residuals, polish_evals = _polish(problem, X[best], cfg)
-    converged = _feasible(polished_residuals, cfg)
-    if not converged:
-        x, converged = X[best], bool(feasible[best])
     outcomes = list(zip(hardy.tolist(), feasible.tolist()))
-    return _result_from_vector(
-        problem, x, outcomes, evals + polish_evals, converged, best=float(hardy[best])
-    )
+    return _result_from_vector(X[best], hardy[best], residuals[best], outcomes, evals, cfg)
 
 
 def refine_from(
@@ -593,12 +509,14 @@ def refine_from(
     start: QubitModel,
     cfg: OptimizerConfig | None = None,
 ) -> OptimizationResult:
-    """Local polish of a given model through the penalty schedule.
+    """Local refinement of a given model through the penalty schedule.
 
-    If the starting model is already feasible, the refined model is never
-    worse: should the polish end feasible with a lower Hardy value (beyond
-    1e-9) or end infeasible, the start itself is returned.  The restart
-    statistics describe the single polish.
+    The start runs through the same screen as one restart.  If the starting
+    model is already feasible, the refined model is never worse: should the
+    refinement end feasible with a lower Hardy value (beyond 1e-9) or end
+    infeasible, the start itself is returned.  The restart statistics
+    describe the single refinement; ``objective_evals`` includes the
+    evaluation of the start.
     """
     cfg = cfg or OptimizerConfig.default_for(paradox)
     if start.n_settings != paradox.scenario.n_settings:
@@ -608,11 +526,14 @@ def refine_from(
         )
     problem = _PenaltyProblem(paradox)
     x0 = start.as_vector()
-    start_hardy, _, start_residuals, _ = problem.components(x0)
-    start_feasible = _feasible(start_residuals, cfg)
-    x, hardy, residuals, evals = _polish(problem, x0, cfg)
+    start_values = problem.jets(x0[None])[0][0]
+    start_hardy, start_residuals = start_values[0], start_values[1:] - problem.targets
+    X = x0[None].copy()
+    hardy, residuals, evals = _screen(problem, X, cfg)
+    evals += 1  # the start's own evaluation above
+    hardy, residuals = hardy[0], residuals[0]
     feasible = _feasible(residuals, cfg)
-    outcomes = [(hardy, feasible)]
-    if start_feasible and (not feasible or hardy < start_hardy - 1e-9):
-        return _result_from_vector(problem, x0, outcomes, evals, start_feasible)
-    return _result_from_vector(problem, x, outcomes, evals, feasible)
+    outcomes = [(float(hardy), feasible)]
+    if _feasible(start_residuals, cfg) and (not feasible or hardy < start_hardy - 1e-9):
+        return _result_from_vector(x0, start_hardy, start_residuals, outcomes, evals, cfg)
+    return _result_from_vector(X[0], hardy, residuals, outcomes, evals, cfg)

@@ -11,6 +11,13 @@ REFERENCE_MODEL_4 = QubitModel(
 )
 
 
+def jet_components(problem, x: np.ndarray):
+    """Hardy value and gradient, condition residuals and their gradients at
+    the single vector ``x``, read off ``problem.jets``."""
+    values, grads, _ = problem.jets(x[None])
+    return values[0, 0], grads[0, 0], values[0, 1:] - problem.targets, grads[0, 1:]
+
+
 def all_zero_behavior(scenario: Scenario) -> Behavior:
     """Deterministic behavior with both parties always reporting outcome 0."""
     n = scenario.n_settings

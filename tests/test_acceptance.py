@@ -34,7 +34,7 @@ from nonlocality_wb.scenario import (
     chsh_probability_form,
     evaluate,
 )
-from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4
+from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4, jet_components
 
 
 def record(label: str, ok: bool, detail: str = "") -> bool:
@@ -258,13 +258,13 @@ def test_criterion_7_property_suites():
         problem = _PenaltyProblem(realigned_hardy(n))
         for _ in range(5):
             x = rng.uniform(-math.pi, math.pi, 1 + 2 * n)
-            _, hardy_grad, _, cond_grads = problem.components(x)
+            _, hardy_grad, _, cond_grads = jet_components(problem, x)
             for k in range(len(x)):
                 xp, xm = x.copy(), x.copy()
                 xp[k] += step
                 xm[k] -= step
-                hp, _, rp, _ = problem.components(xp)
-                hm, _, rm, _ = problem.components(xm)
+                hp, _, rp, _ = jet_components(problem, xp)
+                hm, _, rm, _ = jet_components(problem, xm)
                 fd_h = (hp - hm) / (2 * step)
                 fd_c = (rp[0] - rm[0]) / (2 * step)
                 worst_grad = max(

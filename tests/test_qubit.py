@@ -22,7 +22,7 @@ from nonlocality_wb.qubit import (
     state_vector,
 )
 from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality, evaluate
-from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4
+from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4, jet_components
 
 
 def paradox_of(name):
@@ -109,6 +109,14 @@ class TestBehaviorOfModel:
             assert np.abs(marg_b - marg_b[:1, :, :]).max() <= 1e-12
 
 
+def sum_in_term_order(weights):
+    """Left-to-right sum: the order in which ``jets`` adds up an expression."""
+    total = 0.0
+    for w in weights:
+        total += w
+    return total
+
+
 def gathered_components(paradox, x):
     """Penalty components from the full-grid tensors, one expression at a time."""
     n = paradox.scenario.n_settings
@@ -122,10 +130,10 @@ def gathered_components(paradox, x):
         i, j, xs, ys = np.array(keys).T
         xs, ys = xs - 1, ys - 1
         grad = np.zeros(1 + 2 * n)
-        grad[0] = c @ dtheta[xs, ys, i, j]
+        grad[0] = sum_in_term_order(c * dtheta[xs, ys, i, j])
         grad[1 : n + 1] = np.bincount(xs, weights=c * dalpha[xs, ys, i, j], minlength=n)
         grad[n + 1 :] = np.bincount(ys, weights=c * dbeta[xs, ys, i, j], minlength=n)
-        values.append(c @ p[xs, ys, i, j])
+        values.append(sum_in_term_order(c * p[xs, ys, i, j]))
         grads.append(grad)
     targets = np.array([target for _, target in paradox.conditions])
     return values[0], grads[0], np.array(values[1:]) - targets, np.array(grads[1:])
@@ -141,7 +149,7 @@ class TestPerTermEvaluation:
         rng = np.random.default_rng(11)
         for _ in range(20):
             x = rng.uniform(-math.pi, math.pi, 1 + 2 * n)
-            hardy, hardy_grad, residuals, cond_grads = problem.components(x)
+            hardy, hardy_grad, residuals, cond_grads = jet_components(problem, x)
             ref_hardy, ref_grad, ref_residuals, ref_cond_grads = gathered_components(paradox, x)
             assert hardy == ref_hardy
             assert np.array_equal(hardy_grad, ref_grad)
@@ -202,7 +210,7 @@ class TestBatchedBornTerms:
         values, grads, hess = problem.jets(X)
         step = 1e-6
         for r, x in enumerate(X):
-            hardy, hardy_grad, residuals, cond_grads = problem.components(x)
+            hardy, hardy_grad, residuals, cond_grads = gathered_components(paradox, x)
             np.testing.assert_allclose(values[r], np.r_[hardy, residuals + problem.targets], atol=1e-13)
             np.testing.assert_allclose(grads[r], np.vstack((hardy_grad, cond_grads)), atol=1e-13)
             assert np.array_equal(hess[r], hess[r].transpose(0, 2, 1))
@@ -223,13 +231,13 @@ class TestGradients:
         step = 1e-6
         for _ in range(5):
             x = rng.uniform(-math.pi, math.pi, 1 + 2 * paradox.scenario.n_settings)
-            hardy, hardy_grad, _, cond_grads = problem.components(x)
+            hardy, hardy_grad, _, cond_grads = jet_components(problem, x)
             for k in range(len(x)):
                 xp, xm = x.copy(), x.copy()
                 xp[k] += step
                 xm[k] -= step
-                hp, _, rp, _ = problem.components(xp)
-                hm, _, rm, _ = problem.components(xm)
+                hp, _, rp, _ = jet_components(problem, xp)
+                hm, _, rm, _ = jet_components(problem, xm)
                 fd_h = (hp - hm) / (2 * step)
                 assert fd_h == pytest.approx(hardy_grad[k], abs=1e-4 * (1 + abs(hardy_grad[k])))
                 for fd_c, grad in zip((rp - rm) / (2 * step), cond_grads):
@@ -313,30 +321,40 @@ class TestMaximizeHardy:
     def test_original(self):
         result = maximize_hardy(original_hardy(), OptimizerConfig(restarts=40))
         assert result.converged
-        assert 0.0896 <= result.hardy_value <= 0.0903
+        assert abs(result.hardy_value - (5 * math.sqrt(5) - 11) / 2) <= 5e-6
         assert_restart_statistics(result)
 
-    def test_objective_evals_count_screen_rows_and_polish_calls(self):
-        rows, calls = [], []
-        jets, minimize = _PenaltyProblem.jets, qubit.minimize
+    @pytest.mark.parametrize("name, restarts", [(2, 40), (4, 60), ("original", 40)])
+    def test_value_does_not_depend_on_the_seed(self, name, restarts):
+        values = [
+            maximize_hardy(paradox_of(name), OptimizerConfig(restarts=restarts, seed=seed)).hardy_value
+            for seed in (42, 7, 2026)
+        ]
+        assert max(values) - min(values) <= 1e-10
+
+    def test_objective_evals_count_jets_rows_without_scipy(self):
+        rows = []
+        jets = _PenaltyProblem.jets
 
         def counting_jets(problem, X):
             rows.append(len(X))
             return jets(problem, X)
 
-        def counting_minimize(fun, *args, **kwargs):
-            def counted(*fargs):
-                calls.append(fargs)
-                return fun(*fargs)
+        def no_scipy(*args, **kwargs):
+            raise AssertionError("the optimizer must not call scipy.optimize.minimize")
 
-            return minimize(counted, *args, **kwargs)
-
+        runs = (
+            lambda: maximize_hardy(original_hardy(), OptimizerConfig(restarts=4)),
+            lambda: refine_from(realigned_hardy(2), REFERENCE_MODEL_2),
+        )
         with mock.patch.object(_PenaltyProblem, "jets", counting_jets), mock.patch.object(
-            qubit, "minimize", counting_minimize
-        ):
-            result = maximize_hardy(original_hardy(), OptimizerConfig(restarts=4))
-        assert sum(rows) > 4 and calls
-        assert result.objective_evals == sum(rows) + len(calls)
+            qubit, "minimize", no_scipy
+        ), mock.patch("scipy.optimize.minimize", no_scipy):
+            for run in runs:
+                rows.clear()
+                result = run()
+                assert sum(rows) > result.restarts_used
+                assert result.objective_evals == sum(rows)
 
     @pytest.mark.parametrize("name", ["original", 4])
     def test_screened_restarts_do_not_depend_on_the_batch(self, name):
@@ -402,7 +420,7 @@ class TestRefineFrom:
         paradox = realigned_hardy(2)
         result = refine_from(paradox, REFERENCE_MODEL_2)
         problem = _PenaltyProblem(paradox)
-        _, hardy_grad, _, cond_grads = problem.components(result.model.as_vector())
+        _, hardy_grad, _, cond_grads = jet_components(problem, result.model.as_vector())
         g, c = hardy_grad, cond_grads[0]
         lam = float(g @ c) / float(c @ c)
         projected = g - lam * c
