@@ -401,13 +401,15 @@ def _swap_permutations(program: MomentProgram, live: np.ndarray):
     """Party swap as ``(class_perm, basis_perm)``, or None unless it maps the
     live classes onto themselves and leaves the objective and the set of
     equality rows invariant (to 1e-12)."""
-    class_index = {w: k for k, w in enumerate(program.class_words)}
     basis_index = {m: i for i, m in enumerate(program.basis)}
-    class_perm = [class_index.get(moment_key(w.swap_parties())) for w in program.class_words]
     basis_perm = [basis_index.get(m.swap_parties()) for m in program.basis]
-    if None in class_perm or None in basis_perm:
+    if None in basis_perm:
         return None
-    class_perm, basis_perm = np.array(class_perm), np.array(basis_perm)
+    basis_perm = np.array(basis_perm)
+    # the swap of cell (p, q)'s word is the word of cell (swap p, swap q)
+    cells = program.cell_class
+    class_perm = np.empty(program.n_classes, dtype=np.int64)
+    class_perm[cells] = cells[np.ix_(basis_perm, basis_perm)]
     if not np.array_equal(live[class_perm], live):
         return None
 

@@ -20,9 +20,12 @@ iteration shared by predictor and corrector.
 
 Constraint matrices are given sparsely as entry lists per variable; the
 per-iteration Schur assembly exploits that each ``F_k`` has few entries by
-forming ``U F_k V`` as a thin product of gathered columns.  Problem sizes up
-to a few hundred rows per block and ~10^4 variables stay within desk-scale
-memory; no sparsity is assumed in ``H`` itself.
+forming ``U F_k V`` as a thin product of gathered columns, and reads row ``k``
+of ``H`` off that product through one sparse gather (a CSR matrix with one
+row per variable) per block.  Only ``H`` and its Cholesky factor are held as
+``m x m`` arrays.  Problem sizes up to a few hundred rows per block and ~10^4
+variables stay within desk-scale memory; no sparsity is assumed in ``H``
+itself.
 """
 
 from __future__ import annotations
@@ -85,37 +88,26 @@ class LmiProblem:
         # scatter matrices: vec(M_b) = vec(F0_b) + S_b @ y
         self.scatter = []
         self.gather = []
-        self.block_entries = []
+        # per block: per-variable entry slices, and the row gather
+        # R_b[i, col*dim + row] = F_i[row, col] that reads tr(F_i T) off T.ravel()
+        self.per_var = []
+        self.row_gather = []
         for blk in blocks:
-            flat = blk.row.astype(np.int64) * blk.dim + blk.col.astype(np.int64)
+            row, col = blk.row.astype(np.int64), blk.col.astype(np.int64)
+            val = blk.val.astype(float)
             s = scipy.sparse.csr_matrix(
-                (blk.val.astype(float), (flat, blk.var.astype(np.int64))),
+                (val, (row * blk.dim + col, blk.var.astype(np.int64))),
                 shape=(blk.dim * blk.dim, self.m),
             )
             self.scatter.append(s)
             self.gather.append(s.T.tocsr())
-            # gathering tr(F_i U F_j V) evaluates T = U F_j V at (col, row),
-            # i.e. T.ravel() indexed at col*dim + row
-            self.block_entries.append(
-                (
-                    blk.var.astype(np.int64),
-                    (blk.col.astype(np.int64) * blk.dim + blk.row.astype(np.int64)),
-                    blk.val.astype(float),
-                )
-            )
-        # per-variable slices for Schur assembly, per block
-        self.per_var = []
-        for blk in blocks:
+            # stable order keeps each variable's entries in input order
             order = np.argsort(blk.var, kind="stable")
-            var_sorted = blk.var[order]
-            ptr = np.searchsorted(var_sorted, np.arange(self.m + 1))
-            self.per_var.append(
-                (
-                    ptr,
-                    blk.row[order].astype(np.int64),
-                    blk.col[order].astype(np.int64),
-                    blk.val[order].astype(float),
-                )
+            ptr = np.searchsorted(blk.var[order], np.arange(self.m + 1))
+            row, col, val = row[order], col[order], val[order]
+            self.per_var.append((ptr, row, col, val))
+            self.row_gather.append(
+                scipy.sparse.csr_matrix((val, col * blk.dim + row, ptr), shape=(self.m, blk.dim * blk.dim))
             )
 
     def mat(self, y: np.ndarray, include_f0: bool = True) -> list[np.ndarray]:
@@ -138,18 +130,18 @@ class LmiProblem:
     def schur(self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray]) -> np.ndarray:
         """Dense ``H_ij = sum_blocks tr(F_i U F_j V)`` for symmetric U, V."""
         h = np.zeros((self.m, self.m))
-        for bi, (u, v) in enumerate(zip(u_blocks, v_blocks)):
-            ptr, rows, cols, vals = self.per_var[bi]
-            evar, eflat_t, evals = self.block_entries[bi]
+        for (ptr, rows, cols, vals), g, u, v in zip(self.per_var, self.row_gather, u_blocks, v_blocks):
             for j in range(self.m):
                 lo, hi = ptr[j], ptr[j + 1]
                 if lo == hi:
                     continue
                 r, c, w = rows[lo:hi], cols[lo:hi], vals[lo:hi]
                 t = (u[:, r] * w[None, :]) @ v[c, :]  # U F_j V
-                # H[i, j] += sum over entries (p, q, w') of F_i of w' * t[q, p]
-                h[:, j] += np.bincount(evar, weights=evals * t.ravel()[eflat_t], minlength=self.m)
-        return 0.5 * (h + h.T)
+                # row j holds tr(F_i U F_j V) for every i; symmetrized below
+                h[j] += g @ t.ravel()
+        h += h.T
+        h *= 0.5
+        return h
 
 
 def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
@@ -241,14 +233,16 @@ def solve_lmi(
         zinv = [scipy.linalg.cho_solve((l, True), np.eye(nb), check_finite=False) for l, nb in zip(lz, dims)]
         zinv = [0.5 * (zi + zi.T) for zi in zinv]
 
+        h = hj = cho = None  # release last iteration's H and factor before the next
         h = problem.schur(x_blocks, zinv)
         jitter = 1e-13 * max(1.0, float(np.trace(h)) / max(m, 1))
-        cho = None
+        hj = np.empty_like(h)
         for _ in range(8):
+            np.copyto(hj, h)
+            hj.flat[:: m + 1] += jitter
             try:
-                cho = scipy.linalg.cho_factor(
-                    h + jitter * np.eye(m), lower=True, check_finite=False
-                )
+                # hj.T is H + jitter*I in Fortran order, so LAPACK factors it in place
+                cho = scipy.linalg.cho_factor(hj.T, lower=True, overwrite_a=True, check_finite=False)
                 break
             except scipy.linalg.LinAlgError:
                 jitter *= 100.0

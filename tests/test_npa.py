@@ -11,6 +11,8 @@ from nonlocality_wb.npa import (
     Monomial,
     SdpConfig,
     _affine_map,
+    _pinned_zero_classes,
+    _swap_permutations,
     basis_monomials,
     build_expression_program,
     build_program,
@@ -349,6 +351,25 @@ class TestAffineMap:
         bad = replace(prog, equalities=prog.equalities + ((pin, 0.5),))
         assert _affine_map(bad, True) is None
         assert solve(bad).status == "infeasible"
+
+
+SWAP_CASES = [
+    (2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3), (6, 1), (6, 2),
+    ("original", 1), ("original", 2), ("original", 3),
+]
+
+
+@pytest.mark.parametrize("n,level", SWAP_CASES)
+def test_swap_permutations_match_swapped_class_words(n, level):
+    paradox = original_hardy() if n == "original" else realigned_hardy(n)
+    prog = build_program(paradox, level)
+    live = np.ones(prog.n_classes, dtype=bool)
+    live[list(_pinned_zero_classes(prog))] = False
+    class_perm, basis_perm = _swap_permutations(prog, live)
+    class_index = {w: k for k, w in enumerate(prog.class_words)}
+    expected = [class_index[moment_key(w.swap_parties())] for w in prog.class_words]
+    np.testing.assert_array_equal(class_perm, expected)
+    assert all(prog.basis[j] == m.swap_parties() for m, j in zip(prog.basis, basis_perm))
 
 
 class TestModelMomentMatrix:
