@@ -51,6 +51,10 @@ REFERENCE_MODELS = {
 }
 
 
+#: Columns of the ``table1`` text and ``--csv`` output.
+TABLE1_COLUMNS = ("n", "condition_residual", "hardy_value", "reference_value", "abs_delta")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -197,10 +201,9 @@ def _cmd_table1(args) -> tuple[dict, int, list[str]]:
             }
         )
     ok = all(row["within_tolerance"] for row in rows)
-    header = ["n", "condition_residual", "hardy_value", "reference_value", "abs_delta"]
-    lines = ["  ".join(f"{h:>18}" for h in header)]
+    lines = ["  ".join(f"{h:>18}" for h in TABLE1_COLUMNS)]
     for row in rows:
-        lines.append("  ".join(f"{_fmt(row[h]):>18}" for h in header))
+        lines.append("  ".join(f"{_fmt(row[h]):>18}" for h in TABLE1_COLUMNS))
     lines.append(f"all rows within {_fmt(tol)}: {ok}")
     outputs = {"rows": rows, "tolerance": tol, "ok": ok}
     return _report("table1", {"tolerance": tol}, outputs), 0 if ok else 1, lines
@@ -217,10 +220,10 @@ def _cmd_dump_paradox(args) -> tuple[dict, int, list[str]]:
 
 
 def _csv_table1(report: dict) -> str:
-    header = ["n", "condition_residual", "hardy_value", "reference_value", "abs_delta"]
-    out = [",".join(header)]
+    out = [",".join(TABLE1_COLUMNS)]
     for row in report["outputs"]["rows"]:
-        out.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header))
+        cells = (repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in TABLE1_COLUMNS)
+        out.append(",".join(cells))
     return "\n".join(out)
 
 

@@ -31,6 +31,11 @@ from .scenario import (
     ScenarioMismatchError,
     TermKey,
     ValidationError,
+    _check_schema,
+    _checked,
+    _field,
+    _terms_from_json,
+    _terms_to_json,
     as_classical_bound,
     as_inequality,
     evaluate,
@@ -83,13 +88,7 @@ class HardyParadox:
             "paradox_id": self.paradox_id,
             "n": self.scenario.n_settings,
             "conditions": [
-                {
-                    "terms": [
-                        {"x": tx, "y": ty, "i": ti, "j": tj, "coeff": c}
-                        for (ti, tj, tx, ty), c in expr.items()
-                    ],
-                    "target": target,
-                }
+                {"terms": _terms_to_json(expr), "target": target}
                 for expr, target in self.conditions
             ],
             "hardy_term": {"i": i, "j": j, "x": x, "y": y},
@@ -98,30 +97,21 @@ class HardyParadox:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "HardyParadox":
-        if data.get("schema_version") != SCHEMA_VERSION or data.get("kind") != "hardy_paradox":
-            raise ValidationError("not a schema-v1 hardy_paradox document")
-        scenario = Scenario(int(data["n"]))
-        conditions = tuple(
-            Condition(
-                BellExpression(
-                    scenario,
-                    {
-                        (int(t["i"]), int(t["j"]), int(t["x"]), int(t["y"])): float(t["coeff"])
-                        for t in cond["terms"]
-                    },
-                ),
-                float(cond["target"]),
-            )
-            for cond in data["conditions"]
-        )
-        h = data["hardy_term"]
-        ref = data.get("reference_value")
+        kind = "hardy_paradox"
+        _check_schema(data, kind)
+        scenario = Scenario(_field(data, "n", int, kind))
+        conditions = []
+        for cond in _field(data, "conditions", list, kind):
+            cond = _checked(cond, Mapping, "condition")
+            expr = BellExpression(scenario, _terms_from_json(_field(cond, "terms", list, "condition")))
+            conditions.append(Condition(expr, _field(cond, "target", float, "condition")))
+        h = _field(data, "hardy_term", Mapping, kind)
         return HardyParadox(
-            paradox_id=str(data["paradox_id"]),
+            paradox_id=_field(data, "paradox_id", str, kind),
             scenario=scenario,
-            conditions=conditions,
-            hardy_term=(int(h["i"]), int(h["j"]), int(h["x"]), int(h["y"])),
-            quantum_value_reference=None if ref is None else float(ref),
+            conditions=tuple(conditions),
+            hardy_term=tuple(_field(h, name, int, "hardy_term") for name in ("i", "j", "x", "y")),
+            quantum_value_reference=_field(data, "reference_value", float, kind, optional=True),
         )
 
 

@@ -48,7 +48,6 @@ from .scenario import (
     config_from_json_dict,
 )
 from .sdp import (
-    LmiBlockData,
     LmiProblem,
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERATIONS,
@@ -520,22 +519,17 @@ def _affine_map(program: MomentProgram, use_symmetry: bool) -> _AffineMap | None
         (np.ones(size * size), (np.arange(size * size), program.cell_class.ravel())),
         shape=(size * size, n_classes),
     )
-    f0_blocks, entries = [], []
+    f0_blocks, f_blocks = [], []
     for v in bases:
         dim = v.shape[1]
         to_block = (scipy.sparse.kron(v, v, format="csr").T @ cells).tocsr()
         f0_blocks.append((to_block @ y0).reshape(dim, dim))
-        f = (to_block @ n_map).tocsr()
-        f.eliminate_zeros()
-        f = f.tocoo()
-        flat = f.row.astype(np.int64)
-        var = f.col.astype(np.int64)
-        entries.append(LmiBlockData(dim=dim, var=var, row=flat // dim, col=flat % dim, val=f.data))
+        f_blocks.append(to_block @ n_map)
     return _AffineMap(
         y0=y0,
         n=n_map,
         bases=bases,
-        problem=LmiProblem(f0_blocks, entries, n_map.T @ program.objective),
+        problem=LmiProblem(f0_blocks, f_blocks, n_map.T @ program.objective),
         symmetric=swap is not None,
         kept_rows=None if live.all() else len(keep),
     )

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -71,32 +72,48 @@ class Tolerances:
 TOLERANCES = Tolerances()
 
 
-def config_from_json_dict(defaults, data: Mapping, kind: str):
-    """``defaults`` (a frozen config dataclass) with the fields in ``data``.
+def _checked(value, expected: type, what: str):
+    """``value`` as an ``expected``, checked rather than coerced.
 
-    Config files are outside input, so values are checked against the type
-    of each field's default rather than coerced: a bool field takes only a
-    bool, an int field an integral number that is not a bool, and a float
-    field a finite number that is not a bool.
+    Documents and config files are outside input: an int takes an integral
+    number that is not a bool, a float a finite number that is not a bool,
+    and any other type (bool, str, list, Mapping) only an instance of it.
     """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if expected is int:
+        ok = number and (isinstance(value, int) or value.is_integer())
+    elif expected is float:
+        # false for NaN, the infinities and ints beyond the float range
+        ok = number and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, expected)
+    if not ok:
+        raise ValidationError(f"{what} must be of type {expected.__name__}, got {value!r}")
+    return expected(value) if expected in (int, float) else value
+
+
+def _field(data: Mapping, key: str, expected: type, kind: str, optional: bool = False):
+    """``data[key]`` checked against ``expected``.  A missing key is an error
+    unless ``optional``, when it and an explicit null read as None."""
+    value = data.get(key)
+    if value is None and optional:
+        return None
+    if key not in data:
+        raise ValidationError(f"{kind} is missing key {key!r}")
+    return _checked(value, expected, f"{kind} key {key!r}")
+
+
+def config_from_json_dict(defaults, data: Mapping, kind: str):
+    """``defaults`` (a frozen config dataclass) with the fields in ``data``,
+    each checked against the type of its default."""
+    _checked(data, Mapping, f"{kind} config")
     unknown = set(data) - set(defaults.to_json_dict())
     if unknown:
         raise ValidationError(f"unknown {kind} config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        expected = type(getattr(defaults, key))
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if expected is bool:
-            ok = isinstance(value, bool)
-        elif expected is int:
-            ok = number and float(value).is_integer()
-        else:
-            ok = number and math.isfinite(value)
-        if not ok:
-            raise ValidationError(
-                f"{kind} config key {key!r} must be of type {expected.__name__}, got {value!r}"
-            )
-        kwargs[key] = expected(value)
+    kwargs = {
+        key: _checked(value, type(getattr(defaults, key)), f"{kind} config key {key!r}")
+        for key, value in data.items()
+    }
     return replace(defaults, **kwargs)
 
 
@@ -137,10 +154,11 @@ class Scenario:
     @staticmethod
     def from_json_dict(data: Mapping) -> "Scenario":
         _check_schema(data, "scenario")
-        return Scenario(int(data["n_settings"]))
+        return Scenario(_field(data, "n_settings", int, "scenario"))
 
 
 def _check_schema(data: Mapping, kind: str) -> None:
+    _checked(data, Mapping, f"{kind} document")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema_version {data.get('schema_version')!r}, expected {SCHEMA_VERSION!r}"
@@ -209,11 +227,13 @@ class Behavior:
     @staticmethod
     def from_json_dict(data: Mapping) -> "Behavior":
         _check_schema(data, "behavior")
-        n = int(data["n_settings"])
+        n = _field(data, "n_settings", int, "behavior")
         if data.get("index_order") != ["x", "y", "i", "j"]:
             raise ValidationError(f"unsupported index_order {data.get('index_order')!r}")
-        arr = np.asarray(data["p"], dtype=float).reshape(n, n, 2, 2)
-        return Behavior(Scenario(n), arr)
+        p = [_checked(v, float, "behavior entry") for v in _field(data, "p", list, "behavior")]
+        if len(p) != 4 * n * n:
+            raise ValidationError(f"behavior needs {4 * n * n} entries in p, got {len(p)}")
+        return Behavior(Scenario(n), np.reshape(p, (n, n, 2, 2)))
 
 
 def uniform_behavior(scenario: Scenario) -> Behavior:
@@ -318,31 +338,42 @@ class BellExpression:
             "schema_version": SCHEMA_VERSION,
             "kind": "bell_expression",
             "n_settings": self.scenario.n_settings,
-            "terms": [
-                {"x": x, "y": y, "i": i, "j": j, "coeff": float(c)}
-                for (i, j, x, y), c in self.items()
-            ],
+            "terms": _terms_to_json(self),
             "classical_bound": self.classical_bound,
             "quantum_bound": self.quantum_bound,
         }
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "BellExpression":
-        _check_schema(data, "bell_expression")
-        scenario = Scenario(int(data["n_settings"]))
-        terms = {
-            (int(t["i"]), int(t["j"]), int(t["x"]), int(t["y"])): float(t["coeff"])
-            for t in data["terms"]
-        }
+        kind = "bell_expression"
+        _check_schema(data, kind)
+        scenario = Scenario(_field(data, "n_settings", int, kind))
         return BellExpression(
             scenario,
-            terms,
-            classical_bound=data.get("classical_bound"),
-            quantum_bound=data.get("quantum_bound"),
+            _terms_from_json(_field(data, "terms", list, kind)),
+            classical_bound=_field(data, "classical_bound", float, kind, optional=True),
+            quantum_bound=_field(data, "quantum_bound", float, kind, optional=True),
         )
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+def _terms_to_json(expr: BellExpression) -> list[dict]:
+    """The terms as ``[{x, y, i, j, coeff}]`` in canonical order."""
+    return [
+        {"x": x, "y": y, "i": i, "j": j, "coeff": float(c)} for (i, j, x, y), c in expr.items()
+    ]
+
+
+def _terms_from_json(terms: list) -> dict[TermKey, float]:
+    """The term map that :func:`_terms_to_json` listed, checked."""
+    out = {}
+    for t in terms:
+        t = _checked(t, Mapping, "term")
+        key = tuple(_field(t, name, int, "term") for name in ("i", "j", "x", "y"))
+        out[key] = _field(t, "coeff", float, "term")
+    return out
 
 
 def evaluate(expr: BellExpression, behavior: Behavior) -> float:

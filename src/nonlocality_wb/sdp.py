@@ -18,14 +18,14 @@ X dZ Z^-1`` (symmetrized), Schur complement ``H_ij = tr(F_i X F_j Z^-1)``
 (symmetric positive definite for symmetric data), one Cholesky of ``H`` per
 iteration shared by predictor and corrector.
 
-Constraint matrices are given sparsely as entry lists per variable; the
-per-iteration Schur assembly exploits that each ``F_k`` has few entries by
-forming ``U F_k V`` as a thin product of gathered columns, and reads row ``k``
-of ``H`` off that product through one sparse gather (a CSR matrix with one
-row per variable) per block.  Only ``H`` and its Cholesky factor are held as
-``m x m`` arrays.  Problem sizes up to a few hundred rows per block and ~10^4
-variables stay within desk-scale memory; no sparsity is assumed in ``H``
-itself.
+Each block's constraint matrices come as one sparse ``(dim^2, m)`` matrix
+whose column ``k`` is ``vec(F_k)``; the per-iteration Schur assembly exploits
+that each ``F_k`` has few entries by forming ``U F_k V`` as a thin product of
+gathered columns, and reads row ``k`` of ``H`` off that product through one
+sparse gather (a CSR matrix with one row per variable) per block.  Only
+``H`` and its Cholesky factor are held as ``m x m`` arrays.  Problem sizes up
+to a few hundred rows per block and ~10^4 variables stay within desk-scale
+memory; no sparsity is assumed in ``H`` itself.
 """
 
 from __future__ import annotations
@@ -43,23 +43,6 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class LmiBlockData:
-    """Sparse entries of all F_k restricted to one block.
-
-    ``var``, ``row``, ``col``, ``val`` are parallel arrays listing every
-    nonzero of every constraint matrix in this block; off-diagonal entries
-    must appear in both (row, col) and (col, row) orientation so each F_k is
-    stored as a full symmetric matrix.
-    """
-
-    dim: int
-    var: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    val: np.ndarray
-
-
 @dataclass
 class LmiSolution:
     y: np.ndarray
@@ -75,39 +58,45 @@ class LmiSolution:
 
 
 class LmiProblem:
-    """Preprocessed problem data with fast scatter/gather operators."""
+    """Preprocessed problem data with fast scatter/gather operators.
 
-    def __init__(self, f0_blocks: Sequence[np.ndarray], blocks: Sequence[LmiBlockData], b: np.ndarray):
+    ``f_blocks[b]`` is a ``scipy.sparse`` matrix of shape ``(dim_b^2, m)``
+    whose column ``k`` is ``vec(F_k)`` restricted to block ``b`` in row-major
+    order, with ``dim_b`` read off the square ``f0_blocks[b]``.  Each ``F_k``
+    must be symmetric, so an off-diagonal entry is stored in both
+    orientations; duplicate entries are summed.
+    """
+
+    def __init__(self, f0_blocks: Sequence[np.ndarray], f_blocks: Sequence, b: np.ndarray):
         self.b = np.asarray(b, dtype=float)
         self.m = len(self.b)
-        self.dims = [blk.dim for blk in blocks]
         self.f0 = [np.asarray(f, dtype=float) for f in f0_blocks]
-        for f, nb in zip(self.f0, self.dims):
-            if f.shape != (nb, nb):
-                raise ValueError("F0 block shape mismatch")
-        # scatter matrices: vec(M_b) = vec(F0_b) + S_b @ y
+        self.dims = []
+        # per block: the scatter S_b with vec(M_b) = vec(F0_b) + S_b @ y, its
+        # transpose the gather, the per-variable entry slices, and the row gather
+        # R_b[i, col*dim + row] = F_i[row, col] that reads tr(F_i T) off T.ravel()
         self.scatter = []
         self.gather = []
-        # per block: per-variable entry slices, and the row gather
-        # R_b[i, col*dim + row] = F_i[row, col] that reads tr(F_i T) off T.ravel()
         self.per_var = []
         self.row_gather = []
-        for blk in blocks:
-            row, col = blk.row.astype(np.int64), blk.col.astype(np.int64)
-            val = blk.val.astype(float)
-            s = scipy.sparse.csr_matrix(
-                (val, (row * blk.dim + col, blk.var.astype(np.int64))),
-                shape=(blk.dim * blk.dim, self.m),
-            )
+        for f0, f in zip(self.f0, f_blocks, strict=True):
+            if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
+                raise ValueError(f"F0 block of shape {f0.shape} is not square")
+            dim = f0.shape[0]
+            if f.shape != (dim * dim, self.m):
+                raise ValueError(f"F block of shape {f.shape} is not (dim^2, m) = {(dim * dim, self.m)}")
+            s = scipy.sparse.csr_matrix(f, dtype=float, copy=True)
+            s.sum_duplicates()
+            s.eliminate_zeros()
+            # each variable's entries in ascending cell order
+            g = s.T.tocsr()
+            rows, cols = np.divmod(g.indices, dim)
+            self.dims.append(dim)
             self.scatter.append(s)
-            self.gather.append(s.T.tocsr())
-            # stable order keeps each variable's entries in input order
-            order = np.argsort(blk.var, kind="stable")
-            ptr = np.searchsorted(blk.var[order], np.arange(self.m + 1))
-            row, col, val = row[order], col[order], val[order]
-            self.per_var.append((ptr, row, col, val))
+            self.gather.append(g)
+            self.per_var.append((g.indptr, rows, cols, g.data))
             self.row_gather.append(
-                scipy.sparse.csr_matrix((val, col * blk.dim + row, ptr), shape=(self.m, blk.dim * blk.dim))
+                scipy.sparse.csr_matrix((g.data, cols * dim + rows, g.indptr), shape=(self.m, dim * dim))
             )
 
     def mat(self, y: np.ndarray, include_f0: bool = True) -> list[np.ndarray]:

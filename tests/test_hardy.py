@@ -153,3 +153,37 @@ class TestJson:
         assert [(e.terms_dict(), t) for e, t in p2.conditions] == [
             (e.terms_dict(), t) for e, t in p.conditions
         ]
+        assert json.dumps(p2.to_json_dict()) == json.dumps(p.to_json_dict())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["hardy_term"].update(i=True),
+            lambda d: d["hardy_term"].update(x="1"),
+            lambda d: d.pop("hardy_term"),
+            lambda d: d.update(n="2"),
+            lambda d: d.update(paradox_id=7),
+            lambda d: d.update(reference_value="0.09"),
+            lambda d: d["conditions"][0].update(target="0"),
+            lambda d: d["conditions"][0].pop("terms"),
+            lambda d: d["conditions"][0]["terms"][0].update(coeff="1"),
+            lambda d: d.update(kind="bell_expression"),
+        ],
+        ids=[
+            "bool-outcome",
+            "str-setting",
+            "no-hardy-term",
+            "str-n",
+            "int-id",
+            "str-reference",
+            "str-target",
+            "no-terms",
+            "str-coeff",
+            "wrong-kind",
+        ],
+    )
+    def test_json_rejects_mistyped_or_missing_fields(self, edit):
+        data = original_hardy().to_json_dict()
+        edit(data)
+        with pytest.raises(ValidationError):
+            HardyParadox.from_json_dict(data)

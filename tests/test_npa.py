@@ -439,6 +439,11 @@ class TestSdpConfig:
         with pytest.raises(ValidationError):
             SdpConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize("data", [5, "max_iterations", None])
+    def test_non_object_config_rejected(self, data):
+        with pytest.raises(ValidationError, match="sdp config"):
+            SdpConfig.from_json_dict(data)
+
     def test_integral_numbers_accepted(self):
         cfg = SdpConfig.from_json_dict({"max_iterations": 40.0, "gap_tol": 1})
         assert cfg.max_iterations == 40 and isinstance(cfg.max_iterations, int)

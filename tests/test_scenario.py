@@ -71,6 +71,24 @@ class TestScenario:
         s = Scenario(6)
         assert Scenario.from_json_dict(s.to_json_dict()) == s
 
+    @pytest.mark.parametrize("value", [4.9, "4", True, None, float("nan")])
+    def test_json_rejects_mistyped_n_settings(self, value):
+        data = {**Scenario(4).to_json_dict(), "n_settings": value}
+        with pytest.raises(ValidationError, match="n_settings"):
+            Scenario.from_json_dict(data)
+
+    def test_json_checks_document_shape(self):
+        data = Scenario(4).to_json_dict()
+        del data["n_settings"]
+        with pytest.raises(ValidationError, match="missing key 'n_settings'"):
+            Scenario.from_json_dict(data)
+        with pytest.raises(ValidationError):
+            Scenario.from_json_dict([4])
+
+    def test_json_accepts_integral_float(self):
+        data = {**Scenario(4).to_json_dict(), "n_settings": 4.0}
+        assert Scenario.from_json_dict(data) == Scenario(4)
+
 
 class TestBehavior:
     def test_uniform_is_valid(self):
@@ -99,6 +117,21 @@ class TestBehavior:
         b = all_zero_behavior(Scenario(2))
         b2 = Behavior.from_json_dict(json.loads(json.dumps(b.to_json_dict())))
         np.testing.assert_array_equal(b.p, b2.p)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_settings": "2"},
+            {"n_settings": 2.5},
+            {"p": ["0.25"] * 16},
+            {"p": [0.25] * 15},
+            {"p": "0.25"},
+        ],
+    )
+    def test_json_rejects_mistyped_fields(self, change):
+        data = {**uniform_behavior(Scenario(2)).to_json_dict(), **change}
+        with pytest.raises(ValidationError):
+            Behavior.from_json_dict(data)
 
 
 class TestBellExpression:
@@ -134,6 +167,48 @@ class TestBellExpression:
         assert e2 == e
         assert e2.classical_bound == e.classical_bound
         assert e2.quantum_bound == e.quantum_bound
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_settings", "2"),
+            ("x", "2"),
+            ("y", 1.5),
+            ("j", False),
+            ("coeff", "3"),
+            ("coeff", float("inf")),
+            ("classical_bound", "3"),
+        ],
+    )
+    def test_json_rejects_mistyped_fields(self, field, value):
+        data = chsh_probability_form().to_json_dict()
+        if field in data:
+            data[field] = value
+        else:
+            data["terms"][0][field] = value
+        with pytest.raises(ValidationError, match=repr(field)):
+            BellExpression.from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["n_settings", "terms"])
+    def test_json_rejects_missing_field(self, field):
+        data = chsh_probability_form().to_json_dict()
+        del data[field]
+        with pytest.raises(ValidationError, match=f"missing key {field!r}"):
+            BellExpression.from_json_dict(data)
+
+    def test_json_rejects_term_without_coefficient(self):
+        data = chsh_probability_form().to_json_dict()
+        del data["terms"][3]["coeff"]
+        with pytest.raises(ValidationError, match="missing key 'coeff'"):
+            BellExpression.from_json_dict(data)
+
+    def test_json_bounds_are_optional(self):
+        data = chsh_probability_form().to_json_dict()
+        del data["classical_bound"]
+        data["quantum_bound"] = None
+        e = BellExpression.from_json_dict(data)
+        assert e == chsh_probability_form()
+        assert e.classical_bound is None and e.quantum_bound is None
 
 
 class TestEvaluate:

@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from nonlocality_wb import npa
 from nonlocality_wb.hardy import realigned_hardy
 from nonlocality_wb.sdp import (
-    LmiBlockData,
     LmiProblem,
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERATIONS,
@@ -15,8 +15,10 @@ from nonlocality_wb.sdp import (
 )
 
 
-def block(dim, entries):
-    """entries: list of (var, row, col, val); off-diagonals auto-mirrored."""
+def block(dim, m, entries):
+    """The ``(dim^2, m)`` matrix with column ``k`` = row-major ``vec(F_k)``,
+    kept in the listed COO order; entries are (var, row, col, val), and
+    off-diagonals are auto-mirrored."""
     var, row, col, val = [], [], [], []
     for k, r, c, v in entries:
         var.append(k)
@@ -28,12 +30,9 @@ def block(dim, entries):
             row.append(c)
             col.append(r)
             val.append(v)
-    return LmiBlockData(
-        dim=dim,
-        var=np.array(var, dtype=np.int64),
-        row=np.array(row, dtype=np.int64),
-        col=np.array(col, dtype=np.int64),
-        val=np.array(val, dtype=float),
+    cell = np.array(row, dtype=np.int64) * dim + np.array(col, dtype=np.int64)
+    return scipy.sparse.coo_matrix(
+        (np.array(val, dtype=float), (cell, np.array(var, dtype=np.int64))), shape=(dim * dim, m)
     )
 
 
@@ -41,7 +40,7 @@ def test_single_offdiagonal_variable():
     # max y with [[1, y], [y, 1]] PSD -> y* = 1
     problem = LmiProblem(
         f0_blocks=[np.eye(2)],
-        blocks=[block(2, [(0, 0, 1, 1.0)])],
+        f_blocks=[block(2, 1, [(0, 0, 1, 1.0)])],
         b=np.array([1.0]),
     )
     sol = solve_lmi(problem)
@@ -54,7 +53,7 @@ def test_two_blocks_linear_program():
     # max y1 + 2 y2 with 1 - y1 >= 0 and 3 - y2 >= 0 -> objective 7
     problem = LmiProblem(
         f0_blocks=[np.array([[1.0]]), np.array([[3.0]])],
-        blocks=[block(1, [(0, 0, 0, -1.0)]), block(1, [(1, 0, 0, -1.0)])],
+        f_blocks=[block(1, 2, [(0, 0, 0, -1.0)]), block(1, 2, [(1, 0, 0, -1.0)])],
         b=np.array([1.0, 2.0]),
     )
     sol = solve_lmi(problem)
@@ -68,7 +67,7 @@ def test_smallest_eigenvalue():
     a = rng.normal(size=(6, 6))
     a = 0.5 * (a + a.T) + 2.0 * np.eye(6)
     entries = [(0, i, i, -1.0) for i in range(6)]
-    problem = LmiProblem(f0_blocks=[a], blocks=[block(6, entries)], b=np.array([1.0]))
+    problem = LmiProblem(f0_blocks=[a], f_blocks=[block(6, 1, entries)], b=np.array([1.0]))
     sol = solve_lmi(problem)
     assert sol.status == STATUS_OPTIMAL
     assert sol.y[0] == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-6)
@@ -83,7 +82,7 @@ def test_kkt_certificates_on_random_feasible_problem():
             r, c = rng.integers(0, dim, size=2)
             entries.append((k, min(r, c), max(r, c), float(rng.normal())))
     f0 = 3.0 * np.eye(dim)  # strictly feasible at y = 0
-    problem = LmiProblem(f0_blocks=[f0], blocks=[block(dim, entries)], b=rng.normal(size=m))
+    problem = LmiProblem(f0_blocks=[f0], f_blocks=[block(dim, m, entries)], b=rng.normal(size=m))
     sol = solve_lmi(problem)
     assert sol.status == STATUS_OPTIMAL
     z = sol.matrix_blocks[0]
@@ -99,7 +98,7 @@ def test_infeasible_lmi_detected():
     # y >= 1 and -y >= 1 cannot both hold
     problem = LmiProblem(
         f0_blocks=[np.array([[-1.0]]), np.array([[-1.0]])],
-        blocks=[block(1, [(0, 0, 0, 1.0)]), block(1, [(0, 0, 0, -1.0)])],
+        f_blocks=[block(1, 1, [(0, 0, 0, 1.0)]), block(1, 1, [(0, 0, 0, -1.0)])],
         b=np.array([1.0]),
     )
     sol = solve_lmi(problem, max_iterations=200)
@@ -110,18 +109,30 @@ def test_infeasible_lmi_detected():
 def test_iteration_cap():
     problem = LmiProblem(
         f0_blocks=[np.eye(2)],
-        blocks=[block(2, [(0, 0, 1, 1.0)])],
+        f_blocks=[block(2, 1, [(0, 0, 1, 1.0)])],
         b=np.array([1.0]),
     )
     sol = solve_lmi(problem, max_iterations=2)
     assert sol.status == STATUS_MAX_ITERATIONS
 
 
-def dense_f(blk, m):
+def var_entries(f, dim):
+    """(var, row, col, val) of the block matrix ``f``, duplicates summed and
+    zeros dropped, in (variable, cell) order."""
+    c = scipy.sparse.coo_matrix(f, copy=True)
+    c.sum_duplicates()
+    c.eliminate_zeros()
+    order = np.lexsort((c.row, c.col))
+    var, cell, val = c.col[order], c.row[order], c.data[order]
+    return var, cell // dim, cell % dim, val
+
+
+def dense_f(f, dim, m):
     """Dense ``F_k`` restricted to one block, for every variable k."""
-    f = np.zeros((m, blk.dim, blk.dim))
-    np.add.at(f, (blk.var, blk.row, blk.col), blk.val)
-    return f
+    var, row, col, val = var_entries(f, dim)
+    out = np.zeros((m, dim, dim))
+    np.add.at(out, (var, row, col), val)
+    return out
 
 
 def random_spd(rng, dim):
@@ -129,28 +140,29 @@ def random_spd(rng, dim):
     return a @ a.T + dim * np.eye(dim)
 
 
-def bincount_schur(m, blocks, u_blocks, v_blocks):
+def bincount_schur(m, f_blocks, u_blocks, v_blocks):
     """The column-by-column ``bincount`` Schur assembly the solver used to
     run, kept as a bitwise oracle for the row-gather assembly."""
     h = np.zeros((m, m))
-    for blk, u, v in zip(blocks, u_blocks, v_blocks):
-        order = np.argsort(blk.var, kind="stable")
-        ptr = np.searchsorted(blk.var[order], np.arange(m + 1))
-        rows, cols, vals = blk.row[order], blk.col[order], blk.val[order]
-        eflat_t = blk.col * blk.dim + blk.row
+    for f, u, v in zip(f_blocks, u_blocks, v_blocks):
+        dim = len(u)
+        var, rows, cols, vals = var_entries(f, dim)
+        ptr = np.searchsorted(var, np.arange(m + 1))
+        eflat_t = cols * dim + rows
         for j in range(m):
             lo, hi = ptr[j], ptr[j + 1]
             if lo == hi:
                 continue
             t = (u[:, rows[lo:hi]] * vals[lo:hi][None, :]) @ v[cols[lo:hi], :]
-            h[:, j] += np.bincount(blk.var, weights=blk.val * t.ravel()[eflat_t], minlength=m)
+            h[:, j] += np.bincount(var, weights=vals * t.ravel()[eflat_t], minlength=m)
     return 0.5 * (h + h.T)
 
 
-def random_schur_blocks(rng):
-    """Two blocks whose entries are listed in shuffled variable order; cell
-    (0, 2) of the first block is shared by variables 1 and 3, and variable 5
-    has no entry in the second block."""
+def random_schur_entries(rng):
+    """Entries of two blocks, listed in shuffled variable order; cell (0, 2)
+    of the first block is shared by variables 1 and 3, variable 5 has no
+    entry in the second block, and a few (variable, cell) pairs are listed
+    twice."""
     m = 6
 
     def entry(k, dim):
@@ -159,29 +171,53 @@ def random_schur_blocks(rng):
 
     first = [entry(k, 5) for k in range(m) for _ in range(3)] + [(1, 0, 2, 0.7), (3, 0, 2, -1.3)]
     second = [entry(k, 4) for k in range(m - 1) for _ in range(2)]
-    blocks = [
-        block(dim, [entries[i] for i in rng.permutation(len(entries))])
+    shuffled = [
+        (dim, [entries[i] for i in rng.permutation(len(entries))])
         for dim, entries in ((5, first), (4, second))
     ]
-    assert np.any(np.diff(blocks[0].var) < 0)
-    assert 5 in blocks[0].var and 5 not in blocks[1].var
-    return m, blocks
+    assert any(a[0] > b[0] for a, b in zip(shuffled[0][1], shuffled[0][1][1:]))
+    assert any(e[0] == 5 for e in shuffled[0][1]) and all(e[0] != 5 for e in shuffled[1][1])
+    return m, shuffled
 
 
 def test_schur_matches_dense_trace_and_bincount_assembly():
     rng = np.random.default_rng(11)
-    m, blocks = random_schur_blocks(rng)
-    problem = LmiProblem([np.zeros((b.dim, b.dim)) for b in blocks], blocks, np.zeros(m))
-    u = [random_spd(rng, b.dim) for b in blocks]
-    v = [random_spd(rng, b.dim) for b in blocks]
+    m, shuffled = random_schur_entries(rng)
+    dims = [d for d, _ in shuffled]
+    blocks = [block(d, m, e) for d, e in shuffled]
+    problem = LmiProblem([np.zeros((d, d)) for d in dims], blocks, np.zeros(m))
+    u = [random_spd(rng, d) for d in dims]
+    v = [random_spd(rng, d) for d in dims]
     h = problem.schur(u, v)
     oracle = np.zeros((m, m))
-    for blk, ub, vb in zip(blocks, u, v):
-        f = dense_f(blk, m)
-        oracle += np.einsum("ipq,qr,jrs,sp->ij", f, ub, f, vb)
+    for f, d, ub, vb in zip(blocks, dims, u, v):
+        fk = dense_f(f, d, m)
+        oracle += np.einsum("ipq,qr,jrs,sp->ij", fk, ub, fk, vb)
     assert np.abs(h - oracle).max() <= 1e-12 * np.abs(oracle).max()
     assert np.array_equal(h, bincount_schur(m, blocks, u, v))
     assert np.array_equal(h, h.T)
+
+
+def test_schur_does_not_depend_on_entry_order():
+    rng = np.random.default_rng(11)
+    m, shuffled = random_schur_entries(rng)
+    dims = [dim for dim, _ in shuffled]
+    f0 = [np.zeros((d, d)) for d in dims]
+    u = [random_spd(rng, d) for d in dims]
+    v = [random_spd(rng, d) for d in dims]
+    h_shuffled = LmiProblem(f0, [block(d, m, e) for d, e in shuffled], np.zeros(m)).schur(u, v)
+    h_sorted = LmiProblem(f0, [block(d, m, sorted(e)) for d, e in shuffled], np.zeros(m)).schur(u, v)
+    assert np.array_equal(h_shuffled, h_sorted)
+
+
+def test_problem_rejects_misshapen_blocks():
+    f = block(2, 1, [(0, 0, 1, 1.0)])
+    with pytest.raises(ValueError, match="not square"):
+        LmiProblem([np.eye(3)[:2]], [f], np.ones(1))
+    with pytest.raises(ValueError, match=r"\(dim\^2, m\)"):
+        LmiProblem([np.eye(3)], [f], np.ones(1))
+    with pytest.raises(ValueError, match=r"\(dim\^2, m\)"):
+        LmiProblem([np.eye(2)], [f], np.ones(2))
 
 
 @pytest.mark.parametrize("n,level", [(2, 3), (4, 2)])
@@ -189,9 +225,9 @@ def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, 
     captured = {}
 
     class Recording(LmiProblem):
-        def __init__(self, f0_blocks, blocks, b):
-            captured["blocks"] = blocks
-            super().__init__(f0_blocks, blocks, b)
+        def __init__(self, f0_blocks, f_blocks, b):
+            captured["blocks"] = f_blocks
+            super().__init__(f0_blocks, f_blocks, b)
 
     monkeypatch.setattr(npa, "LmiProblem", Recording)
     problem = npa._affine_map(npa.build_program(realigned_hardy(n), level), True).problem
