@@ -41,10 +41,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# Not called here: the benchmark's tracer (perfbench/tracer.py) patches
-# ``qubit.minimize`` by name and fails if the attribute is missing.
-from scipy.optimize import minimize  # noqa: F401
-
 from .hardy import HardyParadox
 from .scenario import (
     SCHEMA_VERSION,
@@ -55,6 +51,18 @@ from .scenario import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def __getattr__(name: str):
+    # ``minimize`` is not called here, but the benchmark's tracer
+    # (perfbench/tracer.py) patches ``qubit.minimize`` by name and fails if the
+    # attribute is missing; importing it on first access keeps scipy.optimize
+    # out of a plain import of the package.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def wrap_angle(value: float) -> float:

@@ -367,11 +367,17 @@ def _terms_to_json(expr: BellExpression) -> list[dict]:
 
 
 def _terms_from_json(terms: list) -> dict[TermKey, float]:
-    """The term map that :func:`_terms_to_json` listed, checked."""
+    """The term map that :func:`_terms_to_json` listed, checked.
+
+    A repeated ``(i, j, x, y)`` is rejected: a document cannot say whether it
+    meant the sum of its coefficients or the last one.
+    """
     out = {}
     for t in terms:
         t = _checked(t, Mapping, "term")
         key = tuple(_field(t, name, int, "term") for name in ("i", "j", "x", "y"))
+        if key in out:
+            raise ValidationError(f"term (i, j, x, y) = {key} is listed twice")
         out[key] = _field(t, "coeff", float, "term")
     return out
 

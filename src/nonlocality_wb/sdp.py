@@ -21,9 +21,12 @@ iteration shared by predictor and corrector.
 Each block's constraint matrices come as one sparse ``(dim^2, m)`` matrix
 whose column ``k`` is ``vec(F_k)``; the per-iteration Schur assembly exploits
 that each ``F_k`` has few entries by forming ``U F_k V`` as a thin product of
-gathered columns, and reads row ``k`` of ``H`` off that product through one
-sparse gather (a CSR matrix with one row per variable) per block.  Only
-``H`` and its Cholesky factor are held as ``m x m`` arrays.  Problem sizes up
+gathered columns, and reads ``H_ik`` for ``i >= k`` off that product through
+one sparse gather (a CSR matrix with one row per variable, cut into tails that
+start every ``_PIECE`` variables) per block.  ``H`` is assembled as one
+triangle only, the one LAPACK's Cholesky reads, and the solver's one product
+with ``H`` is a ``dsymv`` that reads the same triangle.  Only ``H`` and its
+Cholesky factor are held as ``m x m`` arrays.  Problem sizes up
 to a few hundred rows per block and ~10^4 variables stay within desk-scale
 memory; no sparsity is assumed in ``H`` itself.
 """
@@ -41,6 +44,10 @@ import scipy.sparse
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
+
+# variables per piece: Schur row j is read through the tail of the row gather
+# that starts at its piece, so it gathers the rows i >= j - j % _PIECE
+_PIECE = 64
 
 
 @dataclass
@@ -73,12 +80,14 @@ class LmiProblem:
         self.f0 = [np.asarray(f, dtype=float) for f in f0_blocks]
         self.dims = []
         # per block: the scatter S_b with vec(M_b) = vec(F0_b) + S_b @ y, its
-        # transpose the gather, the per-variable entry slices, and the row gather
-        # R_b[i, col*dim + row] = F_i[row, col] that reads tr(F_i T) off T.ravel()
+        # transpose the gather, the per-variable entry slices, and the tails of the
+        # row gather R_b[i, col*dim + row] = F_i[row, col], which reads tr(F_i T)
+        # off T.ravel(): tail p holds the rows i >= p * _PIECE
         self.scatter = []
         self.gather = []
         self.per_var = []
-        self.row_gather = []
+        self.tails = []
+        self._piece = _PIECE
         for f0, f in zip(self.f0, f_blocks, strict=True):
             if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
                 raise ValueError(f"F0 block of shape {f0.shape} is not square")
@@ -95,9 +104,19 @@ class LmiProblem:
             self.scatter.append(s)
             self.gather.append(g)
             self.per_var.append((g.indptr, rows, cols, g.data))
-            self.row_gather.append(
-                scipy.sparse.csr_matrix((g.data, cols * dim + rows, g.indptr), shape=(self.m, dim * dim))
-            )
+            tail = scipy.sparse.csr_matrix((g.data, cols * dim + rows, g.indptr), shape=(self.m, dim * dim))
+            tails = [tail]
+            # each tail is cut from the previous one's arrays: scipy copies a
+            # slice shorter than half of its base array, so copies happen only at
+            # halvings and all tails together hold about twice the entries of R_b
+            for _ in range(self._piece, self.m, self._piece):
+                cut = tail.indptr[self._piece]
+                tail = scipy.sparse.csr_matrix(
+                    (tail.data[cut:], tail.indices[cut:], tail.indptr[self._piece :] - cut),
+                    shape=(tail.shape[0] - self._piece, dim * dim),
+                )
+                tails.append(tail)
+            self.tails.append(tails)
 
     def mat(self, y: np.ndarray, include_f0: bool = True) -> list[np.ndarray]:
         """M(y) blocks (or ``sum_k y_k F_k`` when ``include_f0`` is false)."""
@@ -117,19 +136,24 @@ class LmiProblem:
         return total
 
     def schur(self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Dense ``H_ij = sum_blocks tr(F_i U F_j V)`` for symmetric U, V."""
+        """One triangle of ``H_ij = sum_blocks tr(F_i U F_j V)`` for symmetric U, V.
+
+        Row ``j`` holds ``H_ij`` for ``i >= j`` in its columns ``>= j``: the
+        upper triangle in C order, which is the lower triangle of ``h.T`` that
+        LAPACK reads.  The strict lower triangle is left unused; it holds zeros
+        and, within each piece of ``_PIECE`` variables, stray gathered entries.
+        """
         h = np.zeros((self.m, self.m))
-        for (ptr, rows, cols, vals), g, u, v in zip(self.per_var, self.row_gather, u_blocks, v_blocks):
+        piece = self._piece
+        for (ptr, rows, cols, vals), tails, u, v in zip(self.per_var, self.tails, u_blocks, v_blocks):
             for j in range(self.m):
                 lo, hi = ptr[j], ptr[j + 1]
                 if lo == hi:
                     continue
                 r, c, w = rows[lo:hi], cols[lo:hi], vals[lo:hi]
                 t = (u[:, r] * w[None, :]) @ v[c, :]  # U F_j V
-                # row j holds tr(F_i U F_j V) for every i; symmetrized below
-                h[j] += g @ t.ravel()
-        h += h.T
-        h *= 0.5
+                # tr(F_i U F_j V) for every i from the start of j's piece on
+                h[j, j - j % piece :] += tails[j // piece] @ t.ravel()
         return h
 
 
@@ -181,6 +205,7 @@ def solve_lmi(
     best_score = np.inf
     best_it = 0
     best = (y, x_blocks, z_blocks, rel_gap, pinf, dinf)
+    hj = np.empty((m, m))  # H + jitter*I, factored in place each iteration
     for it in range(1, max_iterations + 1):
         my = problem.mat(y)
         rd = [mb - zb for mb, zb in zip(my, z_blocks)]  # dual residual matrices
@@ -222,10 +247,9 @@ def solve_lmi(
         zinv = [scipy.linalg.cho_solve((l, True), np.eye(nb), check_finite=False) for l, nb in zip(lz, dims)]
         zinv = [0.5 * (zi + zi.T) for zi in zinv]
 
-        h = hj = cho = None  # release last iteration's H and factor before the next
+        h = cho = None  # release last iteration's H before the next
         h = problem.schur(x_blocks, zinv)
         jitter = 1e-13 * max(1.0, float(np.trace(h)) / max(m, 1))
-        hj = np.empty_like(h)
         for _ in range(8):
             np.copyto(hj, h)
             hj.flat[:: m + 1] += jitter
@@ -248,8 +272,9 @@ def solve_lmi(
                 rhs = rhs - problem.inner(corr_blocks)
             dy = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
             # one step of iterative refinement; the Schur system turns badly
-            # conditioned near the optimum and the raw solve loses digits
-            resid = rhs - h @ dy - jitter * dy
+            # conditioned near the optimum and the raw solve loses digits.
+            # dsymv reads H from the triangle that schur fills, as cho_factor does
+            resid = rhs - scipy.linalg.blas.dsymv(1.0, h.T, dy, lower=1) - jitter * dy
             dy = dy + scipy.linalg.cho_solve(cho, resid, check_finite=False)
             dz = [rb + sb for rb, sb in zip(rd, problem.mat(dy, include_f0=False))]
             dx = []

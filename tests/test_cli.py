@@ -215,8 +215,8 @@ class TestDeterminism:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def run_module(*argv, **env):
-    """Run the package under test, installed or not, in a fresh interpreter.
+def run_python(*args, **env):
+    """Run a fresh interpreter that sees the package under test, installed or not.
 
     ``env`` overrides the inherited environment; a value of None unsets it.
     """
@@ -224,14 +224,31 @@ def run_module(*argv, **env):
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     environ = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run(
-        [sys.executable, "-m", "nonlocality_wb.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={key: value for key, value in environ.items() if value is not None},
     )
 
 
+def run_module(*argv, **env):
+    """Run the command line in a fresh interpreter; see ``run_python``."""
+    return run_python("-m", "nonlocality_wb.cli", *argv, **env)
+
+
 class TestEntryPoint:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # qubit.minimize exists for the benchmark's tracer and is imported on first access
+        code = (
+            "import sys, nonlocality_wb.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from nonlocality_wb import qubit\n"
+            "print(qubit.minimize.__name__, 'scipy.optimize' in sys.modules)\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "minimize", "True"]
+
     def test_module_invocation(self):
         proc = run_module("classical-bound", "2", "--json")
         assert proc.returncode == 0

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,4 +187,12 @@ class TestJson:
         data = original_hardy().to_json_dict()
         edit(data)
         with pytest.raises(ValidationError):
+            HardyParadox.from_json_dict(data)
+
+    def test_json_rejects_repeated_condition_term(self):
+        data = realigned_hardy(2).to_json_dict()
+        terms = data["conditions"][0]["terms"]
+        terms.append({**terms[0], "coeff": 2.0})
+        key = tuple(terms[0][name] for name in ("i", "j", "x", "y"))
+        with pytest.raises(ValidationError, match=re.escape(f"{key} is listed twice")):
             HardyParadox.from_json_dict(data)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,14 @@ class TestBellExpression:
         data = chsh_probability_form().to_json_dict()
         del data["terms"][3]["coeff"]
         with pytest.raises(ValidationError, match="missing key 'coeff'"):
+            BellExpression.from_json_dict(data)
+
+    def test_json_rejects_repeated_term(self):
+        data = chsh_probability_form().to_json_dict()
+        term = data["terms"][0]
+        data["terms"].append({**term, "coeff": 2.0})
+        key = (term["i"], term["j"], term["x"], term["y"])
+        with pytest.raises(ValidationError, match=re.escape(f"{key} is listed twice")):
             BellExpression.from_json_dict(data)
 
     def test_json_bounds_are_optional(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from nonlocality_wb import npa
+from nonlocality_wb import npa, sdp
 from nonlocality_wb.hardy import realigned_hardy
 from nonlocality_wb.sdp import (
     LmiProblem,
@@ -142,7 +142,10 @@ def random_spd(rng, dim):
 
 def bincount_schur(m, f_blocks, u_blocks, v_blocks):
     """The column-by-column ``bincount`` Schur assembly the solver used to
-    run, kept as a bitwise oracle for the row-gather assembly."""
+    run, kept as a bitwise oracle for the row-gather assembly.  Column ``j``
+    holds ``tr(F_i U F_j V)`` for every ``i`` as read off variable ``j``'s
+    product; it is returned without the final symmetrization, so
+    ``np.triu(oracle.T)`` is the triangle that ``LmiProblem.schur`` fills."""
     h = np.zeros((m, m))
     for f, u, v in zip(f_blocks, u_blocks, v_blocks):
         dim = len(u)
@@ -155,7 +158,7 @@ def bincount_schur(m, f_blocks, u_blocks, v_blocks):
                 continue
             t = (u[:, rows[lo:hi]] * vals[lo:hi][None, :]) @ v[cols[lo:hi], :]
             h[:, j] += np.bincount(var, weights=vals * t.ravel()[eflat_t], minlength=m)
-    return 0.5 * (h + h.T)
+    return h
 
 
 def random_schur_entries(rng):
@@ -188,14 +191,13 @@ def test_schur_matches_dense_trace_and_bincount_assembly():
     problem = LmiProblem([np.zeros((d, d)) for d in dims], blocks, np.zeros(m))
     u = [random_spd(rng, d) for d in dims]
     v = [random_spd(rng, d) for d in dims]
-    h = problem.schur(u, v)
+    upper = np.triu(problem.schur(u, v))
     oracle = np.zeros((m, m))
     for f, d, ub, vb in zip(blocks, dims, u, v):
         fk = dense_f(f, d, m)
         oracle += np.einsum("ipq,qr,jrs,sp->ij", fk, ub, fk, vb)
-    assert np.abs(h - oracle).max() <= 1e-12 * np.abs(oracle).max()
-    assert np.array_equal(h, bincount_schur(m, blocks, u, v))
-    assert np.array_equal(h, h.T)
+    assert np.abs(upper - np.triu(oracle)).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.array_equal(upper, np.triu(bincount_schur(m, blocks, u, v).T))
 
 
 def test_schur_does_not_depend_on_entry_order():
@@ -220,8 +222,8 @@ def test_problem_rejects_misshapen_blocks():
         LmiProblem([np.eye(2)], [f], np.ones(2))
 
 
-@pytest.mark.parametrize("n,level", [(2, 3), (4, 2)])
-def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, level):
+def recorded_npa_problem(monkeypatch, n, level):
+    """The LMI problem of ``npa n --level level`` and the F blocks it was given."""
     captured = {}
 
     class Recording(LmiProblem):
@@ -229,15 +231,72 @@ def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, 
             captured["blocks"] = f_blocks
             super().__init__(f0_blocks, f_blocks, b)
 
-    monkeypatch.setattr(npa, "LmiProblem", Recording)
-    problem = npa._affine_map(npa.build_program(realigned_hardy(n), level), True).problem
-    rng = np.random.default_rng(n + level)
+    with monkeypatch.context() as patch:
+        patch.setattr(npa, "LmiProblem", Recording)
+        problem = npa._affine_map(npa.build_program(realigned_hardy(n), level), True).problem
+    return problem, captured["blocks"]
+
+
+def schur_inputs(problem, seed):
+    """A random SPD ``U`` and a symmetrized SPD inverse ``V`` per block."""
+    rng = np.random.default_rng(seed)
     u = [random_spd(rng, d) for d in problem.dims]
     v = [np.linalg.inv(random_spd(rng, d)) for d in problem.dims]
-    v = [0.5 * (vb + vb.T) for vb in v]
-    h = problem.schur(u, v)
-    assert np.array_equal(h, bincount_schur(problem.m, captured["blocks"], u, v))
-    assert np.array_equal(h, h.T)
+    return u, [0.5 * (vb + vb.T) for vb in v]
+
+
+@pytest.mark.parametrize("n,level", [(2, 3), (4, 2)])
+def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, level):
+    problem, blocks = recorded_npa_problem(monkeypatch, n, level)
+    u, v = schur_inputs(problem, n + level)
+    upper = np.triu(problem.schur(u, v))
+    assert np.array_equal(upper, np.triu(bincount_schur(problem.m, blocks, u, v).T))
+
+
+def test_schur_triangle_does_not_depend_on_piece_length(monkeypatch):
+    _, blocks = recorded_npa_problem(monkeypatch, 2, 3)
+    m = blocks[0].shape[1]
+    triangles = []
+    for piece in (1, 7, m):
+        monkeypatch.setattr(sdp, "_PIECE", piece)
+        problem = npa._affine_map(npa.build_program(realigned_hardy(2), 3), True).problem
+        assert len(problem.tails[0]) == -(-m // piece)
+        u, v = schur_inputs(problem, 5)
+        triangles.append(np.triu(problem.schur(u, v)))
+    assert all(np.array_equal(t, triangles[0]) for t in triangles[1:])
+    assert np.array_equal(triangles[0], np.triu(bincount_schur(m, blocks, u, v).T))
+
+
+def test_solver_reads_only_the_schur_triangle(monkeypatch):
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2), True).problem
+    plain = solve_lmi(problem)
+    schur = LmiProblem.schur
+
+    def nan_below(self, u_blocks, v_blocks):
+        h = schur(self, u_blocks, v_blocks)
+        h[np.tril_indices(self.m, -1)] = np.nan
+        return h
+
+    monkeypatch.setattr(LmiProblem, "schur", nan_below)
+    poisoned = solve_lmi(problem)
+    assert poisoned.status == plain.status == STATUS_OPTIMAL
+    assert poisoned.iterations == plain.iterations
+    assert np.array_equal(poisoned.y, plain.y)
+    for a, b in zip(poisoned.primal_blocks, plain.primal_blocks):
+        assert np.array_equal(a, b)
+
+
+def test_schur_tails_hold_at_most_twice_the_gather_entries():
+    # scipy copies a CSR slice shorter than half of its base array; the tails
+    # are cut from each other, so their entries fit in about twice the gather's
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 3), True).problem
+    for tails, g in zip(problem.tails, problem.gather):
+        assert len(tails) == -(-problem.m // sdp._PIECE)
+        owners = {}
+        for t in tails:
+            base = t.data if t.data.base is None else t.data.base
+            owners[id(base)] = base.size
+        assert sum(owners.values()) <= 2 * g.nnz
 
 
 def test_solver_holds_two_schur_sized_arrays_at_most():
