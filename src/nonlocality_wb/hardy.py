@@ -153,6 +153,16 @@ def realigned_hardy(n: int) -> HardyParadox:
     )
 
 
+def zero_sign(expr: BellExpression, target: float) -> int:
+    """``+1`` or ``-1`` when ``expr = target`` forces each of its terms to zero.
+
+    That holds when the target is 0 and every coefficient has one sign (the
+    one returned): probabilities are nonnegative.  Any other condition gives 0.
+    """
+    signs = {math.copysign(1.0, c) for _, c in expr.items()}
+    return int(signs.pop()) if target == 0.0 and len(signs) == 1 else 0
+
+
 class CheckResult(NamedTuple):
     conditions_met: bool
     residuals: tuple[float, ...]

@@ -18,15 +18,18 @@ semidefinite, the identity moment pinned to 1, and each condition expression
 
 Solving passes the program to the LMI solver through one affine map: the
 class moments are ``y = y0 + N z`` in the solver variables ``z``, and block
-``b`` of the LMI is ``V_b^T M(y) V_b`` for a sparse basis map ``V_b``.
-Classes that the equalities and positivity pin to zero get no column, and
-their diagonal rows are left out of every ``V_b`` (facial reduction).  When
-the program data is invariant under swapping the parties, swapped classes
-share a column and ``V_b`` holds the symmetric and antisymmetric ``1/sqrt(2)``
+``b`` of the LMI is ``V_b^T M(y) V_b`` for a basis map ``V_b``.  When the
+program data is invariant under swapping the parties, swapped classes share
+a column and ``V_b`` holds the symmetric and antisymmetric ``1/sqrt(2)``
 combinations of swapped rows, so the matrix splits into two blocks; the
 swap is validated against the program data and skipped when the invariance
 does not hold exactly.  The row-reduced equalities put their pivots into
 ``y0`` and their dependence on the free columns into ``N``.
+
+A condition that forces its terms to zero (``hardy.zero_sign``) gives kernel
+vectors ``c`` with ``M c = 0`` (see ``_kernel``): ``M(y) c = 0`` joins the
+equalities, and each ``V_b`` spans its swap sector's complement of them
+(partial facial reduction, Permenter & Parrilo, Math. Prog. 171 (2018)).
 """
 
 from __future__ import annotations
@@ -37,13 +40,15 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
-from .hardy import HardyParadox
+from .hardy import HardyParadox, zero_sign
 from .qubit import QubitModel, observable, state_vector
 from .scenario import (
     SCHEMA_VERSION,
     BellExpression,
+    TermKey,
     ValidationError,
     config_from_json_dict,
 )
@@ -187,6 +192,8 @@ class MomentProgram:
     objective_offset: float
     equalities: tuple[tuple[np.ndarray, float], ...]  # first row pins identity
     description: str = ""
+    # terms P(ij|xy) that a condition forces to zero; not part of the JSON
+    zero_terms: tuple[TermKey, ...] = ()
 
     @property
     def size(self) -> int:
@@ -292,6 +299,9 @@ def _program(
         objective_offset=offset,
         equalities=tuple(equalities),
         description=description,
+        zero_terms=tuple(
+            key for expr, t in conditions if zero_sign(expr, t) for key, _ in expr.items()
+        ),
     )
 
 
@@ -335,37 +345,29 @@ class SdpSolution:
         }
 
 
-def _pinned_zero_classes(program: MomentProgram) -> set[int]:
-    """Classes provably zero: hard-zero equality rows propagated through PSD.
+def _kernel(program: MomentProgram) -> np.ndarray:
+    """Rows ``c`` with ``M c = 0`` for every feasible moment matrix ``M``.
 
-    A row ``sum c_k y_k = 0`` with same-sign coefficients over classes that
-    own a diagonal cell (hence nonnegative moments) pins those classes to
-    zero; a zero diagonal cell forces its whole matrix row to zero, pinning
-    every class appearing there.  Iterated to a fixpoint.
+    A forced term ``P(ij|xy) = 0`` means ``Pi_i^x Pi_j^y psi = 0``, so for a
+    basis word ``w`` the vector ``w Pi_i^x Pi_j^y psi`` is zero too; when
+    every word of that product is in the basis, its expansion over the basis
+    rows is such a ``c``.
     """
-    size = program.size
-    diag = program.cell_class.diagonal()
-    has_diag = np.zeros(program.n_classes, dtype=bool)
-    has_diag[diag] = True
-    pinned: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for vec, rhs in program.equalities:
-            active = [k for k in np.nonzero(vec)[0] if k not in pinned]
-            if abs(rhs) > 1e-12 or not active:
+    index = {m: p for p, m in enumerate(program.basis)}
+    rows = []
+    for i, j, x, y in program.zero_terms:
+        const, words = _moment_terms(i, j, x, y)
+        if const:  # the identity word of P(11|xy) = <(1 - E_x)(1 - F_y)>
+            words = [(Monomial(), const), *words]
+        for w in program.basis:
+            cols = [index.get(product(w, word)) for word, _ in words]
+            if None in cols:
                 continue
-            signs = np.sign(vec[active])
-            if np.all(signs == signs[0]) and all(has_diag[k] for k in active):
-                pinned.update(active)
-                changed = True
-        for p in range(size):
-            if diag[p] in pinned:
-                row = set(program.cell_class[p]) - pinned
-                if row:
-                    pinned.update(row)
-                    changed = True
-    return pinned
+            c = np.zeros(program.size)
+            np.add.at(c, cols, [coeff for _, coeff in words])
+            if c.any():
+                rows.append(c)
+    return np.array(rows).reshape(-1, program.size)
 
 
 def _row_reduce(rows: list[tuple[np.ndarray, float]]):
@@ -396,10 +398,13 @@ def _row_reduce(rows: list[tuple[np.ndarray, float]]):
     return pivots, solved
 
 
-def _swap_permutations(program: MomentProgram, live: np.ndarray):
+def _swap_permutations(program: MomentProgram):
     """Party swap as ``(class_perm, basis_perm)``, or None unless it maps the
-    live classes onto themselves and leaves the objective and the set of
+    forced terms onto themselves and leaves the objective and the set of
     equality rows invariant (to 1e-12)."""
+    zero = set(program.zero_terms)
+    if {(j, i, y, x) for i, j, x, y in zero} != zero:
+        return None
     basis_index = {m: i for i, m in enumerate(program.basis)}
     basis_perm = [basis_index.get(m.swap_parties()) for m in program.basis]
     if None in basis_perm:
@@ -409,8 +414,6 @@ def _swap_permutations(program: MomentProgram, live: np.ndarray):
     cells = program.cell_class
     class_perm = np.empty(program.n_classes, dtype=np.int64)
     class_perm[cells] = cells[np.ix_(basis_perm, basis_perm)]
-    if not np.array_equal(live[class_perm], live):
-        return None
 
     def moved(vec: np.ndarray) -> np.ndarray:
         out = np.empty_like(vec)
@@ -435,8 +438,8 @@ class _AffineMap:
     """Class moments ``y = y0 + n @ z`` of the solver variables ``z``.
 
     Block ``b`` of the LMI is ``V_b^T M(y) V_b`` with ``V_b = bases[b]``, the
-    ``size x dim_b`` map onto the kept rows or their swap combinations.
-    ``kept_rows`` is None when no class is pinned to zero.
+    ``size x dim_b`` map onto the rows or their swap combinations, less the
+    kernel; ``face_dim``, their summed width, is None without a kernel.
     """
 
     y0: np.ndarray
@@ -444,32 +447,36 @@ class _AffineMap:
     bases: tuple[scipy.sparse.csr_matrix, ...]
     problem: LmiProblem
     symmetric: bool
-    kept_rows: int | None
+    face_dim: int | None
 
 
 def _affine_map(program: MomentProgram, use_symmetry: bool) -> _AffineMap | None:
     """Map from the free solver variables to the LMI blocks; None if the
     equalities are inconsistent.
 
-    Classes pinned to zero get no column, so their diagonal rows leave the
-    cone (every class of a dropped row is pinned).  Swapped live classes
-    share a column, and the row-reduced equalities express each pivot
-    column through the free ones.
+    Swapped classes share a column, and the row-reduced equalities, with
+    ``M(y) c = 0`` for each kernel row ``c``, express each pivot column
+    through the free ones.
     """
     n_classes, size = program.n_classes, program.size
-    live = np.ones(n_classes, dtype=bool)
-    live[list(_pinned_zero_classes(program))] = False
-    keep = np.flatnonzero(live[program.cell_class.diagonal()])
-    swap = _swap_permutations(program, live) if use_symmetry else None
+    kernel = _kernel(program)
+    swap = _swap_permutations(program) if use_symmetry else None
     class_perm, basis_perm = swap or (np.arange(n_classes), np.arange(size))
 
-    classes = np.flatnonzero(live)
-    reps, orbit = np.unique(np.minimum(classes, class_perm[classes]), return_inverse=True)
+    classes = np.arange(n_classes)
+    reps, orbit = np.unique(np.minimum(classes, class_perm), return_inverse=True)
     n_orbits = len(reps)
     orbits = scipy.sparse.csr_matrix(
-        (np.ones(len(classes)), (classes, orbit)), shape=(n_classes, n_orbits)
+        (np.ones(n_classes), (classes, orbit)), shape=(n_classes, n_orbits)
     )
-    reduced = _row_reduce([(orbits.T @ vec, rhs) for vec, rhs in program.equalities])
+    # cells: one-hot map from the row-major cells of M to their classes
+    cells = scipy.sparse.csr_matrix(
+        (np.ones(size * size), (np.arange(size * size), program.cell_class.ravel())),
+        shape=(size * size, n_classes),
+    )
+    pins = [(orbits.T @ vec, rhs) for vec, rhs in program.equalities]
+    null = scipy.sparse.kron(scipy.sparse.eye(size), kernel) @ cells @ orbits  # M(y) c = 0
+    reduced = _row_reduce(pins + [(row, 0.0) for row in null.toarray()])
     if reduced is None:
         return None
     pivots, solved = reduced
@@ -490,8 +497,8 @@ def _affine_map(program: MomentProgram, use_symmetry: bool) -> _AffineMap | None
     y0 = orbits @ w0
     n_map = (orbits @ p_map).tocsr()
 
-    fixed = keep[basis_perm[keep] == keep]
-    lo = keep[basis_perm[keep] > keep]
+    fixed = np.flatnonzero(basis_perm == np.arange(size))
+    lo = np.flatnonzero(basis_perm > np.arange(size))
     hi = basis_perm[lo]
     d, k = len(fixed), len(lo)
     root = 1.0 / math.sqrt(2.0)
@@ -513,12 +520,10 @@ def _affine_map(program: MomentProgram, use_symmetry: bool) -> _AffineMap | None
         shape=(size, k),
     )
     bases = (plus, minus) if k else (plus,)
+    if len(kernel):  # each swap sector's complement of the kernel
+        faces = [v @ scipy.linalg.null_space(kernel @ v) for v in bases]
+        bases = tuple(scipy.sparse.csr_matrix(v) for v in faces if v.shape[1])
 
-    # cells: one-hot map from the row-major cells of M to their classes
-    cells = scipy.sparse.csr_matrix(
-        (np.ones(size * size), (np.arange(size * size), program.cell_class.ravel())),
-        shape=(size * size, n_classes),
-    )
     f0_blocks, f_blocks = [], []
     for v in bases:
         dim = v.shape[1]
@@ -531,7 +536,7 @@ def _affine_map(program: MomentProgram, use_symmetry: bool) -> _AffineMap | None
         bases=bases,
         problem=LmiProblem(f0_blocks, f_blocks, n_map.T @ program.objective),
         symmetric=swap is not None,
-        kept_rows=None if live.all() else len(keep),
+        face_dim=sum(v.shape[1] for v in bases) if len(kernel) else None,
     )
 
 
@@ -578,7 +583,7 @@ def solve(program: MomentProgram, cfg: SdpConfig | None = None) -> SdpSolution:
             "variables": amap.problem.m,
             "block_dims": [v.shape[1] for v in amap.bases],
             "symmetry_reduced": amap.symmetric,
-            "facially_reduced_size": amap.kept_rows,
+            "facially_reduced_size": amap.face_dim,
         },
     )
 

@@ -20,9 +20,12 @@ behavior tensor is that list over the full grid; the explicit trace form is
 kept as the verification oracle and agrees to machine precision.
 
 Maximization of a paradox's Hardy value subject to its condition equalities
-uses a quadratic-penalty schedule (default 10 -> 1e6, factor 10 per stage)
-and uniform multi-start over all angles.  One batched screen advances every
-restart at once as one ``(restarts, 1 + 2n)`` array of damped Newton steps
+uses a penalty schedule (default 10 -> 1e6, factor 10 per stage) and uniform
+multi-start over all angles.  The penalty of a condition that forces its terms
+to zero (``hardy.zero_sign``) is ``mu`` times its signed value, a sum of
+squared amplitudes; any other condition's is ``mu`` times its squared
+residual.  One batched screen advances every restart at once as one
+``(restarts, 1 + 2n)`` array of damped Newton steps
 with analytic Hessians; each row stops on its own, so a restart's outcome
 does not depend on the others.  The best feasible row is the result.  A
 restart counts as feasible only if every condition residual ends within
@@ -41,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hardy import HardyParadox
+from .hardy import HardyParadox, zero_sign
 from .scenario import (
     SCHEMA_VERSION,
     Behavior,
@@ -298,6 +301,7 @@ class _PenaltyProblem:
         expressions = [[(paradox.hardy_term, 1.0)]]
         expressions += [list(expr.items()) for expr, _ in paradox.conditions]
         self.targets = np.array([target for _, target in paradox.conditions])
+        self.signs = [zero_sign(expr, target) for expr, target in paradox.conditions]
         keys = [key for items in expressions for key, _ in items]
         i, j, x, y = np.array(keys, dtype=np.intp).T
         self.terms = _BornTerms(n, i, j, x - 1, y - 1)
@@ -331,14 +335,6 @@ class _PenaltyProblem:
             index.ravel(), weights=(parts * self.c[:, None]).ravel(), minlength=rows * size
         ).reshape(rows, 1 + len(self.targets), -1)
         return flat[..., 0], flat[..., 1 : 1 + d], flat[..., 1 + d :].reshape(rows, -1, d, d)
-
-
-# Conditions that pin a probability at zero are degenerate: the constraint
-# gradient vanishes together with the constraint, so the scheduled top penalty
-# leaves a one-sided residual that inflates the Hardy value by O(sqrt(resid)).
-# Continuation keeps growing the penalty past the base schedule until the
-# residual is within tolerance and the Hardy value has stopped drifting.
-_EXTRA_PENALTY_STAGES = 10
 
 
 def _feasible(residuals: np.ndarray, cfg: OptimizerConfig) -> bool:
@@ -381,12 +377,19 @@ _ARMIJO = 1e-4
 _BACKTRACKS = 30
 
 
-def _penalty(jets, targets: np.ndarray, mu: float):
-    """Penalty value, gradient and Hessian per row from the expression jets."""
+def _penalty(jets, problem: _PenaltyProblem, mu: float):
+    """Penalty value, gradient and Hessian per row from the expression jets:
+    ``mu * sign * value`` for a condition that forces its terms to zero, whose
+    amplitudes' gradients do not vanish there, else ``mu * r**2``."""
     values, grads, hess = jets
     f, g, h = -values[:, 0], -grads[:, 0], -hess[:, 0]
-    for k, target in enumerate(targets, start=1):
+    for k, (target, sign) in enumerate(zip(problem.targets, problem.signs), start=1):
         r, gk = values[:, k] - target, grads[:, k]
+        if sign:
+            f = f + (mu * sign) * r
+            g = g + (mu * sign) * gk
+            h = h + (mu * sign) * hess[:, k]
+            continue
         f = f + mu * (r * r)
         g = g + (2.0 * mu * r)[:, None] * gk
         h = h + 2.0 * mu * (gk[:, :, None] * gk[:, None, :] + r[:, None, None] * hess[:, k])
@@ -405,7 +408,7 @@ def _newton_stage(problem, X, jets, rows, mu: float, cfg: OptimizerConfig) -> in
     for _ in range(cfg.inner_iters):
         if not len(active):
             break
-        f, g, h = _penalty(tuple(a[active] for a in jets), problem.targets, mu)
+        f, g, h = _penalty(tuple(a[active] for a in jets), problem, mu)
         # a penalty that overflowed leaves its row where it is
         finite = np.isfinite(h).all(axis=(1, 2))
         active, f, g, h = active[finite], f[finite], g[finite], h[finite]
@@ -426,7 +429,7 @@ def _newton_stage(problem, X, jets, rows, mu: float, cfg: OptimizerConfig) -> in
             trial = X[idx] + t[pending, None] * step[pending]
             trial_jets = problem.jets(trial)
             evals += len(idx)
-            f_trial = _penalty(trial_jets, problem.targets, mu)[0]
+            f_trial = _penalty(trial_jets, problem, mu)[0]
             ok = f_trial <= f[pending] + _ARMIJO * t[pending] * slope[pending]
             X[idx[ok]] = trial[ok]
             for array, new in zip(jets, trial_jets):
@@ -440,13 +443,8 @@ def _newton_stage(problem, X, jets, rows, mu: float, cfg: OptimizerConfig) -> in
 
 
 def _screen(problem: _PenaltyProblem, X: np.ndarray, cfg: OptimizerConfig):
-    """Run the penalty schedule from every row of ``X`` at once, in place.
-
-    The base schedule runs on all rows; the continuation then runs a row
-    only while it is infeasible or, after the first extra stage, while its
-    Hardy value still drifts.  Returns the Hardy values and condition
-    residuals the rows end with and the row evaluations made.
-    """
+    """Run the penalty schedule from every row of ``X`` at once, in place;
+    returns the rows' Hardy values, condition residuals and evaluations made."""
     jets = problem.jets(X)
     evals = len(X)
     rows = np.arange(len(X))
@@ -454,21 +452,7 @@ def _screen(problem: _PenaltyProblem, X: np.ndarray, cfg: OptimizerConfig):
     for _ in range(cfg.penalty_stages):
         evals += _newton_stage(problem, X, jets, rows, mu, cfg)
         mu *= cfg.penalty_growth
-
-    stall = min(1e-6, cfg.constraint_tol)
-    drop = np.zeros(len(X))
-    hardy = jets[0][:, 0].copy()
-    for extra in range(_EXTRA_PENALTY_STAGES):
-        infeasible = np.abs(jets[0][:, 1:] - problem.targets).max(axis=1, initial=0.0)
-        keep = (infeasible > cfg.constraint_tol) | ((extra > 0) & (drop > stall))
-        rows = rows[keep[rows]]
-        if not len(rows):
-            break
-        evals += _newton_stage(problem, X, jets, rows, mu, cfg)
-        mu *= cfg.penalty_growth
-        drop[rows] = np.abs(jets[0][rows, 0] - hardy[rows])
-        hardy[rows] = jets[0][rows, 0]
-    return hardy, jets[0][:, 1:] - problem.targets, evals
+    return jets[0][:, 0], jets[0][:, 1:] - problem.targets, evals
 
 
 def _starts(cfg: OptimizerConfig, dim: int) -> np.ndarray:
@@ -488,7 +472,7 @@ def maximize_hardy(
 ) -> OptimizationResult:
     """Maximize the Hardy value over qubit models meeting the conditions.
 
-    Multi-start quadratic-penalty search: every restart draws all angles
+    Multi-start penalty search: every restart draws all angles
     uniformly from [-pi, pi) out of its own ``(seed, restart index)`` stream,
     and all restarts run the penalty schedule together, one
     ``(restarts, 1 + 2n)`` array of damped Newton steps; a restart's outcome

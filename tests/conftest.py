@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 
+from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy
 from nonlocality_wb.qubit import QubitModel
-from nonlocality_wb.scenario import Behavior, Scenario
+from nonlocality_wb.scenario import Behavior, BellExpression, Scenario
 
 # Known-good optimized parameter sets (state angle, Alice angles, Bob angles)
 # reaching the reference Hardy values 0.4140 and 0.7734.
@@ -30,3 +33,12 @@ def random_behavior(scenario: Scenario, rng: np.random.Generator) -> Behavior:
     """A random normalized (generally signaling) behavior."""
     raw = rng.random((scenario.n_settings, scenario.n_settings, 2, 2))
     return Behavior(scenario, raw / raw.sum(axis=(2, 3), keepdims=True))
+
+
+def merged_original_hardy(coeff: float) -> HardyParadox:
+    """The original paradox with its three zero conditions folded into one,
+    ``coeff * (P(00|A2B2) + P(01|A1B2) + P(10|A2B1)) = 0``."""
+    base = original_hardy()
+    terms = {key: coeff for expr, _ in base.conditions for key, _ in expr.items()}
+    condition = Condition(BellExpression(base.scenario, terms), 0.0)
+    return replace(base, paradox_id="original-merged", conditions=(condition,))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,12 @@ class TestNpa:
         assert code == 0
         assert report["outputs"]["status"] == "optimal"
         assert report["outputs"]["upper_bound"] >= 0.09016
+
+    def test_original_paradox_level2_certifies(self, capsys):
+        code, report = run_json(capsys, "npa", "original", "--level", "2")
+        assert code == 0
+        assert report["outputs"]["status"] == "optimal"
+        assert abs(report["outputs"]["upper_bound"] - (5 * math.sqrt(5) - 11) / 2) <= 1e-7
 
     def test_mistyped_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "sdp.json"

@@ -11,6 +11,7 @@ from nonlocality_wb.hardy import (
     check,
     original_hardy,
     realigned_hardy,
+    zero_sign,
 )
 from nonlocality_wb.scenario import (
     BellExpression,
@@ -21,7 +22,7 @@ from nonlocality_wb.scenario import (
     evaluate,
     uniform_behavior,
 )
-from conftest import all_zero_behavior, random_behavior
+from conftest import all_zero_behavior, merged_original_hardy, random_behavior
 
 
 class TestOriginalHardy:
@@ -49,6 +50,28 @@ class TestOriginalHardy:
         assert result.residuals[0] == pytest.approx(1.0)
         assert result.residuals[1] == pytest.approx(0.0)
         assert result.residuals[2] == pytest.approx(0.0)
+
+
+class TestZeroSign:
+    def test_original_conditions_force_their_terms(self):
+        assert [zero_sign(expr, target) for expr, target in original_hardy().conditions] == [1, 1, 1]
+
+    def test_sign_of_a_multi_term_condition(self):
+        for coeff, sign in ((1.0, 1), (-2.0, -1)):
+            ((expr, target),) = merged_original_hardy(coeff).conditions
+            assert len(expr) == 3
+            assert zero_sign(expr, target) == sign
+
+    def test_mixed_signs_or_nonzero_target_force_nothing(self):
+        scenario = Scenario(2)
+        mixed = BellExpression(scenario, {(0, 0, 2, 2): 1.0, (0, 1, 1, 2): -1.0})
+        single = BellExpression(scenario, {(0, 0, 2, 2): 1.0})
+        assert zero_sign(mixed, 0.0) == 0
+        assert zero_sign(single, 0.5) == 0
+        assert zero_sign(single, -1.0) == 0
+        assert zero_sign(BellExpression(scenario, {}), 0.0) == 0
+        ((expr, target),) = realigned_hardy(2).conditions
+        assert zero_sign(expr, target) == 0
 
 
 class TestRealignedHardy:

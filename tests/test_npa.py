@@ -11,7 +11,7 @@ from nonlocality_wb.npa import (
     Monomial,
     SdpConfig,
     _affine_map,
-    _pinned_zero_classes,
+    _kernel,
     _swap_permutations,
     basis_monomials,
     build_expression_program,
@@ -23,9 +23,17 @@ from nonlocality_wb.npa import (
     product,
     solve,
 )
-from nonlocality_wb.qubit import OptimizerConfig, QubitModel, behavior_of_model, refine_from
+from nonlocality_wb.qubit import (
+    OptimizerConfig,
+    QubitModel,
+    behavior_of_model,
+    maximize_hardy,
+    refine_from,
+)
 from nonlocality_wb.scenario import BellExpression, ValidationError, chsh_probability_form
-from conftest import REFERENCE_MODEL_2
+from conftest import REFERENCE_MODEL_2, merged_original_hardy
+
+ORIGINAL_VALUE = (5 * math.sqrt(5) - 11) / 2
 
 
 def random_monomial(rng, n, max_len):
@@ -285,14 +293,25 @@ class TestSolve:
         assert 0.0 <= sol.objective_value <= 1.0 + 1e-6
 
     def test_original_paradox_levels(self):
-        # level 1 is a weak but certified bound; higher levels approach the
-        # known quantum maximum but the feasible set has empty interior, so
-        # only a best-effort iterate is returned
+        # level 1 is a weak bound; on the face of the forced zeros, levels 2
+        # and 3 certify the known quantum maximum
         sol1 = solve(build_program(original_hardy(), 1))
         assert sol1.status == "optimal"
         assert sol1.objective_value >= 0.09016
-        sol2 = solve(build_program(original_hardy(), 2))
-        assert sol2.objective_value == pytest.approx(0.09017, abs=5e-4)
+        for level in (2, 3):
+            sol = solve(build_program(original_hardy(), level))
+            assert sol.status == "optimal"
+            assert abs(sol.objective_value - ORIGINAL_VALUE) <= 1e-7
+
+    @pytest.mark.parametrize("coeff", [1.0, -2.0])
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_one_multi_term_zero_condition(self, coeff, level):
+        # the three zero conditions folded into one same-sign sum pinned at 0
+        # force the same terms, so the bound is the original paradox's
+        merged = solve(build_program(merged_original_hardy(coeff), level))
+        assert merged.status == "optimal"
+        expected = hardy_upper_bound(original_hardy(), level)
+        assert merged.objective_value == pytest.approx(expected, abs=1e-9)
 
 
 MAP_CASES = [
@@ -313,6 +332,11 @@ def map_case_program(name, level):
     if name == "original":
         return build_program(original_hardy(), level)
     return build_program(realigned_hardy(int(name.split("-")[1])), level)
+
+
+@pytest.fixture(scope="module")
+def original_optimum():
+    return maximize_hardy(original_hardy(), OptimizerConfig(restarts=40))
 
 
 class TestAffineMap:
@@ -336,14 +360,45 @@ class TestAffineMap:
             for vec, rhs in prog.equalities:
                 assert abs(vec @ y - rhs) <= 1e-12
 
-    def test_pinned_rows_leave_the_cone(self):
-        # the original paradox pins probabilities to zero, so some diagonal
-        # moments are zero and their rows are not in any block
-        prog = build_program(original_hardy(), 2)
-        amap = _affine_map(prog, True)
-        assert amap.kept_rows is not None and amap.kept_rows < prog.size
-        assert sum(v.shape[1] for v in amap.bases) == amap.kept_rows
-        assert _affine_map(build_program(realigned_hardy(2), 2), True).kept_rows is None
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_kernel_annihilates_an_optimal_model(self, level, original_optimum):
+        # the optimizer's model meets the zero conditions, so its moment
+        # matrix maps every kernel row to zero
+        prog = build_program(original_hardy(), level)
+        kernel = _kernel(prog)
+        assert len(kernel)
+        m = moment_matrix_of_model(original_optimum.model, level)
+        assert np.linalg.norm(m @ kernel.T, axis=0).max() <= 1e-6
+
+    def test_kernel_row_of_a_forced_p11_term(self):
+        # P(11|A2B2) = 0 forces (1 - E2)(1 - F2) psi = 0; at level 2 only w = 1
+        # keeps the product in the basis, and c^T M c is that probability
+        base = original_hardy()
+        condition = Condition(BellExpression(base.scenario, {(1, 1, 2, 2): 1.0}), 0.0)
+        prog = build_program(replace(base, conditions=(condition,)), 2)
+        (c,) = _kernel(prog)
+        words = {prog.basis[p].label(): c[p] for p in np.flatnonzero(c)}
+        assert words == {"1": 1.0, "E2": -1.0, "F2": -1.0, "E2*F2": 1.0}
+        m = moment_matrix_of_model(REFERENCE_MODEL_2, 2)
+        assert c @ m @ c == pytest.approx(behavior_of_model(REFERENCE_MODEL_2).prob(1, 1, 2, 2), abs=1e-12)
+
+    @pytest.mark.parametrize("use_symmetry", [True, False])
+    @pytest.mark.parametrize("level,face", [(2, 10), (3, 16)])
+    def test_blocks_span_the_complement_of_the_kernel(self, level, face, use_symmetry):
+        prog = build_program(original_hardy(), level)
+        amap = _affine_map(prog, use_symmetry)
+        rank = np.linalg.matrix_rank(_kernel(prog))
+        assert sum(v.shape[1] for v in amap.bases) == prog.size - rank == face
+        assert amap.face_dim == face
+        v = scipy.sparse.hstack(amap.bases).toarray()
+        assert np.abs(_kernel(prog) @ v).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,level", [(2, 2), (2, 3), (4, 2)])
+    def test_realigned_programs_have_no_kernel(self, n, level):
+        prog = build_program(realigned_hardy(n), level)
+        assert prog.zero_terms == ()
+        assert _kernel(prog).shape == (0, prog.size)
+        assert _affine_map(prog, True).face_dim is None
 
     def test_inconsistent_equalities(self):
         prog = build_program(realigned_hardy(2), 1)
@@ -363,13 +418,17 @@ SWAP_CASES = [
 def test_swap_permutations_match_swapped_class_words(n, level):
     paradox = original_hardy() if n == "original" else realigned_hardy(n)
     prog = build_program(paradox, level)
-    live = np.ones(prog.n_classes, dtype=bool)
-    live[list(_pinned_zero_classes(prog))] = False
-    class_perm, basis_perm = _swap_permutations(prog, live)
+    class_perm, basis_perm = _swap_permutations(prog)
     class_index = {w: k for k, w in enumerate(prog.class_words)}
     expected = [class_index[moment_key(w.swap_parties())] for w in prog.class_words]
     np.testing.assert_array_equal(class_perm, expected)
     assert all(prog.basis[j] == m.swap_parties() for m, j in zip(prog.basis, basis_perm))
+
+
+def test_swap_needs_swap_invariant_zero_terms():
+    prog = build_program(original_hardy(), 2)
+    assert sorted(prog.zero_terms) == [(0, 0, 2, 2), (0, 1, 1, 2), (1, 0, 2, 1)]
+    assert _swap_permutations(replace(prog, zero_terms=prog.zero_terms[:2])) is None
 
 
 class TestModelMomentMatrix:

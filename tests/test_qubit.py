@@ -22,7 +22,7 @@ from nonlocality_wb.qubit import (
     state_vector,
 )
 from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality, evaluate
-from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4, jet_components
+from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4, jet_components, merged_original_hardy
 
 
 def paradox_of(name):
@@ -321,8 +321,16 @@ class TestMaximizeHardy:
     def test_original(self):
         result = maximize_hardy(original_hardy(), OptimizerConfig(restarts=40))
         assert result.converged
-        assert abs(result.hardy_value - (5 * math.sqrt(5) - 11) / 2) <= 5e-6
+        assert abs(result.hardy_value - (5 * math.sqrt(5) - 11) / 2) <= 5e-7
+        assert max(abs(r) for r in result.condition_residuals) <= 1e-12
         assert_restart_statistics(result)
+
+    @pytest.mark.parametrize("coeff", [1.0, -2.0])
+    def test_one_multi_term_zero_condition(self, coeff):
+        # the three zero conditions folded into one same-sign sum pinned at 0
+        result = maximize_hardy(merged_original_hardy(coeff), OptimizerConfig(restarts=40))
+        assert result.converged
+        assert abs(result.hardy_value - (5 * math.sqrt(5) - 11) / 2) <= 5e-7
 
     @pytest.mark.parametrize("name, restarts", [(2, 40), (4, 60), ("original", 40)])
     def test_value_does_not_depend_on_the_seed(self, name, restarts):
