@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -57,6 +57,7 @@ from .sdp import (
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERATIONS,
     STATUS_OPTIMAL,
+    _single_blas_thread,
     solve_lmi,
 )
 
@@ -108,17 +109,15 @@ class Monomial:
         return Monomial(tuple(alice), tuple(bob))
 
 
-def _collapse(word: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for s in word:
-        if not out or out[-1] != s:
-            out.append(s)
-    return tuple(out)
+def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical ``u + v`` for words without adjacent repeats: only the seam
+    can repeat, and dropping one letter there leaves no new repeat."""
+    return u + v[1:] if u and v and u[-1] == v[0] else u + v
 
 
 def product(u: Monomial, v: Monomial) -> Monomial:
     """Canonical product: parties commute, adjacent repeats collapse."""
-    return Monomial(_collapse(u.alice + v.alice), _collapse(u.bob + v.bob))
+    return Monomial(_join(u.alice, v.alice), _join(u.bob, v.bob))
 
 
 def cell_word(u: Monomial, v: Monomial) -> Monomial:
@@ -250,22 +249,26 @@ def _expression_to_moments(
 
 
 def _moment_structure(n: int, level: int):
+    """Basis, class words, their index and the cell-to-class array.
+
+    Cells are worked out on plain ``(alice, bob)`` tuples, in the order of
+    ``moment_key(cell_word(u, v))``; only the class words become Monomials.
+    """
     basis = basis_monomials(n, level)
+    words = [(m.alice, m.bob) for m in basis]
     size = len(basis)
-    class_index: dict[Monomial, int] = {}
-    class_words: list[Monomial] = []
+    index: dict[tuple, int] = {}
     cell_class = np.empty((size, size), dtype=np.int64)
-    for p, u in enumerate(basis):
+    for p, (ua, ub) in enumerate(words):
+        ra, rb = ua[::-1], ub[::-1]
         for q in range(p, size):
-            key = moment_key(cell_word(u, basis[q]))
-            k = class_index.get(key)
-            if k is None:
-                k = len(class_words)
-                class_index[key] = k
-                class_words.append(key)
-            cell_class[p, q] = k
-            cell_class[q, p] = k
-    return basis, tuple(class_words), class_index, cell_class
+            va, vb = words[q]
+            a, b = _join(ra, va), _join(rb, vb)
+            key = min((a, b), (a[::-1], b[::-1]))
+            cell_class[p, q] = cell_class[q, p] = index.setdefault(key, len(index))
+    class_words = tuple(Monomial(a, b) for a, b in index)
+    class_index = {w: k for k, w in enumerate(class_words)}
+    return basis, class_words, class_index, cell_class
 
 
 def _check_level(level: int) -> None:
@@ -541,8 +544,18 @@ def _affine_map(program: MomentProgram, use_symmetry: bool) -> _AffineMap | None
 
 
 def solve(program: MomentProgram, cfg: SdpConfig | None = None) -> SdpSolution:
-    """Solve a moment program; maximizes its objective over PSD moment matrices."""
-    cfg = cfg or SdpConfig()
+    """Solve a moment program; maximizes its objective over PSD moment matrices.
+
+    Everything runs on one BLAS thread, so the result does not depend on the
+    thread count; ``diagnostics["blas_threads"]`` is 1, or None when no
+    OpenBLAS could be pinned.
+    """
+    with _single_blas_thread() as threads:
+        solution = _solve(program, cfg or SdpConfig())
+    return replace(solution, diagnostics={**solution.diagnostics, "blas_threads": threads})
+
+
+def _solve(program: MomentProgram, cfg: SdpConfig) -> SdpSolution:
     amap = _affine_map(program, cfg.use_symmetry)
     if amap is None:
         return _infeasible_solution(program, "inconsistent equality constraints")

@@ -29,11 +29,20 @@ with ``H`` is a ``dsymv`` that reads the same triangle.  Only ``H`` and its
 Cholesky factor are held as ``m x m`` arrays.  Problem sizes up
 to a few hundred rows per block and ~10^4 variables stay within desk-scale
 memory; no sparsity is assumed in ``H`` itself.
+
+``solve_lmi`` runs every BLAS and LAPACK call on one thread (see
+``_single_blas_thread``): at these sizes a second OpenBLAS thread costs more
+CPU in hand-offs than it saves, and the thread count would change the result
+bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,6 +166,65 @@ class LmiProblem:
         return h
 
 
+@functools.cache
+def _blas_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of every OpenBLAS loaded in this process.
+
+    numpy and scipy each load their own OpenBLAS; both are found through the
+    process's memory map, so on a system without ``/proc/self/maps`` or
+    without OpenBLAS the tuple is empty.  Looked up once, on first use.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps if "openblas" in line.lower()]
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+# scopes of _single_blas_thread open in any thread, and the counts the first
+# of them found; OpenBLAS's pthreads build applies a setting process-wide
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_restore: list = []
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    Yields 1, or None when no thread setter was found and the block runs
+    unpinned.  The thread counts found by the first of the open scopes, in
+    whichever thread, are restored when the last one closes, also when a
+    block raises, so one scope closing does not unpin a solve still running
+    in another thread.
+    """
+    global _pin_depth, _pin_restore
+    setters = _blas_setters()
+    with _pin_lock:
+        previous = [(setter, setter(1)) for setter in setters]
+        if _pin_depth == 0:
+            _pin_restore = previous
+        _pin_depth += 1
+    try:
+        yield 1 if setters else None
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for setter, count in _pin_restore:
+                    setter(count)
+
+
 def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
     """Largest alpha with ``A + alpha * D`` PSD, given ``A = L L^T``."""
     w = scipy.linalg.solve_triangular(chol_lower, direction, lower=True, check_finite=False)
@@ -177,6 +245,7 @@ def _chol_blocks(blocks: Sequence[np.ndarray]):
     return out
 
 
+@_single_blas_thread()
 def solve_lmi(
     problem: LmiProblem,
     max_iterations: int = 100,

@@ -272,3 +272,24 @@ class TestEntryPoint:
             report.pop("wall_time_ms")
             payloads.append(json.dumps(report, sort_keys=True))
         assert payloads[0] == payloads[1]
+
+    def test_npa_payload_does_not_depend_on_blas_threads(self):
+        for paradox in ("4", "original"):
+            payloads = []
+            for threads in (None, "1", "2"):
+                proc = run_module("npa", paradox, "--level", "2", "--json", OPENBLAS_NUM_THREADS=threads)
+                assert proc.returncode == 0, proc.stderr
+                report = json.loads(proc.stdout)
+                report.pop("wall_time_ms")
+                payloads.append(json.dumps(report, sort_keys=True))
+            assert payloads[0] == payloads[1] == payloads[2], paradox
+
+    def test_import_leaves_blas_lookup_for_the_first_solve(self):
+        code = (
+            "import nonlocality_wb.cli\n"
+            "from nonlocality_wb import sdp\n"
+            "print(sdp._blas_setters.cache_info().currsize)\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]

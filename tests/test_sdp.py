@@ -1,3 +1,7 @@
+import ctypes
+import functools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -311,3 +315,108 @@ def test_solver_holds_two_schur_sized_arrays_at_most():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * problem.m**2 * 8
+
+
+@functools.cache
+def blas_thread_getters():
+    """The thread-count getter of every loaded OpenBLAS."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        fields = [line.split(maxsplit=5) for line in maps if "openblas" in line.lower()]
+    getters = []
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                getters.append(getter)
+                break
+    return getters
+
+
+def blas_thread_counts():
+    """Thread count of every loaded OpenBLAS, read through its own getter."""
+    return [getter() for getter in blas_thread_getters()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Both OpenBLAS libraries (numpy's and scipy's) set to two threads, so
+    that a restored count is told apart from the pinned one."""
+    setters = sdp._blas_setters()
+    if len(setters) != 2 or len(blas_thread_counts()) != 2:
+        pytest.skip("needs numpy's and scipy's OpenBLAS with thread setters and getters")
+    previous = [setter(2) for setter in setters]
+    yield
+    for setter, count in zip(setters, previous):
+        setter(count)
+
+
+class TestSingleBlasThread:
+    def test_pins_and_restores(self, two_blas_threads):
+        with sdp._single_blas_thread() as threads:
+            assert threads == 1
+            assert blas_thread_counts() == [1, 1]
+        assert blas_thread_counts() == [2, 2]
+
+    def test_restores_after_an_exception(self, two_blas_threads):
+        with pytest.raises(RuntimeError):
+            with sdp._single_blas_thread():
+                assert blas_thread_counts() == [1, 1]
+                raise RuntimeError("inside the scope")
+        assert blas_thread_counts() == [2, 2]
+
+    def test_nested_scopes_restore_the_outer_count(self, two_blas_threads):
+        with sdp._single_blas_thread():
+            solve_lmi(LmiProblem([np.eye(2)], [block(2, 1, [(0, 0, 1, 1.0)])], np.array([1.0])))
+            assert blas_thread_counts() == [1, 1]
+        assert blas_thread_counts() == [2, 2]
+
+    def test_overlapping_scopes_restore_when_the_last_closes(self, two_blas_threads):
+        # scopes opened in two threads can close in either order
+        first, second = sdp._single_blas_thread(), sdp._single_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert blas_thread_counts() == [1, 1]
+        second.__exit__(None, None, None)
+        assert blas_thread_counts() == [2, 2]
+
+    def test_scopes_in_many_threads_stay_pinned_and_restore(self, two_blas_threads):
+        unpinned = []
+
+        def work():
+            for _ in range(300):
+                with sdp._single_blas_thread():
+                    counts = blas_thread_counts()
+                    if counts != [1, 1]:
+                        unpinned.append(counts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert unpinned == []
+        assert blas_thread_counts() == [2, 2]
+
+    def test_npa_solve_reports_one_thread(self, two_blas_threads):
+        sol = npa.solve(npa.build_program(realigned_hardy(2), 1))
+        assert sol.diagnostics["blas_threads"] == 1
+        assert blas_thread_counts() == [2, 2]
+
+    def test_solve_runs_unpinned_without_a_setter(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_blas_setters", lambda: ())
+        counts = blas_thread_counts()
+        sol = npa.solve(npa.build_program(realigned_hardy(2), 2))
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.diagnostics["blas_threads"] is None
+        assert sol.objective_value == pytest.approx(0.41398958, abs=1e-7)
+        assert blas_thread_counts() == counts
