@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
+import os
 import sys
 import time
 
@@ -98,12 +98,12 @@ def _cmd_classical_bound(args) -> tuple[dict, int, list[str]]:
     outputs = {
         "n": args.n,
         "value": result.value,
-        "maximizer_count": len(result.maximizers),
+        "maximizer_count": result.maximizer_count,
         "strategy_count": 4**args.n,
     }
     lines = [
         f"classical bound for n={args.n}: {_fmt(result.value)}",
-        f"maximizers: {len(result.maximizers)} of {4 ** args.n} deterministic strategies",
+        f"maximizers: {result.maximizer_count} of {4 ** args.n} deterministic strategies",
     ]
     return _report("classical-bound", {"n": args.n}, outputs), 0, lines
 
@@ -282,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(signal, "SIGPIPE"):  # clean exit when output is piped to head
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
@@ -293,13 +291,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["wall_time_ms"] = int((time.perf_counter() - start) * 1000)
-    if getattr(args, "json", False):
-        print(json.dumps(report, sort_keys=True))
-    elif getattr(args, "csv", False):
-        print(_csv_table1(report))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps(report, sort_keys=True))
+        elif getattr(args, "csv", False):
+            print(_csv_table1(report))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, as with `| head`: drop the rest of the output,
+        # including what the interpreter would flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

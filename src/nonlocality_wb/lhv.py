@@ -13,9 +13,10 @@ and evaluate single strategies for checks at small ``n``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -135,9 +136,29 @@ def _strategies(a: np.ndarray, answers: np.ndarray) -> Iterator[DeterministicStr
         yield DeterministicStrategy(a, b)
 
 
-class ClassicalMax(NamedTuple):
-    value: float
-    maximizers: tuple[DeterministicStrategy, ...]
+def _count(answers: np.ndarray) -> int:
+    """Number of strategies that pair each listed Alice strategy with a Bob map
+    allowed by its ``answers[y, j]``."""
+    return int(answers.sum(axis=2).prod(axis=1).sum())
+
+
+class ClassicalMax:
+    """Maximum ``value`` of an expression over deterministic strategies.
+
+    ``maximizer_count`` is read off the best-response table; ``maximizers``
+    lists the maximizing strategies in enumeration order, built on first
+    access.
+    """
+
+    def __init__(self, value: float, alice: np.ndarray, answers: np.ndarray) -> None:
+        self.value = value
+        self.maximizer_count = _count(answers)
+        self._alice = alice
+        self._answers = answers
+
+    @functools.cached_property
+    def maximizers(self) -> tuple[DeterministicStrategy, ...]:
+        return tuple(s for a, ans in zip(self._alice, self._answers) for s in _strategies(a, ans))
 
 
 def classical_max(expr: BellExpression) -> ClassicalMax:
@@ -152,10 +173,8 @@ def classical_max(expr: BellExpression) -> ClassicalMax:
     alice = _alice_strategies(expr.scenario.n_settings)
     values, answers = _best_responses(_scores(expr, alice))
     best = values.max()
-    maximizers = []
-    for a in np.flatnonzero(values >= best - TOLERANCES.saturation):
-        maximizers.extend(_strategies(alice[a], answers[a]))
-    return ClassicalMax(float(best), tuple(maximizers))
+    top = values >= best - TOLERANCES.saturation
+    return ClassicalMax(float(best), alice[top], answers[top])
 
 
 @dataclass(frozen=True)
@@ -232,7 +251,7 @@ def certify_hardy_soundness(paradox: "HardyParadox") -> SoundnessReport:
         else:
             allowed[:] = False
 
-    saturating = int(answers.sum(axis=2).prod(axis=1)[allowed].sum())
+    saturating = _count(answers[allowed])
     hi, hj, hx, hy = paradox.hardy_term
     answers[:, hy - 1, 1 - hj] = False
     counterexamples: list[DeterministicStrategy] = []

@@ -19,16 +19,26 @@ X dZ Z^-1`` (symmetrized), Schur complement ``H_ij = tr(F_i X F_j Z^-1)``
 iteration shared by predictor and corrector.
 
 Each block's constraint matrices come as one sparse ``(dim^2, m)`` matrix
-whose column ``k`` is ``vec(F_k)``; the per-iteration Schur assembly exploits
-that each ``F_k`` has few entries by forming ``U F_k V`` as a thin product of
-gathered columns, and reads ``H_ik`` for ``i >= k`` off that product through
-one sparse gather (a CSR matrix with one row per variable, cut into tails that
-start every ``_PIECE`` variables) per block.  ``H`` is assembled as one
-triangle only, the one LAPACK's Cholesky reads, and the solver's one product
-with ``H`` is a ``dsymv`` that reads the same triangle.  Only ``H`` and its
-Cholesky factor are held as ``m x m`` arrays.  Problem sizes up
-to a few hundred rows per block and ~10^4 variables stay within desk-scale
-memory; no sparsity is assumed in ``H`` itself.
+whose column ``k`` is ``vec(F_k)``, and the per-iteration Schur assembly takes
+one of two paths per block, chosen from the block's dimension.  A block of
+dimension at most ``_DENSE_DIM`` assembles its whole contribution as
+``G (U kron V) G^T``, where ``G`` is the sparse gather with one row
+``vec(F_i)`` per variable: since every ``F_k`` is symmetric, column ``j`` of
+``(U kron V) G^T`` is ``vec(U F_j V)``, which two BLAS products on the
+densified constraint matrix give for every ``j`` at once, without forming
+``U kron V``.  These are a few array calls per block where the other path
+makes two Python-level calls per variable, and they cost ``4 m dim^3`` flops,
+which at small ``dim`` is less than that per-call overhead.  A larger block
+exploits that each ``F_k`` has few entries by forming ``U F_k V`` as a thin
+product of gathered columns, and reads ``H_ik`` for ``i >= k`` off that
+product through one sparse gather (a CSR matrix with one row per variable,
+cut into tails that start every ``_PIECE`` variables), so it fills one
+triangle of ``H`` only, the one LAPACK's Cholesky reads; the solver's one
+product with ``H`` is a ``dsymv`` that reads the same triangle.  Only ``H``
+and its Cholesky factor are held as ``m x m`` arrays; a dense block adds its
+contribution through one transient ``m x m`` product.  Problem sizes up to a
+few hundred rows per block and ~10^4 variables stay within desk-scale memory;
+no sparsity is assumed in ``H`` itself.
 
 ``solve_lmi`` runs every BLAS and LAPACK call on one thread (see
 ``_single_blas_thread``): at these sizes a second OpenBLAS thread costs more
@@ -57,6 +67,11 @@ STATUS_INFEASIBLE = "infeasible"
 # variables per piece: Schur row j is read through the tail of the row gather
 # that starts at its piece, so it gathers the rows i >= j - j % _PIECE
 _PIECE = 64
+# blocks up to this dimension assemble their Schur contribution densely: its
+# 4 m dim^3 flops cost less than the thin path's two calls per variable (the
+# two break even between dimension 27 and 51), and it holds two (dim^2, m)
+# arrays at a time, at most 16 KB per variable
+_DENSE_DIM = 32
 
 
 @dataclass
@@ -81,6 +96,12 @@ class LmiProblem:
     order, with ``dim_b`` read off the square ``f0_blocks[b]``.  Each ``F_k``
     must be symmetric, so an off-diagonal entry is stored in both
     orientations; duplicate entries are summed.
+
+    A block of dimension at most ``_DENSE_DIM`` assembles its Schur
+    contribution densely and needs nothing beyond the scatter and gather; a
+    larger one also keeps its per-variable entries and the tails of its row
+    gather for the thin-product path (``tails[b]`` is None for a dense
+    block).
     """
 
     def __init__(self, f0_blocks: Sequence[np.ndarray], f_blocks: Sequence, b: np.ndarray):
@@ -88,10 +109,11 @@ class LmiProblem:
         self.m = len(self.b)
         self.f0 = [np.asarray(f, dtype=float) for f in f0_blocks]
         self.dims = []
-        # per block: the scatter S_b with vec(M_b) = vec(F0_b) + S_b @ y, its
-        # transpose the gather, the per-variable entry slices, and the tails of the
-        # row gather R_b[i, col*dim + row] = F_i[row, col], which reads tr(F_i T)
-        # off T.ravel(): tail p holds the rows i >= p * _PIECE
+        # per block: the scatter S_b with vec(M_b) = vec(F0_b) + S_b @ y and its
+        # transpose the gather; on the thin path also the per-variable entry
+        # slices and the tails of the row gather R_b[i, col*dim + row] =
+        # F_i[row, col], which reads tr(F_i T) off T.ravel(): tail p holds the
+        # rows i >= p * _PIECE
         self.scatter = []
         self.gather = []
         self.per_var = []
@@ -108,10 +130,14 @@ class LmiProblem:
             s.eliminate_zeros()
             # each variable's entries in ascending cell order
             g = s.T.tocsr()
-            rows, cols = np.divmod(g.indices, dim)
             self.dims.append(dim)
             self.scatter.append(s)
             self.gather.append(g)
+            if dim <= _DENSE_DIM:
+                self.per_var.append(None)
+                self.tails.append(None)
+                continue
+            rows, cols = np.divmod(g.indices, dim)
             self.per_var.append((g.indptr, rows, cols, g.data))
             tail = scipy.sparse.csr_matrix((g.data, cols * dim + rows, g.indptr), shape=(self.m, dim * dim))
             tails = [tail]
@@ -149,13 +175,26 @@ class LmiProblem:
 
         Row ``j`` holds ``H_ij`` for ``i >= j`` in its columns ``>= j``: the
         upper triangle in C order, which is the lower triangle of ``h.T`` that
-        LAPACK reads.  The strict lower triangle is left unused; it holds zeros
-        and, within each piece of ``_PIECE`` variables, stray gathered entries.
+        LAPACK reads.  The strict lower triangle is left unused.  A block of
+        dimension at most ``_DENSE_DIM`` adds its whole ``G (U kron V) G^T``
+        there; a larger one adds zeros and, within each piece of ``_PIECE``
+        variables, stray gathered entries.
         """
-        h = np.zeros((self.m, self.m))
+        m = self.m
+        h = np.zeros((m, m))
         piece = self._piece
-        for (ptr, rows, cols, vals), tails, u, v in zip(self.per_var, self.tails, u_blocks, v_blocks):
-            for j in range(self.m):
+        for s, g, per_var, tails, u, v, dim in zip(
+            self.scatter, self.gather, self.per_var, self.tails, u_blocks, v_blocks, self.dims
+        ):
+            if tails is None:
+                # t[row, col, j] = (F_j V)[row, col], then t[row, (col, j)] = (U F_j V)[row, col]:
+                # column j of (U kron V) G^T, as V is symmetric
+                t = np.matmul(v, s.toarray().reshape(dim, dim, m))
+                t = u @ t.reshape(dim, dim * m)
+                h += g @ t.reshape(dim * dim, m)
+                continue
+            ptr, rows, cols, vals = per_var
+            for j in range(m):
                 lo, hi = ptr[j], ptr[j + 1]
                 if lo == hi:
                     continue

@@ -1,14 +1,17 @@
 import json
 import math
 import os
+import shutil
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import nonlocality_wb
-from nonlocality_wb.cli import build_parser, main
+from nonlocality_wb.cli import TABLE1_COLUMNS, build_parser, main
 from nonlocality_wb.npa import MAX_LEVEL
 
 
@@ -222,20 +225,18 @@ class TestDeterminism:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def run_python(*args, **env):
-    """Run a fresh interpreter that sees the package under test, installed or not.
-
-    ``env`` overrides the inherited environment; a value of None unsets it.
-    """
+def python_env(**env):
+    """The environment of a fresh interpreter that sees the package under test,
+    installed or not; ``env`` overrides the inherited one, None unsets a name."""
     package_root = str(Path(nonlocality_wb.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     environ = {**os.environ, "PYTHONPATH": path, **env}
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={key: value for key, value in environ.items() if value is not None},
-    )
+    return {key: value for key, value in environ.items() if value is not None}
+
+
+def run_python(*args, **env):
+    """Run a fresh interpreter with ``python_env(**env)``."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=python_env(**env))
 
 
 def run_module(*argv, **env):
@@ -284,6 +285,36 @@ class TestEntryPoint:
                 payloads.append(json.dumps(report, sort_keys=True))
             assert payloads[0] == payloads[1] == payloads[2], paradox
 
+    def test_output_to_a_closed_pipe_exits_cleanly(self):
+        # the reader leaves before the first line is written, as `| head -1`
+        # does when it has read its line before the command flushes the rest
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nonlocality_wb.cli", "table1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=python_env(),
+        )
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+
+    @pytest.mark.skipif(shutil.which("bash") is None or shutil.which("head") is None, reason="needs bash and head")
+    def test_piped_to_head(self):
+        proc = subprocess.run(
+            ["bash", "-c", 'set -o pipefail; "$0" -m nonlocality_wb.cli table1 | head -1', sys.executable],
+            capture_output=True,
+            text=True,
+            env=python_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.split() == list(TABLE1_COLUMNS)
+        assert "Traceback" not in proc.stderr, proc.stderr
+
     def test_import_leaves_blas_lookup_for_the_first_solve(self):
         code = (
             "import nonlocality_wb.cli\n"
@@ -293,3 +324,20 @@ class TestEntryPoint:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
+
+
+class TestInProcess:
+    def test_main_runs_in_a_worker_thread(self, capsys):
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(["table1", "--json"])))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert codes == [0]
+        assert json.loads(capsys.readouterr().out)["command"] == "table1"
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_main_leaves_sigpipe_handling_alone(self, capsys):
+        before = signal.getsignal(signal.SIGPIPE)
+        assert main(["table1", "--json"]) == 0
+        assert signal.getsignal(signal.SIGPIPE) == before

@@ -164,6 +164,19 @@ class TestClassicalMax:
                 result = classical_max(scaled)
                 assert (result.value, result.maximizers) == oracle_max(scaled)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_count_is_the_number_of_maximizers(self, n):
+        result = classical_max(as_inequality(n))
+        assert result.maximizer_count == len(result.maximizers)
+
+    def test_count_under_ties_within_tolerance(self):
+        # P(00|11) = 1 leaves five settings per party free; the second term
+        # adds less than the saturation tolerance, so it breaks no tie
+        expr = BellExpression(Scenario(6), {(0, 0, 1, 1): 1.0, (1, 1, 2, 2): TOLERANCES.saturation / 4})
+        result = classical_max(expr)
+        assert result.maximizer_count == len(result.maximizers) == 4**5
+        assert (result.value, result.maximizers) == oracle_max(expr)
+
     def test_maximizers_attain_value(self):
         expr = as_inequality(4)
         result = classical_max(expr)

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse
 
 from nonlocality_wb import npa, sdp
-from nonlocality_wb.hardy import realigned_hardy
+from nonlocality_wb.hardy import original_hardy, realigned_hardy
 from nonlocality_wb.sdp import (
     LmiProblem,
     STATUS_INFEASIBLE,
@@ -187,7 +187,18 @@ def random_schur_entries(rng):
     return m, shuffled
 
 
-def test_schur_matches_dense_trace_and_bincount_assembly():
+def dense_trace_schur(m, f_blocks, u_blocks, v_blocks):
+    """``H_ij = sum_blocks tr(F_i U F_j V)`` from dense ``F_k``."""
+    h = np.zeros((m, m))
+    for f, u, v in zip(f_blocks, u_blocks, v_blocks):
+        fk = dense_f(f, len(u), m)
+        h += np.einsum("ipq,qr,jrs,sp->ij", fk, u, fk, v, optimize=True)
+    return h
+
+
+def test_schur_matches_dense_trace_and_bincount_assembly(monkeypatch):
+    # a cap of 0 puts every block on the thin-product path
+    monkeypatch.setattr(sdp, "_DENSE_DIM", 0)
     rng = np.random.default_rng(11)
     m, shuffled = random_schur_entries(rng)
     dims = [d for d, _ in shuffled]
@@ -196,24 +207,23 @@ def test_schur_matches_dense_trace_and_bincount_assembly():
     u = [random_spd(rng, d) for d in dims]
     v = [random_spd(rng, d) for d in dims]
     upper = np.triu(problem.schur(u, v))
-    oracle = np.zeros((m, m))
-    for f, d, ub, vb in zip(blocks, dims, u, v):
-        fk = dense_f(f, d, m)
-        oracle += np.einsum("ipq,qr,jrs,sp->ij", fk, ub, fk, vb)
+    oracle = dense_trace_schur(m, blocks, u, v)
     assert np.abs(upper - np.triu(oracle)).max() <= 1e-12 * np.abs(oracle).max()
     assert np.array_equal(upper, np.triu(bincount_schur(m, blocks, u, v).T))
 
 
-def test_schur_does_not_depend_on_entry_order():
+def test_schur_does_not_depend_on_entry_order(monkeypatch):
     rng = np.random.default_rng(11)
     m, shuffled = random_schur_entries(rng)
     dims = [dim for dim, _ in shuffled]
     f0 = [np.zeros((d, d)) for d in dims]
     u = [random_spd(rng, d) for d in dims]
     v = [random_spd(rng, d) for d in dims]
-    h_shuffled = LmiProblem(f0, [block(d, m, e) for d, e in shuffled], np.zeros(m)).schur(u, v)
-    h_sorted = LmiProblem(f0, [block(d, m, sorted(e)) for d, e in shuffled], np.zeros(m)).schur(u, v)
-    assert np.array_equal(h_shuffled, h_sorted)
+    for dense_dim in (sdp._DENSE_DIM, 0):  # both blocks dense, then both thin
+        monkeypatch.setattr(sdp, "_DENSE_DIM", dense_dim)
+        h_shuffled = LmiProblem(f0, [block(d, m, e) for d, e in shuffled], np.zeros(m)).schur(u, v)
+        h_sorted = LmiProblem(f0, [block(d, m, sorted(e)) for d, e in shuffled], np.zeros(m)).schur(u, v)
+        assert np.array_equal(h_shuffled, h_sorted)
 
 
 def test_problem_rejects_misshapen_blocks():
@@ -227,7 +237,8 @@ def test_problem_rejects_misshapen_blocks():
 
 
 def recorded_npa_problem(monkeypatch, n, level):
-    """The LMI problem of ``npa n --level level`` and the F blocks it was given."""
+    """The LMI problem of ``npa n --level level`` and the F blocks it was given;
+    ``n`` is a setting count or ``"original"``."""
     captured = {}
 
     class Recording(LmiProblem):
@@ -237,7 +248,8 @@ def recorded_npa_problem(monkeypatch, n, level):
 
     with monkeypatch.context() as patch:
         patch.setattr(npa, "LmiProblem", Recording)
-        problem = npa._affine_map(npa.build_program(realigned_hardy(n), level), True).problem
+        paradox = original_hardy() if n == "original" else realigned_hardy(n)
+        problem = npa._affine_map(npa.build_program(paradox, level), True).problem
     return problem, captured["blocks"]
 
 
@@ -251,6 +263,7 @@ def schur_inputs(problem, seed):
 
 @pytest.mark.parametrize("n,level", [(2, 3), (4, 2)])
 def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, level):
+    monkeypatch.setattr(sdp, "_DENSE_DIM", 0)  # the thin-product path on every block
     problem, blocks = recorded_npa_problem(monkeypatch, n, level)
     u, v = schur_inputs(problem, n + level)
     upper = np.triu(problem.schur(u, v))
@@ -258,6 +271,7 @@ def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, 
 
 
 def test_schur_triangle_does_not_depend_on_piece_length(monkeypatch):
+    monkeypatch.setattr(sdp, "_DENSE_DIM", 0)  # the thin-product path on every block
     _, blocks = recorded_npa_problem(monkeypatch, 2, 3)
     m = blocks[0].shape[1]
     triangles = []
@@ -269,6 +283,50 @@ def test_schur_triangle_does_not_depend_on_piece_length(monkeypatch):
         triangles.append(np.triu(problem.schur(u, v)))
     assert all(np.array_equal(t, triangles[0]) for t in triangles[1:])
     assert np.array_equal(triangles[0], np.triu(bincount_schur(m, blocks, u, v).T))
+
+
+def test_dense_schur_matches_dense_trace_on_random_blocks(monkeypatch):
+    rng = np.random.default_rng(11)
+    m, shuffled = random_schur_entries(rng)
+    dims = [d for d, _ in shuffled]
+    blocks = [block(d, m, e) for d, e in shuffled]
+    u = [random_spd(rng, d) for d in dims]
+    v = [random_spd(rng, d) for d in dims]
+    oracle = dense_trace_schur(m, blocks, u, v)
+    # both blocks dense, then the 4-row block dense next to the 5-row thin one
+    for dense_dim, dense in ((sdp._DENSE_DIM, [True, True]), (4, [False, True])):
+        monkeypatch.setattr(sdp, "_DENSE_DIM", dense_dim)
+        problem = LmiProblem([np.zeros((d, d)) for d in dims], blocks, np.zeros(m))
+        assert [tails is None for tails in problem.tails] == dense
+        assert np.abs(np.triu(problem.schur(u, v) - oracle)).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("n,level", [(2, 3), (4, 2), ("original", 3)])
+def test_dense_schur_matches_dense_trace_on_npa_programs(monkeypatch, n, level):
+    problem, blocks = recorded_npa_problem(monkeypatch, n, level)
+    assert all(tails is None for tails in problem.tails)
+    u, v = schur_inputs(problem, 3)
+    oracle = dense_trace_schur(problem.m, blocks, u, v)
+    assert np.abs(np.triu(problem.schur(u, v) - oracle)).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_block_dimension_picks_the_schur_path():
+    small = npa._affine_map(npa.build_program(realigned_hardy(4), 2), True).problem
+    large = npa._affine_map(npa.build_program(realigned_hardy(4), 3), True).problem
+    assert max(small.dims) <= sdp._DENSE_DIM < min(large.dims)
+    assert small.tails == [None, None]
+    assert all(len(tails) == -(-large.m // sdp._PIECE) for tails in large.tails)
+
+
+def test_solve_does_not_depend_on_the_schur_path(monkeypatch):
+    program = npa.build_program(realigned_hardy(4), 2)
+    dense = solve_lmi(npa._affine_map(program, True).problem)
+    monkeypatch.setattr(sdp, "_DENSE_DIM", 0)
+    thin = solve_lmi(npa._affine_map(program, True).problem)
+    assert dense.status == thin.status == STATUS_OPTIMAL
+    assert dense.iterations == thin.iterations
+    assert abs(dense.objective - thin.objective) <= 1e-9
+    assert abs(dense.primal_objective - thin.primal_objective) <= 1e-9
 
 
 def test_solver_reads_only_the_schur_triangle(monkeypatch):
