@@ -1,114 +1,23 @@
 """Workbench for realigned Hardy paradoxes.
 
+Every name lives in one submodule and is imported from there; the package
+itself re-exports nothing, so importing it loads no submodule.
+
 Library layout:
 
 - :mod:`nonlocality_wb.scenario` - scenarios, behaviors, Bell expressions,
   the CHSH probability form and the n-setting expression family;
-- :mod:`nonlocality_wb.lhv` - deterministic strategies, exhaustive classical
-  bounds and Hardy soundness certificates;
+- :mod:`nonlocality_wb.lhv` - deterministic strategies, best-response
+  classical bounds and Hardy soundness certificates;
 - :mod:`nonlocality_wb.hardy` - paradox construction and evaluation;
 - :mod:`nonlocality_wb.qubit` - two-qubit Born-rule models and constrained
   maximization of the Hardy value;
 - :mod:`nonlocality_wb.npa` - moment-matrix relaxations and upper bounds;
 - :mod:`nonlocality_wb.sdp` - the embedded interior-point solver;
 - :mod:`nonlocality_wb.cli` - the ``nonlocality-wb`` command-line front end.
+
+The test oracles (the ``4^n`` strategy enumeration and the operator-form
+Born rule) live in ``tests/oracles.py``, not in the package.
 """
 
 __version__ = "0.1.0"
-
-from .scenario import (
-    Behavior,
-    BellExpression,
-    Scenario,
-    ScenarioMismatchError,
-    ValidationError,
-    as_classical_bound,
-    as_inequality,
-    as_quantum_bound,
-    chsh_probability_form,
-    evaluate,
-    uniform_behavior,
-)
-from .lhv import (
-    CapacityError,
-    DeterministicStrategy,
-    SoundnessReport,
-    behavior_of,
-    certify_hardy_soundness,
-    classical_max,
-    enumerate_strategies,
-)
-from .hardy import (
-    CheckResult,
-    Condition,
-    HardyParadox,
-    check,
-    original_hardy,
-    realigned_hardy,
-)
-from .qubit import (
-    OptimizationResult,
-    OptimizerConfig,
-    QubitModel,
-    behavior_of_model,
-    behavior_of_model_trace,
-    maximize_hardy,
-    refine_from,
-)
-from .npa import (
-    Monomial,
-    MomentProgram,
-    SdpConfig,
-    SdpSolution,
-    basis_monomials,
-    build_expression_program,
-    build_program,
-    hardy_upper_bound,
-    moment_matrix_of_model,
-    solve,
-)
-
-__all__ = [
-    "__version__",
-    "Behavior",
-    "BellExpression",
-    "CapacityError",
-    "CheckResult",
-    "Condition",
-    "DeterministicStrategy",
-    "HardyParadox",
-    "Monomial",
-    "MomentProgram",
-    "OptimizationResult",
-    "OptimizerConfig",
-    "QubitModel",
-    "Scenario",
-    "ScenarioMismatchError",
-    "SdpConfig",
-    "SdpSolution",
-    "SoundnessReport",
-    "ValidationError",
-    "as_classical_bound",
-    "as_inequality",
-    "as_quantum_bound",
-    "basis_monomials",
-    "behavior_of",
-    "behavior_of_model",
-    "behavior_of_model_trace",
-    "build_expression_program",
-    "build_program",
-    "certify_hardy_soundness",
-    "check",
-    "chsh_probability_form",
-    "classical_max",
-    "enumerate_strategies",
-    "evaluate",
-    "hardy_upper_bound",
-    "maximize_hardy",
-    "moment_matrix_of_model",
-    "original_hardy",
-    "realigned_hardy",
-    "refine_from",
-    "solve",
-    "uniform_behavior",
-]

@@ -177,8 +177,8 @@ def check(paradox: HardyParadox, behavior: Behavior, tol: float = 1e-6) -> Check
     optimizer's constraint accuracy; use 1e-12 for deterministic behaviors,
     whose condition values are exact integers.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     if paradox.scenario != behavior.scenario:
         raise ScenarioMismatchError(
             f"paradox scenario {paradox.scenario} does not match behavior scenario "

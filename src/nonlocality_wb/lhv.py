@@ -3,12 +3,13 @@
 A deterministic strategy assigns one fixed outcome to every setting of each
 party; these are the extreme points of the local polytope, so the maximum of
 a Bell expression over them is its maximum over all local models (convexity).
-For ``n`` settings per party there are ``4^n`` strategies, capped at
-``n <= 12``.  Bounds and certificates never visit them one by one: for fixed
-outcomes of Alice a two-party expression splits over Bob's settings, so Bob's
-best response is chosen setting by setting and only Alice's ``2^n``
-strategies are enumerated.  ``enumerate_strategies`` and ``behavior_of`` list
-and evaluate single strategies for checks at small ``n``.
+For ``n`` settings per party there are ``4^n`` strategies; bounds and
+certificates cover all of them, for ``n <= 12``, without visiting them one by
+one: for fixed outcomes of Alice a two-party expression splits over Bob's
+settings, so Bob's best response is chosen setting by setting and only
+Alice's ``2^n`` strategies are enumerated.  Strategies are listed in
+enumeration order: lexicographic in the concatenated outcome tuple
+``(a(1), ..., a(n), b(1), ..., b(n))``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .scenario import (
     SCHEMA_VERSION,
-    Behavior,
     BellExpression,
     Scenario,
     TOLERANCES,
@@ -32,7 +32,8 @@ from .scenario import (
 if TYPE_CHECKING:
     from .hardy import HardyParadox
 
-MAX_SETTINGS = 12  # 4^12 = 16.7M joint strategies
+#: Largest setting count that bounds and certificates accept.
+MAX_SETTINGS = 12
 
 
 class CapacityError(ValidationError):
@@ -55,12 +56,6 @@ class DeterministicStrategy:
         if not all(v in (0, 1) for v in self.a + self.b):
             raise ValidationError("strategy outcomes must be 0 or 1")
 
-    def alice(self, x: int) -> int:
-        return self.a[x - 1]
-
-    def bob(self, y: int) -> int:
-        return self.b[y - 1]
-
     def to_json_dict(self) -> dict:
         return {"a": list(self.a), "b": list(self.b)}
 
@@ -71,35 +66,6 @@ def _check_capacity(scenario: Scenario) -> None:
             f"exhaustive enumeration is limited to n_settings <= {MAX_SETTINGS} "
             f"(4^n strategies); got n_settings = {scenario.n_settings}"
         )
-
-
-def enumerate_strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:
-    """Yield all ``4^n`` deterministic strategies exactly once.
-
-    Order is lexicographic in the concatenated outcome tuple
-    ``(a(1), ..., a(n), b(1), ..., b(n))``.
-    """
-    _check_capacity(scenario)
-    n = scenario.n_settings
-    for a_code in range(1 << n):
-        a = tuple((a_code >> (n - 1 - k)) & 1 for k in range(n))
-        for b_code in range(1 << n):
-            b = tuple((b_code >> (n - 1 - k)) & 1 for k in range(n))
-            yield DeterministicStrategy(a, b)
-
-
-def behavior_of(strategy: DeterministicStrategy, scenario: Scenario) -> Behavior:
-    """The deterministic behavior ``p(ij|xy) = [i = a(x)][j = b(y)]``."""
-    n = scenario.n_settings
-    if len(strategy.a) != n:
-        raise ValidationError(
-            f"strategy covers {len(strategy.a)} settings, scenario has {n}"
-        )
-    p = np.zeros((n, n, 2, 2))
-    for x in range(n):
-        for y in range(n):
-            p[x, y, strategy.a[x], strategy.b[y]] = 1.0
-    return Behavior(scenario, p)
 
 
 def _alice_strategies(n: int) -> np.ndarray:

@@ -44,7 +44,6 @@ import scipy.linalg
 import scipy.sparse
 
 from .hardy import HardyParadox, zero_sign
-from .qubit import QubitModel, observable, state_vector
 from .scenario import (
     SCHEMA_VERSION,
     BellExpression,
@@ -94,20 +93,6 @@ class Monomial:
         parts = [f"E{s}" for s in self.alice] + [f"F{s}" for s in self.bob]
         return "*".join(parts)
 
-    @staticmethod
-    def from_label(label: str) -> "Monomial":
-        if label == "1":
-            return Monomial()
-        alice, bob = [], []
-        for token in label.split("*"):
-            if token[0] == "E":
-                alice.append(int(token[1:]))
-            elif token[0] == "F":
-                bob.append(int(token[1:]))
-            else:
-                raise ValidationError(f"cannot parse monomial token {token!r}")
-        return Monomial(tuple(alice), tuple(bob))
-
 
 def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical ``u + v`` for words without adjacent repeats: only the seam
@@ -118,11 +103,6 @@ def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
 def product(u: Monomial, v: Monomial) -> Monomial:
     """Canonical product: parties commute, adjacent repeats collapse."""
     return Monomial(_join(u.alice, v.alice), _join(u.bob, v.bob))
-
-
-def cell_word(u: Monomial, v: Monomial) -> Monomial:
-    """Canonical word of ``reverse(u) * v`` (the (u, v) moment-matrix cell)."""
-    return product(u.adjoint(), v)
 
 
 def moment_key(w: Monomial) -> Monomial:
@@ -159,7 +139,6 @@ class SdpConfig:
     max_iterations: int = 150
     gap_tol: float = 1e-7
     feas_tol: float = 1e-7
-    use_symmetry: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1 or self.gap_tol <= 0 or self.feas_tol <= 0:
@@ -170,7 +149,6 @@ class SdpConfig:
             "max_iterations": self.max_iterations,
             "gap_tol": self.gap_tol,
             "feas_tol": self.feas_tol,
-            "use_symmetry": self.use_symmetry,
         }
 
     @staticmethod
@@ -252,7 +230,8 @@ def _moment_structure(n: int, level: int):
     """Basis, class words, their index and the cell-to-class array.
 
     Cells are worked out on plain ``(alice, bob)`` tuples, in the order of
-    ``moment_key(cell_word(u, v))``; only the class words become Monomials.
+    ``moment_key(product(u.adjoint(), v))``; only the class words become
+    Monomials.
     """
     basis = basis_monomials(n, level)
     words = [(m.alice, m.bob) for m in basis]
@@ -334,18 +313,6 @@ class SdpSolution:
     min_eigenvalue: float
     residuals: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "sdp_solution",
-            "objective_value": self.objective_value,
-            "status": self.status,
-            "min_eigenvalue": self.min_eigenvalue,
-            "residuals": [float(r) for r in self.residuals],
-            "moment_matrix": [float(v) for v in self.moment_matrix.ravel()],
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 def _kernel(program: MomentProgram) -> np.ndarray:
@@ -453,7 +420,7 @@ class _AffineMap:
     face_dim: int | None
 
 
-def _affine_map(program: MomentProgram, use_symmetry: bool) -> _AffineMap | None:
+def _affine_map(program: MomentProgram) -> _AffineMap | None:
     """Map from the free solver variables to the LMI blocks; None if the
     equalities are inconsistent.
 
@@ -463,7 +430,7 @@ def _affine_map(program: MomentProgram, use_symmetry: bool) -> _AffineMap | None
     """
     n_classes, size = program.n_classes, program.size
     kernel = _kernel(program)
-    swap = _swap_permutations(program) if use_symmetry else None
+    swap = _swap_permutations(program)
     class_perm, basis_perm = swap or (np.arange(n_classes), np.arange(size))
 
     classes = np.arange(n_classes)
@@ -556,7 +523,7 @@ def solve(program: MomentProgram, cfg: SdpConfig | None = None) -> SdpSolution:
 
 
 def _solve(program: MomentProgram, cfg: SdpConfig) -> SdpSolution:
-    amap = _affine_map(program, cfg.use_symmetry)
+    amap = _affine_map(program)
     if amap is None:
         return _infeasible_solution(program, "inconsistent equality constraints")
     raw = solve_lmi(
@@ -611,36 +578,3 @@ def _infeasible_solution(program: MomentProgram, reason: str) -> SdpSolution:
         residuals=np.full(len(program.equalities), np.inf),
         diagnostics={"reason": reason},
     )
-
-
-def hardy_upper_bound(
-    paradox: HardyParadox, level: int, cfg: SdpConfig | None = None
-) -> float:
-    """Level-``level`` outer bound on the paradox's quantum Hardy value."""
-    return solve(build_program(paradox, level), cfg).objective_value
-
-
-def moment_matrix_of_model(model: QubitModel, level: int) -> np.ndarray:
-    """Gram moment matrix of an explicit qubit model over the level basis.
-
-    Row ``u`` is the vector ``op(u) |psi>`` with ``op`` the product of
-    outcome-0 projectors named by the word, so the matrix is PSD by
-    construction and matches the abstract cell identification.
-    """
-    _check_level(level)
-    n = model.n_settings
-    basis = basis_monomials(n, level)
-    eye = np.eye(2)
-    proj_a = [(eye + observable(a)) / 2.0 for a in model.alpha]
-    proj_b = [(eye + observable(b)) / 2.0 for b in model.beta]
-    psi = state_vector(model.theta)
-    vectors = np.empty((len(basis), 4))
-    for idx, mono in enumerate(basis):
-        op_a = eye
-        for s in mono.alice:
-            op_a = op_a @ proj_a[s - 1]
-        op_b = eye
-        for s in mono.bob:
-            op_b = op_b @ proj_b[s - 1]
-        vectors[idx] = np.kron(op_a, op_b) @ psi
-    return vectors @ vectors.T

@@ -16,8 +16,8 @@ with ``c2t = cos 2*theta``, ``s2t = sin 2*theta``.  The closed form is written
 once, per term: it evaluates any list of terms ``(i, j, x, y)`` together with
 the first and, on request, second derivatives w.r.t. theta and the two angles
 the term depends on, at one parameter vector or at a stack of them.  The
-behavior tensor is that list over the full grid; the explicit trace form is
-kept as the verification oracle and agrees to machine precision.
+behavior tensor is that list over the full grid.  The explicit trace form,
+the tests' oracle, agrees with it to machine precision.
 
 Maximization of a paradox's Hardy value subject to its condition equalities
 uses a penalty schedule (default 10 -> 1e6, factor 10 per stage) and uniform
@@ -111,45 +111,12 @@ class QubitModel:
         }
 
 
-def observable(angle: float) -> np.ndarray:
-    """X-Z plane reflection with Bloch direction at angle ``2 * angle``."""
-    c, s = math.cos(2.0 * angle), math.sin(2.0 * angle)
-    return np.array([[c, s], [s, -c]])
-
-
-def state_vector(theta: float) -> np.ndarray:
-    """``cos(theta)|00> + sin(theta)|11>`` in the computational basis."""
-    return np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
-
-
 def behavior_of_model(model: QubitModel) -> Behavior:
     """Born-rule behavior of the model (closed-form evaluation)."""
     scenario = Scenario(model.n_settings)
     n = model.n_settings
     p = _full_grid(n)(model.as_vector())[0].reshape(n, n, 2, 2)
     # clip float dust so Behavior validation never trips on exact-zero entries
-    p = np.clip(p, 0.0, 1.0)
-    p /= p.sum(axis=(2, 3), keepdims=True)
-    return Behavior(scenario, p)
-
-
-def behavior_of_model_trace(model: QubitModel) -> Behavior:
-    """Born-rule behavior via the explicit 4x4 trace formula (oracle path)."""
-    scenario = Scenario(model.n_settings)
-    n = model.n_settings
-    psi = state_vector(model.theta)
-    rho = np.outer(psi, psi)
-    eye = np.eye(2)
-    p = np.empty((n, n, 2, 2))
-    for x in range(n):
-        ax = observable(model.alpha[x])
-        for y in range(n):
-            by = observable(model.beta[y])
-            for i in (0, 1):
-                pa = (eye + (-1) ** i * ax) / 2.0
-                for j in (0, 1):
-                    pb = (eye + (-1) ** j * by) / 2.0
-                    p[x, y, i, j] = np.trace(np.kron(pa, pb) @ rho)
     p = np.clip(p, 0.0, 1.0)
     p /= p.sum(axis=(2, 3), keepdims=True)
     return Behavior(scenario, p)
@@ -337,31 +304,8 @@ class _PenaltyProblem:
         return flat[..., 0], flat[..., 1 : 1 + d], flat[..., 1 + d :].reshape(rows, -1, d, d)
 
 
-def _feasible(residuals: np.ndarray, cfg: OptimizerConfig) -> bool:
-    return bool(np.max(np.abs(residuals), initial=0.0) <= cfg.constraint_tol)
-
-
 #: A feasible restart counts as reaching the best value within this distance.
 _NEAR_BEST_TOL = 1e-6
-
-
-def _result_from_vector(
-    x, hardy, residuals, outcomes, objective_evals, cfg: OptimizerConfig
-) -> OptimizationResult:
-    """Result for the vector ``x`` with its Hardy value and condition
-    residuals; ``outcomes`` holds (Hardy value, feasible) of every restart
-    that was run, and restarts count as near to ``hardy``."""
-    feasible = [value for value, ok in outcomes if ok]
-    return OptimizationResult(
-        model=QubitModel.from_vector(x),
-        hardy_value=float(hardy),
-        condition_residuals=tuple(float(r) for r in residuals),
-        restarts_used=len(outcomes),
-        converged=_feasible(residuals, cfg),
-        feasible_restarts=len(feasible),
-        restarts_near_best=sum(int(hardy - value <= _NEAR_BEST_TOL) for value in feasible),
-        objective_evals=objective_evals,
-    )
 
 
 # The batched Newton screen.  A row's stage ends when its Newton decrement or
@@ -492,40 +436,14 @@ def maximize_hardy(
         best = int(np.argmax(np.where(feasible, hardy, -np.inf)))
     else:
         best = int(np.argmin(infeasibility))
-    outcomes = list(zip(hardy.tolist(), feasible.tolist()))
-    return _result_from_vector(X[best], hardy[best], residuals[best], outcomes, evals, cfg)
-
-
-def refine_from(
-    paradox: HardyParadox,
-    start: QubitModel,
-    cfg: OptimizerConfig | None = None,
-) -> OptimizationResult:
-    """Local refinement of a given model through the penalty schedule.
-
-    The start runs through the same screen as one restart.  If the starting
-    model is already feasible, the refined model is never worse: should the
-    refinement end feasible with a lower Hardy value (beyond 1e-9) or end
-    infeasible, the start itself is returned.  The restart statistics
-    describe the single refinement; ``objective_evals`` includes the
-    evaluation of the start.
-    """
-    cfg = cfg or OptimizerConfig.default_for(paradox)
-    if start.n_settings != paradox.scenario.n_settings:
-        raise ValidationError(
-            f"start model has {start.n_settings} settings, paradox needs "
-            f"{paradox.scenario.n_settings}"
-        )
-    problem = _PenaltyProblem(paradox)
-    x0 = start.as_vector()
-    start_values = problem.jets(x0[None])[0][0]
-    start_hardy, start_residuals = start_values[0], start_values[1:] - problem.targets
-    X = x0[None].copy()
-    hardy, residuals, evals = _screen(problem, X, cfg)
-    evals += 1  # the start's own evaluation above
-    hardy, residuals = hardy[0], residuals[0]
-    feasible = _feasible(residuals, cfg)
-    outcomes = [(float(hardy), feasible)]
-    if _feasible(start_residuals, cfg) and (not feasible or hardy < start_hardy - 1e-9):
-        return _result_from_vector(x0, start_hardy, start_residuals, outcomes, evals, cfg)
-    return _result_from_vector(X[0], hardy, residuals, outcomes, evals, cfg)
+    near_best = feasible & (hardy[best] - hardy <= _NEAR_BEST_TOL)
+    return OptimizationResult(
+        model=QubitModel.from_vector(X[best]),
+        hardy_value=float(hardy[best]),
+        condition_residuals=tuple(float(r) for r in residuals[best]),
+        restarts_used=len(X),
+        converged=bool(feasible[best]),
+        feasible_restarts=int(feasible.sum()),
+        restarts_near_best=int(near_best.sum()),
+        objective_evals=evals,
+    )

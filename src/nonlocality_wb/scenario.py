@@ -30,7 +30,6 @@ outcomes are ``{0, 1}``, term keys are canonically ordered by
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -137,11 +136,6 @@ class Scenario:
         if self.n_outcomes != 2 or self.parties != 2:
             raise ValidationError("only two-party, two-outcome scenarios are supported")
 
-    @property
-    def settings(self) -> range:
-        """1-based setting labels, shared by both parties."""
-        return range(1, self.n_settings + 1)
-
     def to_json_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -236,12 +230,6 @@ class Behavior:
         return Behavior(Scenario(n), np.reshape(p, (n, n, 2, 2)))
 
 
-def uniform_behavior(scenario: Scenario) -> Behavior:
-    """The maximally mixed behavior ``P(ij|xy) = 1/4`` everywhere."""
-    n = scenario.n_settings
-    return Behavior(scenario, np.full((n, n, 2, 2), 0.25))
-
-
 TermKey = tuple[int, int, int, int]  # (i, j, x, y)
 
 
@@ -314,10 +302,6 @@ class BellExpression:
         """Coefficient of ``P(ij|xy)``; zero if the term is absent."""
         return self._terms.get((i, j, x, y), 0.0)
 
-    def terms_dict(self) -> dict[TermKey, float]:
-        """A fresh ``{(i, j, x, y): coeff}`` copy of the term map."""
-        return dict(self._terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BellExpression):
             return NotImplemented
@@ -354,9 +338,6 @@ class BellExpression:
             classical_bound=_field(data, "classical_bound", float, kind, optional=True),
             quantum_bound=_field(data, "quantum_bound", float, kind, optional=True),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _terms_to_json(expr: BellExpression) -> list[dict]:

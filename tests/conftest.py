@@ -21,6 +21,12 @@ def jet_components(problem, x: np.ndarray):
     return values[0, 0], grads[0, 0], values[0, 1:] - problem.targets, grads[0, 1:]
 
 
+def uniform_behavior(scenario: Scenario) -> Behavior:
+    """The maximally mixed behavior ``P(ij|xy) = 1/4`` everywhere."""
+    n = scenario.n_settings
+    return Behavior(scenario, np.full((n, n, 2, 2), 0.25))
+
+
 def all_zero_behavior(scenario: Scenario) -> Behavior:
     """Deterministic behavior with both parties always reporting outcome 0."""
     n = scenario.n_settings

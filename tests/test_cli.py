@@ -50,6 +50,14 @@ class TestClassicalBound:
         assert "classical bound for n=2: 3" in out
 
 
+@pytest.mark.parametrize("command", ["classical-bound", "certify"])
+def test_setting_count_above_the_cap_exits_2(capsys, command):
+    assert main([command, "14", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_settings <= 12" in captured.err
+
+
 class TestCertify:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_sound(self, capsys, n):
@@ -153,9 +161,16 @@ class TestNpa:
 
     def test_mistyped_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "sdp.json"
-        cfg.write_text(json.dumps({"use_symmetry": "false"}))
+        cfg.write_text(json.dumps({"max_iterations": "150"}))
         assert main(["npa", "2", "--level", "1", "--config", str(cfg)]) == 2
-        assert "use_symmetry" in capsys.readouterr().err
+        assert "max_iterations" in capsys.readouterr().err
+
+    def test_use_symmetry_is_an_unknown_key(self, capsys, tmp_path):
+        # npa always tries the party swap; no config key switches it off
+        cfg = tmp_path / "sdp.json"
+        cfg.write_text(json.dumps({"use_symmetry": False}))
+        assert main(["npa", "2", "--level", "1", "--config", str(cfg)]) == 2
+        assert "unknown sdp config keys: ['use_symmetry']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["npa", "dump-paradox"])
     def test_level_choices_follow_max_level(self, capsys, command):
@@ -186,6 +201,13 @@ class TestTable1:
     def test_impossible_tolerance_exits_1(self, capsys):
         code, _ = run_json(capsys, "table1", "--tol", "1e-9")
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tolerance_exits_2(self, capsys, tol):
+        assert main(["table1", "--tol", tol, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be positive and finite" in captured.err
 
 
 class TestDumpParadox:
@@ -245,6 +267,24 @@ def run_module(*argv, **env):
 
 
 class TestEntryPoint:
+    def test_package_import_loads_no_submodule(self):
+        code = (
+            "import sys, nonlocality_wb\n"
+            "print(sorted(m for m in sys.modules if m.startswith('nonlocality_wb.')))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
+
+    def test_paradox_layers_import_without_scipy(self):
+        code = (
+            "import sys, nonlocality_wb.lhv, nonlocality_wb.hardy, nonlocality_wb.qubit\n"
+            "print('nonlocality_wb.npa' in sys.modules, 'scipy' in sys.modules)\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
     def test_import_leaves_scipy_optimize_unloaded(self):
         # qubit.minimize exists for the benchmark's tracer and is imported on first access
         code = (

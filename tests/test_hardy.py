@@ -20,9 +20,8 @@ from nonlocality_wb.scenario import (
     ValidationError,
     as_inequality,
     evaluate,
-    uniform_behavior,
 )
-from conftest import all_zero_behavior, merged_original_hardy, random_behavior
+from conftest import all_zero_behavior, merged_original_hardy, random_behavior, uniform_behavior
 
 
 class TestOriginalHardy:
@@ -34,7 +33,7 @@ class TestOriginalHardy:
             assert target == 0.0
             assert len(expr) == 1
             assert all(c == 1.0 for _, c in expr.items())
-        condition_keys = {next(iter(expr.terms_dict())) for expr, _ in p.conditions}
+        condition_keys = {key for expr, _ in p.conditions for key, _ in expr.items()}
         assert condition_keys == {(0, 0, 2, 2), (0, 1, 1, 2), (1, 0, 2, 1)}
         assert p.hardy_term == (0, 0, 1, 1)
 
@@ -91,7 +90,7 @@ class TestRealignedHardy:
             (0, 0, 2, 1),
             (0, 1, 2, 2),
         }
-        assert set(expr.terms_dict()) == expected
+        assert {key for key, _ in expr.items()} == expected
         assert p.hardy_term == (0, 0, 1, 1)
         assert p.quantum_value_reference == pytest.approx(0.4140)
 
@@ -112,7 +111,7 @@ class TestRealignedHardy:
     def test_condition_plus_hardy_reconstructs_expression(self, n):
         p = realigned_hardy(n)
         expr, _ = p.conditions[0]
-        terms = expr.terms_dict()
+        terms = dict(expr.items())
         terms[p.hardy_term] = terms.get(p.hardy_term, 0.0) + 1.0
         assert BellExpression(p.scenario, terms) == as_inequality(n)
 
@@ -147,6 +146,12 @@ class TestCheck:
         with pytest.raises(ScenarioMismatchError):
             check(realigned_hardy(4), uniform_behavior(Scenario(2)), tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # a NaN tolerance meets no condition and an infinite one meets them all
+        with pytest.raises(ValidationError, match="finite"):
+            check(realigned_hardy(2), uniform_behavior(Scenario(2)), tol=tol)
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_hardy_value_identity(self, n):
         # hardy_value == full expression minus condition value, on any behavior
@@ -174,8 +179,8 @@ class TestJson:
         assert p2.scenario == p.scenario
         assert p2.hardy_term == p.hardy_term
         assert p2.quantum_value_reference == p.quantum_value_reference
-        assert [(e.terms_dict(), t) for e, t in p2.conditions] == [
-            (e.terms_dict(), t) for e, t in p.conditions
+        assert [(dict(e.items()), t) for e, t in p2.conditions] == [
+            (dict(e.items()), t) for e, t in p.conditions
         ]
         assert json.dumps(p2.to_json_dict()) == json.dumps(p.to_json_dict())
 

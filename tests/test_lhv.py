@@ -7,10 +7,8 @@ from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realig
 from nonlocality_wb.lhv import (
     CapacityError,
     DeterministicStrategy,
-    behavior_of,
     certify_hardy_soundness,
     classical_max,
-    enumerate_strategies,
 )
 from nonlocality_wb.scenario import (
     TOLERANCES,
@@ -21,13 +19,14 @@ from nonlocality_wb.scenario import (
     chsh_probability_form,
     evaluate,
 )
+from oracles import behavior_of, enumerate_strategies
 
 
 def count_oracle(expr, strategy):
     """Independent oracle: sum coefficients whose (i, j, x, y) matches."""
     total = 0.0
     for (i, j, x, y), coeff in expr.items():
-        if strategy.alice(x) == i and strategy.bob(y) == j:
+        if strategy.a[x - 1] == i and strategy.b[y - 1] == j:
             total += coeff
     return total
 
@@ -50,7 +49,7 @@ def oracle_soundness(paradox):
         )
     ]
     hi, hj, hx, hy = paradox.hardy_term
-    hits = tuple(s for s in saturating if s.alice(hx) == hi and s.bob(hy) == hj)
+    hits = tuple(s for s in saturating if s.a[hx - 1] == hi and s.b[hy - 1] == hj)
     return len(saturating), hits
 
 
@@ -115,6 +114,16 @@ class TestEnumeration:
             DeterministicStrategy((0, 2), (0, 0))
         with pytest.raises(ValidationError):
             DeterministicStrategy((0,), (0, 0))
+
+
+class TestCapacity:
+    def test_classical_max_caps_the_setting_count(self):
+        with pytest.raises(CapacityError, match="n_settings <= 12"):
+            classical_max(as_inequality(14))
+
+    def test_certificate_caps_the_setting_count(self):
+        with pytest.raises(CapacityError, match="n_settings <= 12"):
+            certify_hardy_soundness(realigned_hardy(14))
 
 
 class TestBehaviorOf:
@@ -227,7 +236,7 @@ class TestSoundness:
         expr = weakened.conditions[0].expression
         for s in report.counterexamples:
             assert count_oracle(expr, s) == 0.0
-            assert s.alice(1) == 0 and s.bob(1) == 0
+            assert s.a[0] == 0 and s.b[0] == 0
         assert (report.saturating, report.counterexamples) == oracle_soundness(weakened)
 
     def test_interior_target_raises(self):

@@ -15,14 +15,11 @@ from nonlocality_wb.qubit import (
     _screen,
     _starts,
     behavior_of_model,
-    behavior_of_model_trace,
     maximize_hardy,
-    observable,
-    refine_from,
-    state_vector,
 )
 from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality, evaluate
 from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4, jet_components, merged_original_hardy
+from oracles import behavior_of_model_trace, observable, state_vector
 
 
 def paradox_of(name):
@@ -353,7 +350,7 @@ class TestMaximizeHardy:
 
         runs = (
             lambda: maximize_hardy(original_hardy(), OptimizerConfig(restarts=4)),
-            lambda: refine_from(realigned_hardy(2), REFERENCE_MODEL_2),
+            lambda: maximize_hardy(realigned_hardy(2), OptimizerConfig(restarts=4)),
         )
         with mock.patch.object(_PenaltyProblem, "jets", counting_jets), mock.patch.object(
             qubit, "minimize", no_scipy
@@ -411,38 +408,13 @@ class TestMaximizeHardy:
         assert not result.converged
         assert max(abs(r) for r in result.condition_residuals) > cfg.constraint_tol
 
-
-class TestRefineFrom:
-    def test_reference_model_2_is_near_optimal(self):
-        result = refine_from(realigned_hardy(2), REFERENCE_MODEL_2)
-        assert result.converged
-        assert result.hardy_value == pytest.approx(0.4140, abs=1e-4)
-
-    def test_reference_model_4_is_near_optimal(self):
-        result = refine_from(realigned_hardy(4), REFERENCE_MODEL_4)
-        assert result.converged
-        assert result.hardy_value == pytest.approx(0.7734, abs=1e-3)
-
-    def test_stationarity_at_refined_point(self):
+    def test_stationarity_at_the_reported_model(self):
         # first-order condition: grad(hardy) parallel to grad(condition)
         paradox = realigned_hardy(2)
-        result = refine_from(paradox, REFERENCE_MODEL_2)
+        result = maximize_hardy(paradox, OptimizerConfig(restarts=40))
         problem = _PenaltyProblem(paradox)
         _, hardy_grad, _, cond_grads = jet_components(problem, result.model.as_vector())
         g, c = hardy_grad, cond_grads[0]
         lam = float(g @ c) / float(c @ c)
         projected = g - lam * c
         assert np.linalg.norm(projected) <= 1e-4 * (1.0 + np.linalg.norm(g))
-
-    def test_monotone_from_feasible_start(self):
-        # deterministic feasible point: condition exactly 3, Hardy value 0
-        start = QubitModel(0.0, (0.0, math.pi / 2), (math.pi / 2, 0.0))
-        paradox = realigned_hardy(2)
-        assert check(paradox, behavior_of_model(start), tol=1e-12).conditions_met
-        result = refine_from(paradox, start)
-        assert result.converged
-        assert result.hardy_value >= -1e-9
-
-    def test_scenario_mismatch(self):
-        with pytest.raises(ValidationError):
-            refine_from(realigned_hardy(4), REFERENCE_MODEL_2)

@@ -249,7 +249,7 @@ def recorded_npa_problem(monkeypatch, n, level):
     with monkeypatch.context() as patch:
         patch.setattr(npa, "LmiProblem", Recording)
         paradox = original_hardy() if n == "original" else realigned_hardy(n)
-        problem = npa._affine_map(npa.build_program(paradox, level), True).problem
+        problem = npa._affine_map(npa.build_program(paradox, level)).problem
     return problem, captured["blocks"]
 
 
@@ -277,7 +277,7 @@ def test_schur_triangle_does_not_depend_on_piece_length(monkeypatch):
     triangles = []
     for piece in (1, 7, m):
         monkeypatch.setattr(sdp, "_PIECE", piece)
-        problem = npa._affine_map(npa.build_program(realigned_hardy(2), 3), True).problem
+        problem = npa._affine_map(npa.build_program(realigned_hardy(2), 3)).problem
         assert len(problem.tails[0]) == -(-m // piece)
         u, v = schur_inputs(problem, 5)
         triangles.append(np.triu(problem.schur(u, v)))
@@ -311,8 +311,8 @@ def test_dense_schur_matches_dense_trace_on_npa_programs(monkeypatch, n, level):
 
 
 def test_block_dimension_picks_the_schur_path():
-    small = npa._affine_map(npa.build_program(realigned_hardy(4), 2), True).problem
-    large = npa._affine_map(npa.build_program(realigned_hardy(4), 3), True).problem
+    small = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
+    large = npa._affine_map(npa.build_program(realigned_hardy(4), 3)).problem
     assert max(small.dims) <= sdp._DENSE_DIM < min(large.dims)
     assert small.tails == [None, None]
     assert all(len(tails) == -(-large.m // sdp._PIECE) for tails in large.tails)
@@ -320,9 +320,9 @@ def test_block_dimension_picks_the_schur_path():
 
 def test_solve_does_not_depend_on_the_schur_path(monkeypatch):
     program = npa.build_program(realigned_hardy(4), 2)
-    dense = solve_lmi(npa._affine_map(program, True).problem)
+    dense = solve_lmi(npa._affine_map(program).problem)
     monkeypatch.setattr(sdp, "_DENSE_DIM", 0)
-    thin = solve_lmi(npa._affine_map(program, True).problem)
+    thin = solve_lmi(npa._affine_map(program).problem)
     assert dense.status == thin.status == STATUS_OPTIMAL
     assert dense.iterations == thin.iterations
     assert abs(dense.objective - thin.objective) <= 1e-9
@@ -330,7 +330,7 @@ def test_solve_does_not_depend_on_the_schur_path(monkeypatch):
 
 
 def test_solver_reads_only_the_schur_triangle(monkeypatch):
-    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2), True).problem
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
     plain = solve_lmi(problem)
     schur = LmiProblem.schur
 
@@ -351,7 +351,7 @@ def test_solver_reads_only_the_schur_triangle(monkeypatch):
 def test_schur_tails_hold_at_most_twice_the_gather_entries():
     # scipy copies a CSR slice shorter than half of its base array; the tails
     # are cut from each other, so their entries fit in about twice the gather's
-    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 3), True).problem
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 3)).problem
     for tails, g in zip(problem.tails, problem.gather):
         assert len(tails) == -(-problem.m // sdp._PIECE)
         owners = {}
@@ -364,7 +364,7 @@ def test_schur_tails_hold_at_most_twice_the_gather_entries():
 def test_solver_holds_two_schur_sized_arrays_at_most():
     # npa 6 --level 2: m = 1376, so an m x m array is 15 MB; H and its
     # Cholesky factor are the only ones the solver needs at a time
-    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2), True).problem
+    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
     assert problem.m == 1376
     tracemalloc.start()
     try:
