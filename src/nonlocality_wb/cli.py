@@ -22,6 +22,7 @@ stable payload: identical inputs and seed give identical bytes apart from
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -124,13 +125,12 @@ def _cmd_certify(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_optimize(args) -> tuple[dict, int, list[str]]:
     paradox = _paradox_from_arg(args.paradox)
+    # a given flag wins over a config-file key, which wins over default_for
+    cfg = OptimizerConfig.default_for(paradox)
     if args.config:
-        cfg = OptimizerConfig.from_json_dict(_load_json(args.config))
-    else:
-        cfg = OptimizerConfig.default_for(paradox)
-    cfg = OptimizerConfig.from_json_dict({**cfg.to_json_dict(), "seed": args.seed})
-    if args.tol is not None:
-        cfg = OptimizerConfig.from_json_dict({**cfg.to_json_dict(), "constraint_tol": args.tol})
+        cfg = OptimizerConfig.from_json_dict(_load_json(args.config), cfg)
+    flags = {"seed": args.seed, "constraint_tol": args.tol}
+    cfg = OptimizerConfig.from_json_dict({k: v for k, v in flags.items() if v is not None}, cfg)
     result = maximize_hardy(paradox, cfg)
     outputs = result.to_json_dict()
     outputs["paradox_id"] = paradox.paradox_id
@@ -149,7 +149,7 @@ def _cmd_optimize(args) -> tuple[dict, int, list[str]]:
         f"objective evaluations: {result.objective_evals}",
     ]
     code = 0 if result.converged else 1
-    inputs = {"paradox": args.paradox, "config": cfg.to_json_dict()}
+    inputs = {"paradox": args.paradox, "config": dataclasses.asdict(cfg)}
     return _report("optimize", inputs, outputs, seed=cfg.seed), code, lines
 
 
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="constrained qubit maximization")
     p.add_argument("paradox", help="even setting count or 'original'")
     p.add_argument("--config", help="optimizer config JSON file")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"restart seed (default {OptimizerConfig.seed})")
     p.add_argument("--tol", type=float, default=None, help="constraint tolerance override")
     common(p)
     p.set_defaults(handler=_cmd_optimize)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .scenario import (
     SCHEMA_VERSION,
@@ -31,10 +31,6 @@ from .scenario import (
     ScenarioMismatchError,
     TermKey,
     ValidationError,
-    _check_schema,
-    _checked,
-    _field,
-    _terms_from_json,
     _terms_to_json,
     as_classical_bound,
     as_inequality,
@@ -94,25 +90,6 @@ class HardyParadox:
             "hardy_term": {"i": i, "j": j, "x": x, "y": y},
             "reference_value": self.quantum_value_reference,
         }
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "HardyParadox":
-        kind = "hardy_paradox"
-        _check_schema(data, kind)
-        scenario = Scenario(_field(data, "n", int, kind))
-        conditions = []
-        for cond in _field(data, "conditions", list, kind):
-            cond = _checked(cond, Mapping, "condition")
-            expr = BellExpression(scenario, _terms_from_json(_field(cond, "terms", list, "condition")))
-            conditions.append(Condition(expr, _field(cond, "target", float, "condition")))
-        h = _field(data, "hardy_term", Mapping, kind)
-        return HardyParadox(
-            paradox_id=_field(data, "paradox_id", str, kind),
-            scenario=scenario,
-            conditions=tuple(conditions),
-            hardy_term=tuple(_field(h, name, int, "hardy_term") for name in ("i", "j", "x", "y")),
-            quantum_value_reference=_field(data, "reference_value", float, kind, optional=True),
-        )
 
 
 def original_hardy() -> HardyParadox:

@@ -62,6 +62,11 @@ from .sdp import (
 
 MAX_LEVEL = 3
 
+#: Largest memory, in bytes, that the solver's two m x m arrays (the Schur
+#: matrix and its factor) may take; a larger program is rejected before it
+#: allocates them.
+MAX_SCHUR_BYTES = 2 * 2**30
+
 
 @dataclass(frozen=True, order=True)
 class Monomial:
@@ -143,13 +148,6 @@ class SdpConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1 or self.gap_tol <= 0 or self.feas_tol <= 0:
             raise ValidationError("SdpConfig tolerances must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_iterations": self.max_iterations,
-            "gap_tol": self.gap_tol,
-            "feas_tol": self.feas_tol,
-        }
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "SdpConfig":
@@ -526,6 +524,14 @@ def _solve(program: MomentProgram, cfg: SdpConfig) -> SdpSolution:
     amap = _affine_map(program)
     if amap is None:
         return _infeasible_solution(program, "inconsistent equality constraints")
+    m = amap.problem.m
+    need = 2 * 8 * m * m
+    if need > MAX_SCHUR_BYTES:
+        raise ValidationError(
+            f"the level-{program.level} program has m = {m} free variables; its two "
+            f"m x m solver arrays would need {need / 2**30:.1f} GiB, more than "
+            f"the {MAX_SCHUR_BYTES / 2**30:g} GiB cap"
+        )
     raw = solve_lmi(
         amap.problem,
         max_iterations=cfg.max_iterations,

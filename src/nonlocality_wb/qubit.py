@@ -213,20 +213,12 @@ class OptimizerConfig:
         restarts = 200 if paradox.scenario.n_settings <= 2 else 500
         return OptimizerConfig(restarts=restarts)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "constraint_tol": self.constraint_tol,
-            "penalty_start": self.penalty_start,
-            "penalty_growth": self.penalty_growth,
-            "penalty_stages": self.penalty_stages,
-            "inner_iters": self.inner_iters,
-        }
-
     @staticmethod
-    def from_json_dict(data: Mapping) -> "OptimizerConfig":
-        return config_from_json_dict(OptimizerConfig(), data, "optimizer")
+    def from_json_dict(
+        data: Mapping, defaults: "OptimizerConfig | None" = None
+    ) -> "OptimizerConfig":
+        """``defaults`` (``OptimizerConfig()`` if None) with the keys in ``data``."""
+        return config_from_json_dict(defaults or OptimizerConfig(), data, "optimizer")
 
 
 @dataclass(frozen=True)

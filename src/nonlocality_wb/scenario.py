@@ -4,8 +4,7 @@ A scenario fixes ``n`` measurement settings per party (``n`` even) with two
 outcomes each.  A behavior is the full table of conditional probabilities
 ``P(ij|xy)`` with outcomes ``i, j in {0, 1}`` and 1-based setting labels
 ``x`` (Alice) and ``y`` (Bob).  A Bell expression is a sparse real linear
-functional over those entries, optionally carrying a classical (deterministic)
-bound and a quantum bound as metadata.
+functional over those entries.
 
 Two expression families are provided:
 
@@ -18,21 +17,22 @@ Two expression families are provided:
     correlated terms ``P(A_i = B_j)`` for ``j <= n - i + 1``, anti-correlated
     terms with weight ``i - 1`` on the anti-diagonal pairs
     ``(A_i, B_{n-i+2})`` and ``(A_{n+2-i}, B_i)``, and weight ``n/2`` on
-    ``(A_{n/2+1}, B_{n/2+1})``.  Its deterministic bound is
-    ``(n^2 + n) / 2`` and its quantum bound is
-    ``((n+1) sqrt(n(n+2)) / 3 + (3 n^2 + 2 n) / 4) / 2``.
+    ``(A_{n/2+1}, B_{n/2+1})``.  Its deterministic bound
+    ``(n^2 + n) / 2`` is :func:`as_classical_bound` and its quantum bound
+    ``((n+1) sqrt(n(n+2)) / 3 + (3 n^2 + 2 n) / 4) / 2`` is
+    :func:`as_quantum_bound`; an expression itself carries no bounds.
     At ``n = 2`` the family reduces term-for-term to the CHSH form.
 
-Index conventions (fixed for serialization): setting labels are 1-based,
-outcomes are ``{0, 1}``, term keys are canonically ordered by
-``(x, y, i, j)``, and behavior tensors are stored with axes ``(x, y, i, j)``.
+Index conventions: setting labels are 1-based, outcomes are ``{0, 1}``, term
+keys are canonically ordered by ``(x, y, i, j)`` (also in the ``--json``
+payloads), and behavior tensors are stored with axes ``(x, y, i, j)``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -74,9 +74,9 @@ TOLERANCES = Tolerances()
 def _checked(value, expected: type, what: str):
     """``value`` as an ``expected``, checked rather than coerced.
 
-    Documents and config files are outside input: an int takes an integral
-    number that is not a bool, a float a finite number that is not a bool,
-    and any other type (bool, str, list, Mapping) only an instance of it.
+    Config files are outside input: an int takes an integral number that is
+    not a bool, a float a finite number that is not a bool, and any other
+    type (a Mapping) only an instance of it.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if expected is int:
@@ -91,22 +91,11 @@ def _checked(value, expected: type, what: str):
     return expected(value) if expected in (int, float) else value
 
 
-def _field(data: Mapping, key: str, expected: type, kind: str, optional: bool = False):
-    """``data[key]`` checked against ``expected``.  A missing key is an error
-    unless ``optional``, when it and an explicit null read as None."""
-    value = data.get(key)
-    if value is None and optional:
-        return None
-    if key not in data:
-        raise ValidationError(f"{kind} is missing key {key!r}")
-    return _checked(value, expected, f"{kind} key {key!r}")
-
-
 def config_from_json_dict(defaults, data: Mapping, kind: str):
     """``defaults`` (a frozen config dataclass) with the fields in ``data``,
     each checked against the type of its default."""
     _checked(data, Mapping, f"{kind} config")
-    unknown = set(data) - set(defaults.to_json_dict())
+    unknown = set(data) - {f.name for f in fields(defaults)}
     if unknown:
         raise ValidationError(f"unknown {kind} config keys: {sorted(unknown)}")
     kwargs = {
@@ -121,8 +110,6 @@ class Scenario:
     """Two parties, ``n_settings`` settings each, two outcomes each."""
 
     n_settings: int
-    n_outcomes: int = 2
-    parties: int = 2
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_settings, int):
@@ -133,32 +120,6 @@ class Scenario:
             raise ValidationError(
                 f"n_settings must be an even integer >= 2, got {self.n_settings}"
             )
-        if self.n_outcomes != 2 or self.parties != 2:
-            raise ValidationError("only two-party, two-outcome scenarios are supported")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "scenario",
-            "n_settings": self.n_settings,
-            "n_outcomes": self.n_outcomes,
-            "parties": self.parties,
-        }
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "Scenario":
-        _check_schema(data, "scenario")
-        return Scenario(_field(data, "n_settings", int, "scenario"))
-
-
-def _check_schema(data: Mapping, kind: str) -> None:
-    _checked(data, Mapping, f"{kind} document")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {data.get('schema_version')!r}, expected {SCHEMA_VERSION!r}"
-        )
-    if data.get("kind") != kind:
-        raise ValidationError(f"expected kind {kind!r}, got {data.get('kind')!r}")
 
 
 class Behavior:
@@ -209,26 +170,6 @@ class Behavior:
         """Return ``P(ij|xy)`` for outcomes ``i, j`` and 1-based settings."""
         return float(self._p[x - 1, y - 1, i, j])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "behavior",
-            "n_settings": self.scenario.n_settings,
-            "index_order": ["x", "y", "i", "j"],
-            "p": [float(v) for v in self._p.ravel()],
-        }
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "Behavior":
-        _check_schema(data, "behavior")
-        n = _field(data, "n_settings", int, "behavior")
-        if data.get("index_order") != ["x", "y", "i", "j"]:
-            raise ValidationError(f"unsupported index_order {data.get('index_order')!r}")
-        p = [_checked(v, float, "behavior entry") for v in _field(data, "p", list, "behavior")]
-        if len(p) != 4 * n * n:
-            raise ValidationError(f"behavior needs {4 * n * n} entries in p, got {len(p)}")
-        return Behavior(Scenario(n), np.reshape(p, (n, n, 2, 2)))
-
 
 TermKey = tuple[int, int, int, int]  # (i, j, x, y)
 
@@ -244,18 +185,17 @@ class BellExpression:
     Terms are keyed by ``(i, j, x, y)`` with outcomes in ``{0, 1}`` and
     1-based settings.  Construction canonicalizes: duplicate keys are summed,
     exact-zero coefficients are dropped, and iteration follows the fixed
-    total order ``(x, y, i, j)``.  ``classical_bound`` and ``quantum_bound``
-    are optional metadata and are never enforced by :func:`evaluate`.
+    total order ``(x, y, i, j)``.  An expression carries no bounds; those of
+    :func:`as_inequality` are :func:`as_classical_bound` and
+    :func:`as_quantum_bound`.
     """
 
-    __slots__ = ("scenario", "_terms", "_order", "classical_bound", "quantum_bound")
+    __slots__ = ("scenario", "_terms", "_order")
 
     def __init__(
         self,
         scenario: Scenario,
         terms: Mapping[TermKey, float] | Iterable[tuple[TermKey, float]],
-        classical_bound: float | None = None,
-        quantum_bound: float | None = None,
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[TermKey, float] = {}
@@ -274,18 +214,9 @@ class BellExpression:
             acc[(i, j, x, y)] = acc.get((i, j, x, y), 0.0) + c
         acc = {k: v for k, v in acc.items() if v != 0.0}
         order = tuple(sorted(acc, key=_canonical_sort_key))
-        for name, bound in (("classical_bound", classical_bound), ("quantum_bound", quantum_bound)):
-            if bound is not None and not math.isfinite(float(bound)):
-                raise ValidationError(f"{name} must be finite or None")
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "_terms", acc)
         object.__setattr__(self, "_order", order)
-        object.__setattr__(
-            self, "classical_bound", None if classical_bound is None else float(classical_bound)
-        )
-        object.__setattr__(
-            self, "quantum_bound", None if quantum_bound is None else float(quantum_bound)
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("BellExpression is immutable")
@@ -311,33 +242,11 @@ class BellExpression:
         return hash((self.scenario, tuple(sorted(self._terms.items()))))
 
     def drop_term(self, key: TermKey) -> "BellExpression":
-        """A copy without the given term; bounds metadata is not carried over."""
+        """A copy without the given term."""
         if key not in self._terms:
             raise ValidationError(f"term {key} not present in expression")
         rest = {k: v for k, v in self._terms.items() if k != key}
         return BellExpression(self.scenario, rest)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "bell_expression",
-            "n_settings": self.scenario.n_settings,
-            "terms": _terms_to_json(self),
-            "classical_bound": self.classical_bound,
-            "quantum_bound": self.quantum_bound,
-        }
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "BellExpression":
-        kind = "bell_expression"
-        _check_schema(data, kind)
-        scenario = Scenario(_field(data, "n_settings", int, kind))
-        return BellExpression(
-            scenario,
-            _terms_from_json(_field(data, "terms", list, kind)),
-            classical_bound=_field(data, "classical_bound", float, kind, optional=True),
-            quantum_bound=_field(data, "quantum_bound", float, kind, optional=True),
-        )
 
 
 def _terms_to_json(expr: BellExpression) -> list[dict]:
@@ -345,22 +254,6 @@ def _terms_to_json(expr: BellExpression) -> list[dict]:
     return [
         {"x": x, "y": y, "i": i, "j": j, "coeff": float(c)} for (i, j, x, y), c in expr.items()
     ]
-
-
-def _terms_from_json(terms: list) -> dict[TermKey, float]:
-    """The term map that :func:`_terms_to_json` listed, checked.
-
-    A repeated ``(i, j, x, y)`` is rejected: a document cannot say whether it
-    meant the sum of its coefficients or the last one.
-    """
-    out = {}
-    for t in terms:
-        t = _checked(t, Mapping, "term")
-        key = tuple(_field(t, name, int, "term") for name in ("i", "j", "x", "y"))
-        if key in out:
-            raise ValidationError(f"term (i, j, x, y) = {key} is listed twice")
-        out[key] = _field(t, "coeff", float, "term")
-    return out
 
 
 def evaluate(expr: BellExpression, behavior: Behavior) -> float:
@@ -398,25 +291,18 @@ def chsh_probability_form() -> BellExpression:
         (0, 1, 2, 2): 1.0,
         (0, 0, 1, 1): 1.0,
     }
-    return BellExpression(
-        scenario, terms, classical_bound=3.0, quantum_bound=2.0 + math.sqrt(2.0)
-    )
-
-
-def _require_even(n: int) -> None:
-    if not isinstance(n, int) or n < 2 or n % 2 != 0:
-        raise ValidationError(f"n must be an even integer >= 2, got {n!r}")
+    return BellExpression(scenario, terms)
 
 
 def as_classical_bound(n: int) -> float:
     """Deterministic maximum ``(n^2 + n) / 2`` of :func:`as_inequality`."""
-    _require_even(n)
+    Scenario(n)  # validates n
     return (n * n + n) / 2.0
 
 
 def as_quantum_bound(n: int) -> float:
     """Quantum bound ``((n+1) sqrt(n(n+2)) / 3 + (3 n^2 + 2 n) / 4) / 2``."""
-    _require_even(n)
+    Scenario(n)  # validates n
     return ((n + 1) * math.sqrt(n * (n + 2)) / 3.0 + (3 * n * n + 2 * n) / 4.0) / 2.0
 
 
@@ -434,7 +320,6 @@ def as_inequality(n: int) -> BellExpression:
 
     For ``n = 2`` this is exactly :func:`chsh_probability_form`.
     """
-    _require_even(n)
     scenario = Scenario(n)
     terms: dict[TermKey, float] = {}
 
@@ -456,9 +341,4 @@ def as_inequality(n: int) -> BellExpression:
     add(0, 1, half, half, n / 2.0)
     add(1, 0, half, half, n / 2.0)
 
-    return BellExpression(
-        scenario,
-        terms,
-        classical_bound=as_classical_bound(n),
-        quantum_bound=as_quantum_bound(n),
-    )
+    return BellExpression(scenario, terms)

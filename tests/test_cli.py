@@ -1,6 +1,10 @@
 import json
 import math
 import os
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 import shutil
 import signal
 import subprocess
@@ -122,6 +126,25 @@ class TestOptimize:
         assert main(["optimize", "2", "--config", str(cfg)]) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
 
+    def test_config_seed_is_kept_unless_the_flag_is_given(self, capsys, tmp_path):
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({"seed": 7, "restarts": 20}))
+        _, report = run_json(capsys, "optimize", "2", "--config", str(cfg))
+        assert report["seed"] == report["inputs"]["config"]["seed"] == 7
+        _, report = run_json(capsys, "optimize", "2", "--config", str(cfg), "--seed", "9")
+        assert report["seed"] == report["inputs"]["config"]["seed"] == 9
+        assert report["inputs"]["config"]["restarts"] == 20
+
+    def test_config_without_a_key_keeps_the_paradox_default(self, capsys, tmp_path):
+        cfg = tmp_path / "opt.json"
+        cfg.write_text("{}")
+        _, with_config = run_json(capsys, "optimize", "4", "--config", str(cfg))
+        _, without = run_json(capsys, "optimize", "4")
+        assert with_config["outputs"]["restarts_used"] == 500
+        for report in (with_config, without):
+            report.pop("wall_time_ms")
+        assert with_config == without
+
 
 class TestNpa:
     def test_level1_value(self, capsys):
@@ -226,7 +249,21 @@ class TestDumpParadox:
     def test_original(self, capsys):
         code, report = run_json(capsys, "dump-paradox", "original")
         assert code == 0
-        assert len(report["outputs"]["paradox"]["conditions"]) == 3
+        zero = [
+            {"target": 0.0, "terms": [{"coeff": 1.0, "i": i, "j": j, "x": x, "y": y}]}
+            for i, j, x, y in ((0, 0, 2, 2), (0, 1, 1, 2), (1, 0, 2, 1))
+        ]
+        assert report["outputs"] == {
+            "paradox": {
+                "conditions": zero,
+                "hardy_term": {"i": 0, "j": 0, "x": 1, "y": 1},
+                "kind": "hardy_paradox",
+                "n": 2,
+                "paradox_id": "original",
+                "reference_value": 0.09016994374947451,
+                "schema_version": "1",
+            }
+        }
 
 
 class TestDeterminism:
@@ -354,6 +391,22 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.split() == list(TABLE1_COLUMNS)
         assert "Traceback" not in proc.stderr, proc.stderr
+
+    @pytest.mark.skipif(resource is None, reason="needs resource limits")
+    def test_oversize_npa_program_exits_2_before_it_allocates(self):
+        # m = 46076: the solver's two m x m arrays would take 31.6 GiB
+        limit = 3 * 2**30
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonlocality_wb.cli", "npa", "6", "--level", "3", "--json"],
+            capture_output=True,
+            text=True,
+            env=python_env(OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "m = 46076" in proc.stderr and "31.6 GiB" in proc.stderr, proc.stderr
 
     def test_import_leaves_blas_lookup_for_the_first_solve(self):
         code = (

@@ -1,6 +1,4 @@
-import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -168,59 +166,3 @@ class TestCheck:
             assert result.residuals[0] == pytest.approx(
                 evaluate(expr, b) - target, abs=1e-12
             )
-
-
-class TestJson:
-    @pytest.mark.parametrize("build", [original_hardy, lambda: realigned_hardy(4)])
-    def test_round_trip(self, build):
-        p = build()
-        p2 = HardyParadox.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
-        assert p2.paradox_id == p.paradox_id
-        assert p2.scenario == p.scenario
-        assert p2.hardy_term == p.hardy_term
-        assert p2.quantum_value_reference == p.quantum_value_reference
-        assert [(dict(e.items()), t) for e, t in p2.conditions] == [
-            (dict(e.items()), t) for e, t in p.conditions
-        ]
-        assert json.dumps(p2.to_json_dict()) == json.dumps(p.to_json_dict())
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda d: d["hardy_term"].update(i=True),
-            lambda d: d["hardy_term"].update(x="1"),
-            lambda d: d.pop("hardy_term"),
-            lambda d: d.update(n="2"),
-            lambda d: d.update(paradox_id=7),
-            lambda d: d.update(reference_value="0.09"),
-            lambda d: d["conditions"][0].update(target="0"),
-            lambda d: d["conditions"][0].pop("terms"),
-            lambda d: d["conditions"][0]["terms"][0].update(coeff="1"),
-            lambda d: d.update(kind="bell_expression"),
-        ],
-        ids=[
-            "bool-outcome",
-            "str-setting",
-            "no-hardy-term",
-            "str-n",
-            "int-id",
-            "str-reference",
-            "str-target",
-            "no-terms",
-            "str-coeff",
-            "wrong-kind",
-        ],
-    )
-    def test_json_rejects_mistyped_or_missing_fields(self, edit):
-        data = original_hardy().to_json_dict()
-        edit(data)
-        with pytest.raises(ValidationError):
-            HardyParadox.from_json_dict(data)
-
-    def test_json_rejects_repeated_condition_term(self):
-        data = realigned_hardy(2).to_json_dict()
-        terms = data["conditions"][0]["terms"]
-        terms.append({**terms[0], "coeff": 2.0})
-        key = tuple(terms[0][name] for name in ("i", "j", "x", "y"))
-        with pytest.raises(ValidationError, match=re.escape(f"{key} is listed twice")):
-            HardyParadox.from_json_dict(data)

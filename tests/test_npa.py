@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -267,6 +267,15 @@ class TestSolve:
         sol = solve(build_program(bad, 1), SdpConfig(max_iterations=120))
         assert sol.status == "infeasible"
 
+    def test_program_over_the_memory_cap_is_rejected(self, monkeypatch):
+        prog = build_program(realigned_hardy(2), 1)
+        m = _affine_map(prog).problem.m
+        monkeypatch.setattr(npa, "MAX_SCHUR_BYTES", 16 * m * m - 1)
+        with pytest.raises(ValidationError, match=f"m = {m} free variables"):
+            solve(prog)
+        monkeypatch.setattr(npa, "MAX_SCHUR_BYTES", 16 * m * m)
+        assert solve(prog).status == "optimal"
+
     def test_asymmetric_program_skips_reduction(self):
         # perturbing a single Alice-side coefficient breaks the party swap;
         # detection must decline and the full path must still certify
@@ -485,7 +494,7 @@ class TestModelMomentMatrix:
 class TestSdpConfig:
     def test_json_round_trip(self):
         cfg = SdpConfig(max_iterations=33, gap_tol=1e-6)
-        assert SdpConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert SdpConfig.from_json_dict(asdict(cfg)) == cfg
 
     def test_unknown_keys(self):
         with pytest.raises(ValidationError):
@@ -500,6 +509,7 @@ class TestSdpConfig:
             {"max_iterations": True},
             {"gap_tol": "1e-7"},
             {"feas_tol": float("inf")},
+            {"gap_tol": 10**400},
         ],
     )
     def test_mistyped_values_rejected(self, data):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -258,7 +259,7 @@ class TestOptimizerConfig:
 
     def test_json_round_trip(self):
         cfg = OptimizerConfig(restarts=7, seed=9, inner_iters=33)
-        assert OptimizerConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert OptimizerConfig.from_json_dict(asdict(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):

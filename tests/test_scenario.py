@@ -1,10 +1,9 @@
-import json
 import math
-import re
 
 import numpy as np
 import pytest
 
+from nonlocality_wb.lhv import classical_max
 from nonlocality_wb.scenario import (
     Behavior,
     BellExpression,
@@ -66,28 +65,6 @@ class TestScenario:
         with pytest.raises(ValidationError):
             Scenario(2.0)
 
-    def test_json_round_trip(self):
-        s = Scenario(6)
-        assert Scenario.from_json_dict(s.to_json_dict()) == s
-
-    @pytest.mark.parametrize("value", [4.9, "4", True, None, float("nan")])
-    def test_json_rejects_mistyped_n_settings(self, value):
-        data = {**Scenario(4).to_json_dict(), "n_settings": value}
-        with pytest.raises(ValidationError, match="n_settings"):
-            Scenario.from_json_dict(data)
-
-    def test_json_checks_document_shape(self):
-        data = Scenario(4).to_json_dict()
-        del data["n_settings"]
-        with pytest.raises(ValidationError, match="missing key 'n_settings'"):
-            Scenario.from_json_dict(data)
-        with pytest.raises(ValidationError):
-            Scenario.from_json_dict([4])
-
-    def test_json_accepts_integral_float(self):
-        data = {**Scenario(4).to_json_dict(), "n_settings": 4.0}
-        assert Scenario.from_json_dict(data) == Scenario(4)
-
 
 class TestBehavior:
     def test_uniform_is_valid(self):
@@ -111,26 +88,6 @@ class TestBehavior:
         b = uniform_behavior(Scenario(2))
         with pytest.raises((AttributeError, ValueError)):
             b.p[0, 0, 0, 0] = 0.5
-
-    def test_json_round_trip(self):
-        b = all_zero_behavior(Scenario(2))
-        b2 = Behavior.from_json_dict(json.loads(json.dumps(b.to_json_dict())))
-        np.testing.assert_array_equal(b.p, b2.p)
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"n_settings": "2"},
-            {"n_settings": 2.5},
-            {"p": ["0.25"] * 16},
-            {"p": [0.25] * 15},
-            {"p": "0.25"},
-        ],
-    )
-    def test_json_rejects_mistyped_fields(self, change):
-        data = {**uniform_behavior(Scenario(2)).to_json_dict(), **change}
-        with pytest.raises(ValidationError):
-            Behavior.from_json_dict(data)
 
 
 class TestBellExpression:
@@ -159,63 +116,6 @@ class TestBellExpression:
             BellExpression(s, {(0, 0, 3, 1): 1.0})
         with pytest.raises(ValidationError):
             BellExpression(s, {(0, 0, 1, 1): float("nan")})
-
-    def test_json_round_trip(self):
-        e = as_inequality(4)
-        e2 = BellExpression.from_json_dict(json.loads(json.dumps(e.to_json_dict())))
-        assert e2 == e
-        assert e2.classical_bound == e.classical_bound
-        assert e2.quantum_bound == e.quantum_bound
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("n_settings", "2"),
-            ("x", "2"),
-            ("y", 1.5),
-            ("j", False),
-            ("coeff", "3"),
-            ("coeff", float("inf")),
-            ("classical_bound", "3"),
-        ],
-    )
-    def test_json_rejects_mistyped_fields(self, field, value):
-        data = chsh_probability_form().to_json_dict()
-        if field in data:
-            data[field] = value
-        else:
-            data["terms"][0][field] = value
-        with pytest.raises(ValidationError, match=repr(field)):
-            BellExpression.from_json_dict(data)
-
-    @pytest.mark.parametrize("field", ["n_settings", "terms"])
-    def test_json_rejects_missing_field(self, field):
-        data = chsh_probability_form().to_json_dict()
-        del data[field]
-        with pytest.raises(ValidationError, match=f"missing key {field!r}"):
-            BellExpression.from_json_dict(data)
-
-    def test_json_rejects_term_without_coefficient(self):
-        data = chsh_probability_form().to_json_dict()
-        del data["terms"][3]["coeff"]
-        with pytest.raises(ValidationError, match="missing key 'coeff'"):
-            BellExpression.from_json_dict(data)
-
-    def test_json_rejects_repeated_term(self):
-        data = chsh_probability_form().to_json_dict()
-        term = data["terms"][0]
-        data["terms"].append({**term, "coeff": 2.0})
-        key = (term["i"], term["j"], term["x"], term["y"])
-        with pytest.raises(ValidationError, match=re.escape(f"{key} is listed twice")):
-            BellExpression.from_json_dict(data)
-
-    def test_json_bounds_are_optional(self):
-        data = chsh_probability_form().to_json_dict()
-        del data["classical_bound"]
-        data["quantum_bound"] = None
-        e = BellExpression.from_json_dict(data)
-        assert e == chsh_probability_form()
-        assert e.classical_bound is None and e.quantum_bound is None
 
 
 class TestEvaluate:
@@ -252,9 +152,8 @@ class TestEvaluate:
 
 class TestChshProbabilityForm:
     def test_bounds(self):
-        e = chsh_probability_form()
-        assert e.classical_bound == pytest.approx(3.0)
-        assert e.quantum_bound == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
+        assert classical_max(chsh_probability_form()).value == 3
+        assert as_quantum_bound(2) == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
 
     def test_term_listing(self):
         e = chsh_probability_form()
@@ -283,22 +182,23 @@ class TestAsInequality:
         assert len(e) == 26
         assert e.coefficient(1, 0, 3, 3) == 2.0
         assert e.coefficient(0, 1, 3, 3) == 2.0
-        assert e.classical_bound == pytest.approx(10.0)
-        assert e.quantum_bound == pytest.approx(7.0 + 5.0 * math.sqrt(6.0) / 3.0, abs=1e-12)
+        assert as_classical_bound(4) == pytest.approx(10.0)
+        assert as_quantum_bound(4) == pytest.approx(7.0 + 5.0 * math.sqrt(6.0) / 3.0, abs=1e-12)
 
     def test_n6_classical_bound(self):
-        assert as_inequality(6).classical_bound == pytest.approx(21.0)
+        assert as_classical_bound(6) == pytest.approx(21.0)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_bounds_family(self, n):
-        e = as_inequality(n)
-        assert e.classical_bound == pytest.approx((n * n + n) / 2.0)
+        assert as_classical_bound(n) == pytest.approx((n * n + n) / 2.0)
         assert as_quantum_bound(n) > as_classical_bound(n)
 
     @pytest.mark.parametrize("bad", [1, 3, 0, -4])
     def test_rejects_invalid_n(self, bad):
         with pytest.raises(ValidationError):
             as_inequality(bad)
+        with pytest.raises(ValidationError):
+            as_classical_bound(bad)
         with pytest.raises(ValidationError):
             as_quantum_bound(bad)
 
