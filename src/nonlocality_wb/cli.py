@@ -31,7 +31,7 @@ import time
 from . import __version__
 from .hardy import HardyParadox, check, original_hardy, realigned_hardy
 from .lhv import certify_hardy_soundness, classical_max
-from .npa import MAX_LEVEL, SdpConfig, build_program, solve
+from .npa import MAX_LEVEL, build_program, solve
 from .qubit import (
     OptimizerConfig,
     QubitModel,
@@ -70,16 +70,6 @@ def _paradox_from_arg(target: str) -> HardyParadox:
             f"paradox must be 'original' or an even setting count, got {target!r}"
         ) from exc
     return realigned_hardy(n)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
 def _report(command: str, inputs: dict, outputs: dict, seed=None) -> dict:
@@ -125,12 +115,9 @@ def _cmd_certify(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_optimize(args) -> tuple[dict, int, list[str]]:
     paradox = _paradox_from_arg(args.paradox)
-    # a given flag wins over a config-file key, which wins over default_for
-    cfg = OptimizerConfig.default_for(paradox)
-    if args.config:
-        cfg = OptimizerConfig.from_json_dict(_load_json(args.config), cfg)
-    flags = {"seed": args.seed, "constraint_tol": args.tol}
-    cfg = OptimizerConfig.from_json_dict({k: v for k, v in flags.items() if v is not None}, cfg)
+    cfg = dataclasses.replace(
+        OptimizerConfig.default_for(paradox), seed=args.seed, constraint_tol=args.tol
+    )
     result = maximize_hardy(paradox, cfg)
     outputs = result.to_json_dict()
     outputs["paradox_id"] = paradox.paradox_id
@@ -155,9 +142,8 @@ def _cmd_optimize(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_npa(args) -> tuple[dict, int, list[str]]:
     paradox = _paradox_from_arg(args.paradox)
-    cfg = SdpConfig.from_json_dict(_load_json(args.config)) if args.config else SdpConfig()
     program = build_program(paradox, args.level)
-    solution = solve(program, cfg)
+    solution = solve(program)
     outputs = {
         "paradox_id": paradox.paradox_id,
         "level": args.level,
@@ -183,12 +169,11 @@ def _cmd_npa(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_table1(args) -> tuple[dict, int, list[str]]:
-    tol = args.tol if args.tol is not None else 2e-3
     rows = []
     for n, model in sorted(REFERENCE_MODELS.items()):
         paradox = realigned_hardy(n)
         reference = paradox.quantum_value_reference
-        result = check(paradox, behavior_of_model(model), tol=tol)
+        result = check(paradox, behavior_of_model(model), tol=args.tol)
         delta = abs(result.hardy_value - reference)
         rows.append(
             {
@@ -197,16 +182,16 @@ def _cmd_table1(args) -> tuple[dict, int, list[str]]:
                 "hardy_value": float(result.hardy_value),
                 "reference_value": reference,
                 "abs_delta": float(delta),
-                "within_tolerance": bool(delta <= tol and result.conditions_met),
+                "within_tolerance": bool(delta <= args.tol and result.conditions_met),
             }
         )
     ok = all(row["within_tolerance"] for row in rows)
     lines = ["  ".join(f"{h:>18}" for h in TABLE1_COLUMNS)]
     for row in rows:
         lines.append("  ".join(f"{_fmt(row[h]):>18}" for h in TABLE1_COLUMNS))
-    lines.append(f"all rows within {_fmt(tol)}: {ok}")
-    outputs = {"rows": rows, "tolerance": tol, "ok": ok}
-    return _report("table1", {"tolerance": tol}, outputs), 0 if ok else 1, lines
+    lines.append(f"all rows within {_fmt(args.tol)}: {ok}")
+    outputs = {"rows": rows, "tolerance": args.tol, "ok": ok}
+    return _report("table1", {"tolerance": args.tol}, outputs), 0 if ok else 1, lines
 
 
 def _cmd_dump_paradox(args) -> tuple[dict, int, list[str]]:
@@ -253,22 +238,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="constrained qubit maximization")
     p.add_argument("paradox", help="even setting count or 'original'")
-    p.add_argument("--config", help="optimizer config JSON file")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"restart seed (default {OptimizerConfig.seed})")
-    p.add_argument("--tol", type=float, default=None, help="constraint tolerance override")
+    p.add_argument("--seed", type=int, default=OptimizerConfig.seed,
+                   help="restart seed (default %(default)s)")
+    p.add_argument("--tol", type=float, default=OptimizerConfig.constraint_tol,
+                   help="largest condition residual of a feasible restart (default %(default)s)")
     common(p)
     p.set_defaults(handler=_cmd_optimize)
 
     p = sub.add_parser("npa", help="moment-relaxation upper bound")
     p.add_argument("paradox", help="even setting count or 'original'")
     p.add_argument("--level", type=int, choices=levels, default=2)
-    p.add_argument("--config", help="solver config JSON file")
     common(p)
     p.set_defaults(handler=_cmd_npa)
 
     p = sub.add_parser("table1", help="reproduce the bundled reference models")
-    p.add_argument("--tol", type=float, default=None, help="reproduction tolerance (default 2e-3)")
+    p.add_argument("--tol", type=float, default=2e-3,
+                   help="reproduction tolerance (default %(default)s)")
     common(p, csv=True)
     p.set_defaults(handler=_cmd_table1)
 

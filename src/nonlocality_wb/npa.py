@@ -44,13 +44,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .hardy import HardyParadox, zero_sign
-from .scenario import (
-    SCHEMA_VERSION,
-    BellExpression,
-    TermKey,
-    ValidationError,
-    config_from_json_dict,
-)
+from .scenario import SCHEMA_VERSION, BellExpression, TermKey, ValidationError
 from .sdp import (
     LmiProblem,
     STATUS_INFEASIBLE,
@@ -135,23 +129,6 @@ def basis_monomials(n: int, level: int) -> tuple[Monomial, ...]:
                 for bw in _party_words(n, bob_len):
                     out.append(Monomial(aw, bw))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class SdpConfig:
-    """Solver settings for moment programs."""
-
-    max_iterations: int = 150
-    gap_tol: float = 1e-7
-    feas_tol: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1 or self.gap_tol <= 0 or self.feas_tol <= 0:
-            raise ValidationError("SdpConfig tolerances must be positive")
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "SdpConfig":
-        return config_from_json_dict(SdpConfig(), data, "sdp")
 
 
 @dataclass(frozen=True)
@@ -508,7 +485,7 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
     )
 
 
-def solve(program: MomentProgram, cfg: SdpConfig | None = None) -> SdpSolution:
+def solve(program: MomentProgram) -> SdpSolution:
     """Solve a moment program; maximizes its objective over PSD moment matrices.
 
     Everything runs on one BLAS thread, so the result does not depend on the
@@ -516,11 +493,11 @@ def solve(program: MomentProgram, cfg: SdpConfig | None = None) -> SdpSolution:
     OpenBLAS could be pinned.
     """
     with _single_blas_thread() as threads:
-        solution = _solve(program, cfg or SdpConfig())
+        solution = _solve(program)
     return replace(solution, diagnostics={**solution.diagnostics, "blas_threads": threads})
 
 
-def _solve(program: MomentProgram, cfg: SdpConfig) -> SdpSolution:
+def _solve(program: MomentProgram) -> SdpSolution:
     amap = _affine_map(program)
     if amap is None:
         return _infeasible_solution(program, "inconsistent equality constraints")
@@ -532,13 +509,7 @@ def _solve(program: MomentProgram, cfg: SdpConfig) -> SdpSolution:
             f"m x m solver arrays would need {need / 2**30:.1f} GiB, more than "
             f"the {MAX_SCHUR_BYTES / 2**30:g} GiB cap"
         )
-    raw = solve_lmi(
-        amap.problem,
-        max_iterations=cfg.max_iterations,
-        gap_tol=cfg.gap_tol,
-        feas_tol=cfg.feas_tol,
-        trace=bool(os.environ.get("NONLOCALITY_WB_SDP_TRACE")),
-    )
+    raw = solve_lmi(amap.problem, trace=bool(os.environ.get("NONLOCALITY_WB_SDP_TRACE")))
 
     y_class = amap.y0 + amap.n @ raw.y
     moment_matrix = y_class[program.cell_class]

@@ -20,7 +20,7 @@ behavior tensor is that list over the full grid.  The explicit trace form,
 the tests' oracle, agrees with it to machine precision.
 
 Maximization of a paradox's Hardy value subject to its condition equalities
-uses a penalty schedule (default 10 -> 1e6, factor 10 per stage) and uniform
+uses a fixed penalty schedule (10 -> 1e6, factor 10 per stage) and uniform
 multi-start over all angles.  The penalty of a condition that forces its terms
 to zero (``hardy.zero_sign``) is ``mu`` times its signed value, a sum of
 squared amplitudes; any other condition's is ``mu`` times its squared
@@ -40,18 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .hardy import HardyParadox, zero_sign
-from .scenario import (
-    SCHEMA_VERSION,
-    Behavior,
-    Scenario,
-    ValidationError,
-    config_from_json_dict,
-)
+from .scenario import SCHEMA_VERSION, Behavior, Scenario, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -183,28 +177,23 @@ def _full_grid(n: int) -> _BornTerms:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Penalty/multi-start settings; JSON keys mirror the field names.
-
-    ``inner_iters`` caps each penalty stage at that many Newton iterations
-    per restart.
-    """
+    """Multi-start settings: the number of restarts, the seed of their start
+    points, and the largest condition residual a feasible restart may end
+    with.  The penalty schedule is fixed (``_PENALTY_START`` and the
+    constants next to it)."""
 
     restarts: int = 200
     seed: int = 42
     constraint_tol: float = 1e-6
-    penalty_start: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_stages: int = 6
-    inner_iters: int = 150
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.penalty_stages < 1 or self.inner_iters < 1:
-            raise ValidationError("restarts, penalty_stages and inner_iters must be >= 1")
+        if self.restarts < 1:
+            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
-        if self.constraint_tol <= 0 or self.penalty_start <= 0 or self.penalty_growth <= 1:
+        if not (math.isfinite(self.constraint_tol) and self.constraint_tol > 0):
             raise ValidationError(
-                "constraint_tol and penalty_start must be positive, penalty_growth > 1"
+                f"constraint_tol must be finite and positive, got {self.constraint_tol}"
             )
 
     @staticmethod
@@ -212,13 +201,6 @@ class OptimizerConfig:
         # restart budget grows with the number of free angles
         restarts = 200 if paradox.scenario.n_settings <= 2 else 500
         return OptimizerConfig(restarts=restarts)
-
-    @staticmethod
-    def from_json_dict(
-        data: Mapping, defaults: "OptimizerConfig | None" = None
-    ) -> "OptimizerConfig":
-        """``defaults`` (``OptimizerConfig()`` if None) with the keys in ``data``."""
-        return config_from_json_dict(defaults or OptimizerConfig(), data, "optimizer")
 
 
 @dataclass(frozen=True)
@@ -300,12 +282,19 @@ class _PenaltyProblem:
 _NEAR_BEST_TOL = 1e-6
 
 
+# The penalty schedule: _PENALTY_STAGES stages, the first at mu =
+# _PENALTY_START, each next one at _PENALTY_GROWTH times the last (10 -> 1e6).
+_PENALTY_START = 10.0
+_PENALTY_GROWTH = 10.0
+_PENALTY_STAGES = 6
+
 # The batched Newton screen.  A row's stage ends when its Newton decrement or
 # its accepted decrease is at most _FTOL * max(|f|, 1), when its line search
-# fails, or after inner_iters iterations.  Hessian eigenvalues are replaced by
+# fails, or after _INNER_ITERS iterations.  Hessian eigenvalues are replaced by
 # max(|lambda|, _EIG_FLOOR), so every step descends, also near saddles; a step
 # moves no angle by more than _MAX_STEP radians, and the Armijo line search
 # halves it at most _BACKTRACKS times.
+_INNER_ITERS = 150
 _FTOL = 1e-15
 _EIG_FLOOR = 1e-8
 _MAX_STEP = 1.0
@@ -332,7 +321,7 @@ def _penalty(jets, problem: _PenaltyProblem, mu: float):
     return f, g, h
 
 
-def _newton_stage(problem, X, jets, rows, mu: float, cfg: OptimizerConfig) -> int:
+def _newton_stage(problem, X, jets, rows, mu: float) -> int:
     """Minimize the penalty at ``mu`` from the rows ``rows`` of ``X``, in place.
 
     ``jets`` holds the expression jets at every row of ``X`` and is kept up
@@ -341,7 +330,7 @@ def _newton_stage(problem, X, jets, rows, mu: float, cfg: OptimizerConfig) -> in
     row evaluations made.
     """
     evals, active = 0, rows
-    for _ in range(cfg.inner_iters):
+    for _ in range(_INNER_ITERS):
         if not len(active):
             break
         f, g, h = _penalty(tuple(a[active] for a in jets), problem, mu)
@@ -378,16 +367,16 @@ def _newton_stage(problem, X, jets, rows, mu: float, cfg: OptimizerConfig) -> in
     return evals
 
 
-def _screen(problem: _PenaltyProblem, X: np.ndarray, cfg: OptimizerConfig):
+def _screen(problem: _PenaltyProblem, X: np.ndarray):
     """Run the penalty schedule from every row of ``X`` at once, in place;
     returns the rows' Hardy values, condition residuals and evaluations made."""
     jets = problem.jets(X)
     evals = len(X)
     rows = np.arange(len(X))
-    mu = cfg.penalty_start
-    for _ in range(cfg.penalty_stages):
-        evals += _newton_stage(problem, X, jets, rows, mu, cfg)
-        mu *= cfg.penalty_growth
+    mu = _PENALTY_START
+    for _ in range(_PENALTY_STAGES):
+        evals += _newton_stage(problem, X, jets, rows, mu)
+        mu *= _PENALTY_GROWTH
     return jets[0][:, 0], jets[0][:, 1:] - problem.targets, evals
 
 
@@ -421,7 +410,7 @@ def maximize_hardy(
     cfg = cfg or OptimizerConfig.default_for(paradox)
     problem = _PenaltyProblem(paradox)
     X = _starts(cfg, 1 + 2 * problem.n)
-    hardy, residuals, evals = _screen(problem, X, cfg)
+    hardy, residuals, evals = _screen(problem, X)
     infeasibility = np.abs(residuals).max(axis=1, initial=0.0)
     feasible = infeasibility <= cfg.constraint_tol
     if feasible.any():  # argmax/argmin keep the lowest index on ties

@@ -31,8 +31,7 @@ payloads), and behavior tensors are stored with axes ``(x, y, i, j)``.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -69,40 +68,6 @@ class Tolerances:
 
 
 TOLERANCES = Tolerances()
-
-
-def _checked(value, expected: type, what: str):
-    """``value`` as an ``expected``, checked rather than coerced.
-
-    Config files are outside input: an int takes an integral number that is
-    not a bool, a float a finite number that is not a bool, and any other
-    type (a Mapping) only an instance of it.
-    """
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if expected is int:
-        ok = number and (isinstance(value, int) or value.is_integer())
-    elif expected is float:
-        # false for NaN, the infinities and ints beyond the float range
-        ok = number and abs(value) <= sys.float_info.max
-    else:
-        ok = isinstance(value, expected)
-    if not ok:
-        raise ValidationError(f"{what} must be of type {expected.__name__}, got {value!r}")
-    return expected(value) if expected in (int, float) else value
-
-
-def config_from_json_dict(defaults, data: Mapping, kind: str):
-    """``defaults`` (a frozen config dataclass) with the fields in ``data``,
-    each checked against the type of its default."""
-    _checked(data, Mapping, f"{kind} config")
-    unknown = set(data) - {f.name for f in fields(defaults)}
-    if unknown:
-        raise ValidationError(f"unknown {kind} config keys: {sorted(unknown)}")
-    kwargs = {
-        key: _checked(value, type(getattr(defaults, key)), f"{kind} config key {key!r}")
-        for key, value in data.items()
-    }
-    return replace(defaults, **kwargs)
 
 
 @dataclass(frozen=True)

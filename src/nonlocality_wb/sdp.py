@@ -287,7 +287,7 @@ def _chol_blocks(blocks: Sequence[np.ndarray]):
 @_single_blas_thread()
 def solve_lmi(
     problem: LmiProblem,
-    max_iterations: int = 100,
+    max_iterations: int = 150,
     gap_tol: float = 1e-7,
     feas_tol: float = 1e-7,
     trace: bool = False,

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import nonlocality_wb
+from nonlocality_wb import npa, qubit
 from nonlocality_wb.cli import TABLE1_COLUMNS, build_parser, main
 from nonlocality_wb.npa import MAX_LEVEL
 
@@ -72,10 +74,8 @@ class TestCertify:
 
 
 class TestOptimize:
-    def test_small_run_converges(self, capsys, tmp_path):
-        cfg = tmp_path / "opt.json"
-        cfg.write_text(json.dumps({"restarts": 12, "seed": 42}))
-        code, report = run_json(capsys, "optimize", "2", "--config", str(cfg))
+    def test_small_run_converges(self, capsys):
+        code, report = run_json(capsys, "optimize", "2")
         assert code == 0
         out = report["outputs"]
         assert out["converged"] is True
@@ -83,28 +83,22 @@ class TestOptimize:
         assert len(out["model"]["alpha"]) == 2
         assert report["seed"] == 42
 
-    def test_nonconvergence_exits_1(self, capsys, tmp_path):
+    def test_nonconvergence_exits_1(self, capsys, monkeypatch):
         # a penalty schedule too weak to enforce the condition
-        cfg = tmp_path / "opt.json"
-        cfg.write_text(
-            json.dumps(
-                {"restarts": 2, "seed": 1, "penalty_start": 1e-3,
-                 "penalty_growth": 1.5, "penalty_stages": 1}
-            )
-        )
-        code, report = run_json(capsys, "optimize", "2", "--config", str(cfg))
+        monkeypatch.setattr(qubit, "_PENALTY_START", 1e-3)
+        monkeypatch.setattr(qubit, "_PENALTY_GROWTH", 1.5)
+        monkeypatch.setattr(qubit, "_PENALTY_STAGES", 1)
+        code, report = run_json(capsys, "optimize", "2", "--seed", "1")
         assert code == 1
         assert report["outputs"]["converged"] is False
 
-    def test_human_output_reports_restart_statistics(self, capsys, tmp_path):
-        cfg = tmp_path / "opt.json"
-        cfg.write_text(json.dumps({"restarts": 4, "seed": 42}))
-        _, report = run_json(capsys, "optimize", "2", "--config", str(cfg))
+    def test_human_output_reports_restart_statistics(self, capsys):
+        _, report = run_json(capsys, "optimize", "2")
         out = report["outputs"]
-        code, text = run_cli(capsys, "optimize", "2", "--config", str(cfg))
+        code, text = run_cli(capsys, "optimize", "2")
         assert code == 0
         assert (
-            f"restarts: 4 ({out['feasible_restarts']} feasible, "
+            f"restarts: 200 ({out['feasible_restarts']} feasible, "
             f"{out['restarts_near_best']} within 1e-6 of the best)"
         ) in text
         assert f"objective evaluations: {out['objective_evals']}" in text
@@ -112,38 +106,23 @@ class TestOptimize:
     def test_bad_target_exits_2(self, capsys):
         assert main(["optimize", "five"]) == 2
 
-    def test_bad_config_keys_exit_2(self, capsys, tmp_path):
-        cfg = tmp_path / "opt.json"
-        cfg.write_text(json.dumps({"nope": 1}))
-        assert main(["optimize", "2", "--config", str(cfg)]) == 2
-
-    def test_negative_seed_exits_2(self, capsys, tmp_path):
+    def test_negative_seed_exits_2(self, capsys):
         assert main(["optimize", "2", "--seed", "-1"]) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
-        cfg = tmp_path / "opt.json"
-        cfg.write_text(json.dumps({"seed": -1}))
-        # the config file's seed is checked before --seed replaces it
-        assert main(["optimize", "2", "--config", str(cfg)]) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
 
-    def test_config_seed_is_kept_unless_the_flag_is_given(self, capsys, tmp_path):
-        cfg = tmp_path / "opt.json"
-        cfg.write_text(json.dumps({"seed": 7, "restarts": 20}))
-        _, report = run_json(capsys, "optimize", "2", "--config", str(cfg))
-        assert report["seed"] == report["inputs"]["config"]["seed"] == 7
-        _, report = run_json(capsys, "optimize", "2", "--config", str(cfg), "--seed", "9")
-        assert report["seed"] == report["inputs"]["config"]["seed"] == 9
-        assert report["inputs"]["config"]["restarts"] == 20
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_non_positive_tol_exits_2(self, capsys, tol):
+        assert main(["optimize", "2", "--tol", tol, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "constraint_tol must be finite and positive" in captured.err
 
-    def test_config_without_a_key_keeps_the_paradox_default(self, capsys, tmp_path):
-        cfg = tmp_path / "opt.json"
-        cfg.write_text("{}")
-        _, with_config = run_json(capsys, "optimize", "4", "--config", str(cfg))
-        _, without = run_json(capsys, "optimize", "4")
-        assert with_config["outputs"]["restarts_used"] == 500
-        for report in (with_config, without):
-            report.pop("wall_time_ms")
-        assert with_config == without
+    def test_flags_set_the_reported_config(self, capsys):
+        _, report = run_json(capsys, "optimize", "4", "--seed", "9", "--tol", "1e-5")
+        assert report["seed"] == 9
+        assert report["inputs"]["config"] == {
+            "restarts": 500, "seed": 9, "constraint_tol": 1e-5
+        }
 
 
 class TestNpa:
@@ -182,18 +161,12 @@ class TestNpa:
         assert report["outputs"]["status"] == "optimal"
         assert abs(report["outputs"]["upper_bound"] - (5 * math.sqrt(5) - 11) / 2) <= 1e-7
 
-    def test_mistyped_config_exits_2(self, capsys, tmp_path):
-        cfg = tmp_path / "sdp.json"
-        cfg.write_text(json.dumps({"max_iterations": "150"}))
-        assert main(["npa", "2", "--level", "1", "--config", str(cfg)]) == 2
-        assert "max_iterations" in capsys.readouterr().err
-
-    def test_use_symmetry_is_an_unknown_key(self, capsys, tmp_path):
-        # npa always tries the party swap; no config key switches it off
-        cfg = tmp_path / "sdp.json"
-        cfg.write_text(json.dumps({"use_symmetry": False}))
-        assert main(["npa", "2", "--level", "1", "--config", str(cfg)]) == 2
-        assert "unknown sdp config keys: ['use_symmetry']" in capsys.readouterr().err
+    def test_capped_solve_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(npa, "solve_lmi", functools.partial(npa.solve_lmi, max_iterations=2))
+        code, report = run_json(capsys, "npa", "2", "--level", "2")
+        assert code == 1
+        assert report["outputs"]["status"] == "max_iterations"
+        assert report["outputs"]["diagnostics"]["iterations"] == 2
 
     @pytest.mark.parametrize("command", ["npa", "dump-paradox"])
     def test_level_choices_follow_max_level(self, capsys, command):
@@ -274,11 +247,9 @@ class TestDeterminism:
         r2.pop("wall_time_ms")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_optimize_deterministic_for_seed(self, capsys, tmp_path):
-        cfg = tmp_path / "opt.json"
-        cfg.write_text(json.dumps({"restarts": 4, "seed": 7}))
-        _, r1 = run_json(capsys, "optimize", "2", "--config", str(cfg), "--seed", "7")
-        _, r2 = run_json(capsys, "optimize", "2", "--config", str(cfg), "--seed", "7")
+    def test_optimize_deterministic_for_seed(self, capsys):
+        _, r1 = run_json(capsys, "optimize", "2", "--seed", "7")
+        _, r2 = run_json(capsys, "optimize", "2", "--seed", "7")
         r1.pop("wall_time_ms")
         r2.pop("wall_time_ms")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)

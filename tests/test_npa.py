@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +12,6 @@ from nonlocality_wb import npa
 from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realigned_hardy
 from nonlocality_wb.npa import (
     Monomial,
-    SdpConfig,
     _affine_map,
     _kernel,
     _swap_permutations,
@@ -264,8 +263,29 @@ class TestSolve:
             conditions=(Condition(base.conditions[0].expression, 100.0),),
             hardy_term=base.hardy_term,
         )
-        sol = solve(build_program(bad, 1), SdpConfig(max_iterations=120))
+        sol = solve(build_program(bad, 1))
         assert sol.status == "infeasible"
+
+    def test_optimal_iterate_outside_the_psd_cone_is_not_certified(self, monkeypatch):
+        # an "optimal" solver iterate whose moment matrix has a negative
+        # eigenvalue below -1e-8 is reported as max_iterations
+        solve_lmi = npa.solve_lmi
+        rng = np.random.default_rng(0)
+
+        def sloppy(problem, **kwargs):
+            raw = solve_lmi(problem, **kwargs)
+            assert raw.status == "optimal"
+            direction = rng.standard_normal(problem.m)
+            for scale in 10.0 ** np.arange(-8, 1):
+                y = raw.y + scale * direction
+                if min(np.linalg.eigvalsh(b)[0] for b in problem.mat(y)) < -1e-6:
+                    return replace(raw, y=y)
+            raise AssertionError("no perturbation leaves the PSD cone")
+
+        monkeypatch.setattr(npa, "solve_lmi", sloppy)
+        sol = solve(build_program(realigned_hardy(2), 2))
+        assert sol.status == "max_iterations"
+        assert sol.min_eigenvalue < -1e-8
 
     def test_program_over_the_memory_cap_is_rejected(self, monkeypatch):
         prog = build_program(realigned_hardy(2), 1)
@@ -489,43 +509,3 @@ class TestModelMomentMatrix:
         assert abs(vec @ moments - rhs) <= 2e-6
         # and the sandwich: its Hardy value cannot beat the relaxation bound
         assert result.hardy_value <= solve(build_program(paradox, 2)).objective_value + 1e-5
-
-
-class TestSdpConfig:
-    def test_json_round_trip(self):
-        cfg = SdpConfig(max_iterations=33, gap_tol=1e-6)
-        assert SdpConfig.from_json_dict(asdict(cfg)) == cfg
-
-    def test_unknown_keys(self):
-        with pytest.raises(ValidationError):
-            SdpConfig.from_json_dict({"bogus": 1})
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"max_iterations": "150"},
-            {"gap_tol": False},
-            {"max_iterations": 99.9},
-            {"max_iterations": True},
-            {"gap_tol": "1e-7"},
-            {"feas_tol": float("inf")},
-            {"gap_tol": 10**400},
-        ],
-    )
-    def test_mistyped_values_rejected(self, data):
-        with pytest.raises(ValidationError):
-            SdpConfig.from_json_dict(data)
-
-    @pytest.mark.parametrize("data", [5, "max_iterations", None])
-    def test_non_object_config_rejected(self, data):
-        with pytest.raises(ValidationError, match="sdp config"):
-            SdpConfig.from_json_dict(data)
-
-    def test_integral_numbers_accepted(self):
-        cfg = SdpConfig.from_json_dict({"max_iterations": 40.0, "gap_tol": 1})
-        assert cfg.max_iterations == 40 and isinstance(cfg.max_iterations, int)
-        assert cfg.gap_tol == 1.0 and isinstance(cfg.gap_tol, float)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            SdpConfig(gap_tol=0.0)
