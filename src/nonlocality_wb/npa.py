@@ -56,9 +56,9 @@ from .sdp import (
 
 MAX_LEVEL = 3
 
-#: Largest memory, in bytes, that the solver's two m x m arrays (the Schur
-#: matrix and its factor) may take; a larger program is rejected before it
-#: allocates them.
+#: Largest memory, in bytes, that the solver's one m x m array (the Schur
+#: matrix, factored in place) may take; a larger program is rejected before it
+#: allocates it.
 MAX_SCHUR_BYTES = 2 * 2**30
 
 
@@ -502,11 +502,11 @@ def _solve(program: MomentProgram) -> SdpSolution:
     if amap is None:
         return _infeasible_solution(program, "inconsistent equality constraints")
     m = amap.problem.m
-    need = 2 * 8 * m * m
+    need = 8 * m * m
     if need > MAX_SCHUR_BYTES:
         raise ValidationError(
-            f"the level-{program.level} program has m = {m} free variables; its two "
-            f"m x m solver arrays would need {need / 2**30:.1f} GiB, more than "
+            f"the level-{program.level} program has m = {m} free variables; its "
+            f"m x m solver array would need {need / 2**30:.1f} GiB, more than "
             f"the {MAX_SCHUR_BYTES / 2**30:g} GiB cap"
         )
     raw = solve_lmi(amap.problem, trace=bool(os.environ.get("NONLOCALITY_WB_SDP_TRACE")))

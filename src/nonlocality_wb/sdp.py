@@ -33,12 +33,14 @@ exploits that each ``F_k`` has few entries by forming ``U F_k V`` as a thin
 product of gathered columns, and reads ``H_ik`` for ``i >= k`` off that
 product through one sparse gather (a CSR matrix with one row per variable,
 cut into tails that start every ``_PIECE`` variables), so it fills one
-triangle of ``H`` only, the one LAPACK's Cholesky reads; the solver's one
-product with ``H`` is a ``dsymv`` that reads the same triangle.  Only ``H``
-and its Cholesky factor are held as ``m x m`` arrays; a dense block adds its
-contribution through one transient ``m x m`` product.  Problem sizes up to a
-few hundred rows per block and ~10^4 variables stay within desk-scale memory;
-no sparsity is assumed in ``H`` itself.
+triangle of ``H`` only, the one LAPACK's Cholesky reads.  The Cholesky
+factor overwrites ``H`` in its own array, so ``H`` is the only ``m x m``
+array the solver holds; the iterative refinement's product ``H dy`` is taken
+block by block as ``<F_i, X M(dy) Z^-1>`` (``LmiProblem.schur_product``),
+and a failed factorization assembles ``H`` again for its retry.  A dense
+block adds its contribution through one transient ``m x m`` product.
+Problem sizes up to a few hundred rows per block and ~10^4 variables stay
+within desk-scale memory; no sparsity is assumed in ``H`` itself.
 
 ``solve_lmi`` runs every BLAS and LAPACK call on one thread (see
 ``_single_blas_thread``): at these sizes a second OpenBLAS thread costs more
@@ -175,10 +177,11 @@ class LmiProblem:
 
         Row ``j`` holds ``H_ij`` for ``i >= j`` in its columns ``>= j``: the
         upper triangle in C order, which is the lower triangle of ``h.T`` that
-        LAPACK reads.  The strict lower triangle is left unused.  A block of
-        dimension at most ``_DENSE_DIM`` adds its whole ``G (U kron V) G^T``
-        there; a larger one adds zeros and, within each piece of ``_PIECE``
-        variables, stray gathered entries.
+        LAPACK reads and ``solve_lmi`` factors in place.  The strict lower
+        triangle is left unused.  A block of dimension at most ``_DENSE_DIM``
+        adds its whole ``G (U kron V) G^T`` there; a larger one adds zeros
+        and, within each piece of ``_PIECE`` variables, stray gathered
+        entries.
         """
         m = self.m
         h = np.zeros((m, m))
@@ -203,6 +206,16 @@ class LmiProblem:
                 # tr(F_i U F_j V) for every i from the start of j's piece on
                 h[j, j - j % piece :] += tails[j // piece] @ t.ravel()
         return h
+
+    def schur_product(
+        self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray], y: np.ndarray
+    ) -> np.ndarray:
+        """``H y`` for the ``H`` of ``schur(u_blocks, v_blocks)``, without forming ``H``.
+
+        ``(H y)_i = sum_j tr(F_i U F_j V) y_j = <F_i, U (sum_j y_j F_j) V>``:
+        two ``dim^3`` products per block in place of ``m^2`` reads of ``H``.
+        """
+        return self.inner([u @ s @ v for u, s, v in zip(u_blocks, self.mat(y, include_f0=False), v_blocks)])
 
 
 @functools.cache
@@ -313,7 +326,6 @@ def solve_lmi(
     best_score = np.inf
     best_it = 0
     best = (y, x_blocks, z_blocks, rel_gap, pinf, dinf)
-    hj = np.empty((m, m))  # H + jitter*I, factored in place each iteration
     for it in range(1, max_iterations + 1):
         my = problem.mat(y)
         rd = [mb - zb for mb, zb in zip(my, z_blocks)]  # dual residual matrices
@@ -355,18 +367,22 @@ def solve_lmi(
         zinv = [scipy.linalg.cho_solve((l, True), np.eye(nb), check_finite=False) for l, nb in zip(lz, dims)]
         zinv = [0.5 * (zi + zi.T) for zi in zinv]
 
-        h = cho = None  # release last iteration's H before the next
+        h = cho = None  # release last iteration's factor before the next H
         h = problem.schur(x_blocks, zinv)
         jitter = 1e-13 * max(1.0, float(np.trace(h)) / max(m, 1))
-        for _ in range(8):
-            np.copyto(hj, h)
-            hj.flat[:: m + 1] += jitter
+        for attempt in range(8):
+            if attempt:
+                # the failed factorization overwrote H: release it, assemble it again
+                h = None
+                h = problem.schur(x_blocks, zinv)
+                jitter *= 100.0
+            h.flat[:: m + 1] += jitter
             try:
-                # hj.T is H + jitter*I in Fortran order, so LAPACK factors it in place
-                cho = scipy.linalg.cho_factor(hj.T, lower=True, overwrite_a=True, check_finite=False)
+                # h.T is H + jitter*I in Fortran order, so LAPACK factors it in place
+                cho = scipy.linalg.cho_factor(h.T, lower=True, overwrite_a=True, check_finite=False)
                 break
             except scipy.linalg.LinAlgError:
-                jitter *= 100.0
+                pass
         if cho is None:
             break
 
@@ -381,8 +397,8 @@ def solve_lmi(
             dy = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
             # one step of iterative refinement; the Schur system turns badly
             # conditioned near the optimum and the raw solve loses digits.
-            # dsymv reads H from the triangle that schur fills, as cho_factor does
-            resid = rhs - scipy.linalg.blas.dsymv(1.0, h.T, dy, lower=1) - jitter * dy
+            # H was factored in place, so its product is taken from X and Z^-1
+            resid = rhs - problem.schur_product(x_blocks, zinv, dy) - jitter * dy
             dy = dy + scipy.linalg.cho_solve(cho, resid, check_finite=False)
             dz = [rb + sb for rb, sb in zip(rd, problem.mat(dy, include_f0=False))]
             dx = []

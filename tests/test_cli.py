@@ -365,7 +365,7 @@ class TestEntryPoint:
 
     @pytest.mark.skipif(resource is None, reason="needs resource limits")
     def test_oversize_npa_program_exits_2_before_it_allocates(self):
-        # m = 46076: the solver's two m x m arrays would take 31.6 GiB
+        # m = 46076: the solver's m x m array would take 15.8 GiB
         limit = 3 * 2**30
         proc = subprocess.run(
             [sys.executable, "-m", "nonlocality_wb.cli", "npa", "6", "--level", "3", "--json"],
@@ -377,7 +377,7 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert "m = 46076" in proc.stderr and "31.6 GiB" in proc.stderr, proc.stderr
+        assert "m = 46076" in proc.stderr and "15.8 GiB" in proc.stderr, proc.stderr
 
     def test_import_leaves_blas_lookup_for_the_first_solve(self):
         code = (

@@ -290,10 +290,10 @@ class TestSolve:
     def test_program_over_the_memory_cap_is_rejected(self, monkeypatch):
         prog = build_program(realigned_hardy(2), 1)
         m = _affine_map(prog).problem.m
-        monkeypatch.setattr(npa, "MAX_SCHUR_BYTES", 16 * m * m - 1)
+        monkeypatch.setattr(npa, "MAX_SCHUR_BYTES", 8 * m * m - 1)
         with pytest.raises(ValidationError, match=f"m = {m} free variables"):
             solve(prog)
-        monkeypatch.setattr(npa, "MAX_SCHUR_BYTES", 16 * m * m)
+        monkeypatch.setattr(npa, "MAX_SCHUR_BYTES", 8 * m * m)
         assert solve(prog).status == "optimal"
 
     def test_asymmetric_program_skips_reduction(self):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from nonlocality_wb import npa, sdp
@@ -361,9 +362,9 @@ def test_schur_tails_hold_at_most_twice_the_gather_entries():
         assert sum(owners.values()) <= 2 * g.nnz
 
 
-def test_solver_holds_two_schur_sized_arrays_at_most():
-    # npa 6 --level 2: m = 1376, so an m x m array is 15 MB; H and its
-    # Cholesky factor are the only ones the solver needs at a time
+def test_solver_holds_one_schur_sized_array_at_most():
+    # npa 6 --level 2: m = 1376, so an m x m array is 15 MB; H, factored in
+    # place, is the only one the solver needs at a time
     problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
     assert problem.m == 1376
     tracemalloc.start()
@@ -372,7 +373,53 @@ def test_solver_holds_two_schur_sized_arrays_at_most():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * problem.m**2 * 8
+    assert peak < 1.25 * problem.m**2 * 8
+
+
+@pytest.mark.parametrize("n,dense", [(4, True), (6, False)])
+def test_schur_product_is_the_assembled_schur_matrix_times_a_vector(n, dense):
+    problem = npa._affine_map(npa.build_program(realigned_hardy(n), 2)).problem
+    assert all((tails is None) == dense for tails in problem.tails)
+    u, v = schur_inputs(problem, n)
+    y = np.random.default_rng(n).normal(size=problem.m)
+    upper = np.triu(problem.schur(u, v))
+    expected = (upper + np.triu(upper, 1).T) @ y
+    product = problem.schur_product(u, v, y)
+    assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_failed_factorization_retries_on_a_reassembled_schur_matrix(monkeypatch):
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
+    m = problem.m
+    schur = LmiProblem.schur
+    cho_factor = scipy.linalg.cho_factor
+    assembled, factored = [], []
+
+    def recorded(self, u_blocks, v_blocks):
+        h = schur(self, u_blocks, v_blocks)
+        assembled.append(h.copy())
+        return h
+
+    def fail_once(a, *args, **kwargs):
+        factored.append(np.array(a))
+        if len(factored) == 1:
+            # a failed potrf leaves the triangle it read overwritten
+            a[np.tril_indices(m)] = np.nan
+            raise scipy.linalg.LinAlgError("not positive definite")
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(LmiProblem, "schur", recorded)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail_once)
+    sol = solve_lmi(problem)
+    assert sol.status == STATUS_OPTIMAL
+    jitter = 1e-13 * max(1.0, float(np.trace(assembled[0])) / m)
+    first, second = assembled[:2]
+    first.flat[:: m + 1] += jitter
+    second.flat[:: m + 1] += 100.0 * jitter
+    assert np.array_equal(factored[0], first.T)
+    assert np.array_equal(factored[1], second.T)
+    # one retry, then one assembly and one factorization per iteration
+    assert len(assembled) == len(factored) == sol.iterations
 
 
 @functools.cache
