@@ -1,13 +1,16 @@
 """Moment-matrix relaxations bounding constrained Bell optimization.
 
 The operator alphabet is minimal: one outcome-0 projector per setting and
-party (``E_x`` for Alice, ``F_y`` for Bob).  Words over the alphabet are
-canonicalized by letting the parties commute (all E's before all F's) and by
-projector idempotence (adjacent equal letters collapse).  The level-``l``
-basis holds every canonical word of length at most ``l``; the moment matrix
-cell ``(u, v)`` carries the moment of ``reverse(u) * v``, and cells whose
-canonical words coincide share one variable.  Moment matrices are real
-symmetric, so a word and its reversal are also identified.
+party (``E_x`` for Alice, ``F_y`` for Bob).  A word over the alphabet is a
+plain ``(alice, bob)`` tuple of two setting tuples, ``((1, 2), (3,))`` for
+``E1*E2*F3`` and ``((), ())`` for the identity: the parties commute (all E's
+before all F's), and projector idempotence collapses adjacent equal letters,
+so ``product`` joins the two halves and drops a repeat at each seam.  The
+level-``l`` basis holds every canonical word of length at most ``l``; the
+moment matrix cell ``(u, v)`` carries the moment of ``adjoint(u) * v``, and
+cells whose canonical words coincide share one variable.  Moment matrices
+are real symmetric, so a word and its reversal are also identified
+(``moment_key``).
 
 Probabilities enter through complementarity: ``P(00|xy) = <E_x F_y>``,
 ``P(01|xy) = <E_x> - <E_x F_y>``, ``P(10|xy) = <F_y> - <E_x F_y>``,
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -62,35 +65,13 @@ MAX_LEVEL = 3
 MAX_SCHUR_BYTES = 2 * 2**30
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """Canonical word: Alice settings then Bob settings, no adjacent repeats."""
+#: A canonical word: Alice's settings, then Bob's, with no adjacent repeats.
+Word = tuple[tuple[int, ...], tuple[int, ...]]
 
-    alice: tuple[int, ...] = ()
-    bob: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        for word in (self.alice, self.bob):
-            if any(s < 1 for s in word):
-                raise ValidationError("settings in a monomial are 1-based")
-            if any(a == b for a, b in zip(word, word[1:])):
-                raise ValidationError(f"word {word} has an adjacent repeated setting")
-
-    @property
-    def degree(self) -> int:
-        return len(self.alice) + len(self.bob)
-
-    def adjoint(self) -> "Monomial":
-        return Monomial(self.alice[::-1], self.bob[::-1])
-
-    def swap_parties(self) -> "Monomial":
-        return Monomial(self.bob, self.alice)
-
-    def label(self) -> str:
-        if self.degree == 0:
-            return "1"
-        parts = [f"E{s}" for s in self.alice] + [f"F{s}" for s in self.bob]
-        return "*".join(parts)
+def label(w: Word) -> str:
+    """``E1*E2*F3`` for ``((1, 2), (3,))``; ``1`` for the identity word."""
+    return "*".join([f"E{s}" for s in w[0]] + [f"F{s}" for s in w[1]]) or "1"
 
 
 def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -99,14 +80,19 @@ def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return u + v[1:] if u and v and u[-1] == v[0] else u + v
 
 
-def product(u: Monomial, v: Monomial) -> Monomial:
+def product(u: Word, v: Word) -> Word:
     """Canonical product: parties commute, adjacent repeats collapse."""
-    return Monomial(_join(u.alice, v.alice), _join(u.bob, v.bob))
+    return _join(u[0], v[0]), _join(u[1], v[1])
 
 
-def moment_key(w: Monomial) -> Monomial:
+def adjoint(w: Word) -> Word:
+    """The reversed word, the adjoint of a product of projectors."""
+    return w[0][::-1], w[1][::-1]
+
+
+def moment_key(w: Word) -> Word:
     """Class representative; a word and its reversal share one real moment."""
-    return min(w, w.adjoint())
+    return min(w, adjoint(w))
 
 
 def _party_words(n: int, length: int) -> list[tuple[int, ...]]:
@@ -119,15 +105,15 @@ def _party_words(n: int, length: int) -> list[tuple[int, ...]]:
     return words
 
 
-def basis_monomials(n: int, level: int) -> tuple[Monomial, ...]:
+def basis_monomials(n: int, level: int) -> tuple[Word, ...]:
     """Every canonical word of degree <= level; E-heavy words first per degree."""
-    out = [Monomial()]
+    out: list[Word] = [((), ())]
     for degree in range(1, level + 1):
         for alice_len in range(degree, -1, -1):
             bob_len = degree - alice_len
             for aw in _party_words(n, alice_len):
                 for bw in _party_words(n, bob_len):
-                    out.append(Monomial(aw, bw))
+                    out.append((aw, bw))
     return tuple(out)
 
 
@@ -137,8 +123,8 @@ class MomentProgram:
 
     n_settings: int
     level: int
-    basis: tuple[Monomial, ...]
-    class_words: tuple[Monomial, ...]
+    basis: tuple[Word, ...]
+    class_words: tuple[Word, ...]
     cell_class: np.ndarray  # (N, N) int array; entry = class index of the cell
     objective: np.ndarray  # linear functional over class moments
     objective_offset: float
@@ -162,8 +148,8 @@ class MomentProgram:
             "n_settings": self.n_settings,
             "level": self.level,
             "description": self.description,
-            "basis": [m.label() for m in self.basis],
-            "class_words": [m.label() for m in self.class_words],
+            "basis": [label(w) for w in self.basis],
+            "class_words": [label(w) for w in self.class_words],
             "cell_class": [int(v) for v in self.cell_class.ravel()],
             "objective": [float(v) for v in self.objective],
             "objective_offset": self.objective_offset,
@@ -174,11 +160,11 @@ class MomentProgram:
         }
 
 
-def _moment_terms(i: int, j: int, x: int, y: int) -> tuple[float, list[tuple[Monomial, float]]]:
+def _moment_terms(i: int, j: int, x: int, y: int) -> tuple[float, list[tuple[Word, float]]]:
     """Constant plus moment-word coefficients of ``P(ij|xy)``."""
-    ex = Monomial((x,), ())
-    fy = Monomial((), (y,))
-    exfy = Monomial((x,), (y,))
+    ex = ((x,), ())
+    fy = ((), (y,))
+    exfy = ((x,), (y,))
     if i == 0 and j == 0:
         return 0.0, [(exfy, 1.0)]
     if i == 0 and j == 1:
@@ -189,7 +175,7 @@ def _moment_terms(i: int, j: int, x: int, y: int) -> tuple[float, list[tuple[Mon
 
 
 def _expression_to_moments(
-    expr: BellExpression, class_index: Mapping[Monomial, int], n_classes: int
+    expr: BellExpression, class_index: Mapping[Word, int], n_classes: int
 ) -> tuple[np.ndarray, float]:
     vec = np.zeros(n_classes)
     offset = 0.0
@@ -202,27 +188,21 @@ def _expression_to_moments(
 
 
 def _moment_structure(n: int, level: int):
-    """Basis, class words, their index and the cell-to-class array.
+    """Basis, class index and cell-to-class array.
 
-    Cells are worked out on plain ``(alice, bob)`` tuples, in the order of
-    ``moment_key(product(u.adjoint(), v))``; only the class words become
-    Monomials.
+    Cell ``(u, v)`` holds ``moment_key(product(adjoint(u), v))``; classes are
+    numbered in the order the upper triangle first meets them, row by row.
     """
     basis = basis_monomials(n, level)
-    words = [(m.alice, m.bob) for m in basis]
     size = len(basis)
-    index: dict[tuple, int] = {}
+    index: dict[Word, int] = {}
     cell_class = np.empty((size, size), dtype=np.int64)
-    for p, (ua, ub) in enumerate(words):
-        ra, rb = ua[::-1], ub[::-1]
+    for p, u in enumerate(basis):
+        r = adjoint(u)
         for q in range(p, size):
-            va, vb = words[q]
-            a, b = _join(ra, va), _join(rb, vb)
-            key = min((a, b), (a[::-1], b[::-1]))
+            key = moment_key(product(r, basis[q]))
             cell_class[p, q] = cell_class[q, p] = index.setdefault(key, len(index))
-    class_words = tuple(Monomial(a, b) for a, b in index)
-    class_index = {w: k for k, w in enumerate(class_words)}
-    return basis, class_words, class_index, cell_class
+    return basis, index, cell_class
 
 
 def _check_level(level: int) -> None:
@@ -237,11 +217,11 @@ def _program(
     ``(expression, target)`` condition pinned to its target."""
     _check_level(level)
     n = objective.scenario.n_settings
-    basis, class_words, class_index, cell_class = _moment_structure(n, level)
-    n_classes = len(class_words)
+    basis, class_index, cell_class = _moment_structure(n, level)
+    n_classes = len(class_index)
     vec, offset = _expression_to_moments(objective, class_index, n_classes)
     pin = np.zeros(n_classes)
-    pin[class_index[Monomial()]] = 1.0
+    pin[class_index[((), ())]] = 1.0
     equalities: list[tuple[np.ndarray, float]] = [(pin, 1.0)]
     for expr, target in conditions:
         row, const = _expression_to_moments(expr, class_index, n_classes)
@@ -250,7 +230,7 @@ def _program(
         n_settings=n,
         level=level,
         basis=basis,
-        class_words=class_words,
+        class_words=tuple(class_index),
         cell_class=cell_class,
         objective=vec,
         objective_offset=offset,
@@ -303,7 +283,7 @@ def _kernel(program: MomentProgram) -> np.ndarray:
     for i, j, x, y in program.zero_terms:
         const, words = _moment_terms(i, j, x, y)
         if const:  # the identity word of P(11|xy) = <(1 - E_x)(1 - F_y)>
-            words = [(Monomial(), const), *words]
+            words = [(((), ()), const), *words]
         for w in program.basis:
             cols = [index.get(product(w, word)) for word, _ in words]
             if None in cols:
@@ -351,7 +331,7 @@ def _swap_permutations(program: MomentProgram):
     if {(j, i, y, x) for i, j, x, y in zero} != zero:
         return None
     basis_index = {m: i for i, m in enumerate(program.basis)}
-    basis_perm = [basis_index.get(m.swap_parties()) for m in program.basis]
+    basis_perm = [basis_index.get((b, a)) for a, b in program.basis]
     if None in basis_perm:
         return None
     basis_perm = np.array(basis_perm)
@@ -493,65 +473,56 @@ def solve(program: MomentProgram) -> SdpSolution:
     OpenBLAS could be pinned.
     """
     with _single_blas_thread() as threads:
-        solution = _solve(program)
-    return replace(solution, diagnostics={**solution.diagnostics, "blas_threads": threads})
+        amap = _affine_map(program)
+        if amap is None:
+            return SdpSolution(
+                objective_value=float("nan"),
+                moment_matrix=np.zeros((program.size, program.size)),
+                status=STATUS_INFEASIBLE,
+                min_eigenvalue=0.0,
+                residuals=np.full(len(program.equalities), np.inf),
+                diagnostics={"reason": "inconsistent equality constraints", "blas_threads": threads},
+            )
+        m = amap.problem.m
+        need = 8 * m * m
+        if need > MAX_SCHUR_BYTES:
+            raise ValidationError(
+                f"the level-{program.level} program has m = {m} free variables; its "
+                f"m x m solver array would need {need / 2**30:.1f} GiB, more than "
+                f"the {MAX_SCHUR_BYTES / 2**30:g} GiB cap"
+            )
+        raw = solve_lmi(amap.problem, trace=bool(os.environ.get("NONLOCALITY_WB_SDP_TRACE")))
 
+        y_class = amap.y0 + amap.n @ raw.y
+        moment_matrix = y_class[program.cell_class]
+        residuals = np.array([abs(vec @ y_class - rhs) for vec, rhs in program.equalities])
+        min_eig = float(np.linalg.eigvalsh(moment_matrix)[0])
+        objective_value = float(program.objective @ y_class + program.objective_offset)
+        # the solver maximizes b . z; the objective at z = 0 is this constant
+        constant = float(program.objective @ amap.y0) + program.objective_offset
 
-def _solve(program: MomentProgram) -> SdpSolution:
-    amap = _affine_map(program)
-    if amap is None:
-        return _infeasible_solution(program, "inconsistent equality constraints")
-    m = amap.problem.m
-    need = 8 * m * m
-    if need > MAX_SCHUR_BYTES:
-        raise ValidationError(
-            f"the level-{program.level} program has m = {m} free variables; its "
-            f"m x m solver array would need {need / 2**30:.1f} GiB, more than "
-            f"the {MAX_SCHUR_BYTES / 2**30:g} GiB cap"
+        status = raw.status
+        if status == STATUS_OPTIMAL and (min_eig < -1e-8 or residuals.max(initial=0.0) > 1e-7):
+            status = STATUS_MAX_ITERATIONS  # do not certify a sloppy iterate
+        return SdpSolution(
+            objective_value=objective_value,
+            moment_matrix=moment_matrix,
+            status=status,
+            min_eigenvalue=min_eig,
+            residuals=residuals,
+            diagnostics={
+                "iterations": raw.iterations,
+                "rel_gap": raw.rel_gap,
+                "primal_infeasibility": raw.primal_infeasibility,
+                "dual_infeasibility": raw.dual_infeasibility,
+                "dual_objective": raw.objective + constant,
+                "primal_objective": raw.primal_objective + constant,
+                "matrix_size": program.size,
+                "classes": program.n_classes,
+                "variables": amap.problem.m,
+                "block_dims": [v.shape[1] for v in amap.bases],
+                "symmetry_reduced": amap.symmetric,
+                "facially_reduced_size": amap.face_dim,
+                "blas_threads": threads,
+            },
         )
-    raw = solve_lmi(amap.problem, trace=bool(os.environ.get("NONLOCALITY_WB_SDP_TRACE")))
-
-    y_class = amap.y0 + amap.n @ raw.y
-    moment_matrix = y_class[program.cell_class]
-    residuals = np.array([abs(vec @ y_class - rhs) for vec, rhs in program.equalities])
-    min_eig = float(np.linalg.eigvalsh(moment_matrix)[0])
-    objective_value = float(program.objective @ y_class + program.objective_offset)
-    # the solver maximizes b . z; the objective at z = 0 is this constant
-    constant = float(program.objective @ amap.y0) + program.objective_offset
-
-    status = raw.status
-    if status == STATUS_OPTIMAL and (min_eig < -1e-8 or residuals.max(initial=0.0) > 1e-7):
-        status = STATUS_MAX_ITERATIONS  # do not certify a sloppy iterate
-    return SdpSolution(
-        objective_value=objective_value,
-        moment_matrix=moment_matrix,
-        status=status,
-        min_eigenvalue=min_eig,
-        residuals=residuals,
-        diagnostics={
-            "iterations": raw.iterations,
-            "rel_gap": raw.rel_gap,
-            "primal_infeasibility": raw.primal_infeasibility,
-            "dual_infeasibility": raw.dual_infeasibility,
-            "dual_objective": raw.objective + constant,
-            "primal_objective": raw.primal_objective + constant,
-            "matrix_size": program.size,
-            "classes": program.n_classes,
-            "variables": amap.problem.m,
-            "block_dims": [v.shape[1] for v in amap.bases],
-            "symmetry_reduced": amap.symmetric,
-            "facially_reduced_size": amap.face_dim,
-        },
-    )
-
-
-def _infeasible_solution(program: MomentProgram, reason: str) -> SdpSolution:
-    size = program.size
-    return SdpSolution(
-        objective_value=float("nan"),
-        moment_matrix=np.zeros((size, size)),
-        status=STATUS_INFEASIBLE,
-        min_eigenvalue=0.0,
-        residuals=np.full(len(program.equalities), np.inf),
-        diagnostics={"reason": reason},
-    )

@@ -42,10 +42,10 @@ block adds its contribution through one transient ``m x m`` product.
 Problem sizes up to a few hundred rows per block and ~10^4 variables stay
 within desk-scale memory; no sparsity is assumed in ``H`` itself.
 
-``solve_lmi`` runs every BLAS and LAPACK call on one thread (see
-``_single_blas_thread``): at these sizes a second OpenBLAS thread costs more
-CPU in hand-offs than it saves, and the thread count would change the result
-bits.
+``npa.solve`` is the one place that pins every BLAS and LAPACK call to one
+thread (``_single_blas_thread``): at these sizes a second OpenBLAS thread
+costs more CPU in hand-offs than it saves, and the thread count would change
+the result bits.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ _DENSE_DIM = 32
 @dataclass
 class LmiSolution:
     y: np.ndarray
-    matrix_blocks: list[np.ndarray]  # Z = M(y) at the returned iterate
     primal_blocks: list[np.ndarray]  # X, the certificate side
     objective: float  # b . y
     primal_objective: float  # <F0, X>
@@ -297,7 +296,6 @@ def _chol_blocks(blocks: Sequence[np.ndarray]):
     return out
 
 
-@_single_blas_thread()
 def solve_lmi(
     problem: LmiProblem,
     max_iterations: int = 150,
@@ -450,7 +448,6 @@ def solve_lmi(
         y, x_blocks, z_blocks, rel_gap, pinf, dinf = best
     return LmiSolution(
         y=y,
-        matrix_blocks=problem.mat(y),
         primal_blocks=x_blocks,
         objective=float(b @ y),
         primal_objective=sum(float(np.tensordot(f, xb)) for f, xb in zip(problem.f0, x_blocks)),

@@ -100,12 +100,12 @@ def moment_matrix_of_model(model: QubitModel, level: int) -> np.ndarray:
     proj_b = [(eye + observable(b)) / 2.0 for b in model.beta]
     psi = state_vector(model.theta)
     vectors = np.empty((len(basis), 4))
-    for idx, mono in enumerate(basis):
+    for idx, (alice, bob) in enumerate(basis):
         op_a = eye
-        for s in mono.alice:
+        for s in alice:
             op_a = op_a @ proj_a[s - 1]
         op_b = eye
-        for s in mono.bob:
+        for s in bob:
             op_b = op_b @ proj_b[s - 1]
         vectors[idx] = np.kron(op_a, op_b) @ psi
     return vectors @ vectors.T

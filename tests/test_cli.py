@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -237,6 +238,30 @@ class TestDumpParadox:
                 "schema_version": "1",
             }
         }
+
+
+# SHA-256 of the sorted-key JSON of each `dump-paradox --level` payload.  The
+# payloads are pure combinatorics with coefficients +-1 and +-2, so a digest
+# changes only when a basis, class order, label or equality row does.
+DUMP_DIGESTS = {
+    ("2", 1): "70ca450c45e5f401b050b6b8db9f67116e925ea39c97e45cbeca8ce0e59350ea",
+    ("2", 2): "6b698f032d3a40be6179bcf77128881840d4f133b9f67681b3587273b83bda3a",
+    ("2", 3): "e5d6a7321ecfe3a4cafbb614f73554be039f74029edcf8d210a32c6ef72b94d3",
+    ("4", 1): "11ffcb927ca5ec5e454951e8e7606c4d39679cc4e5bc21468c2bd64e3a06f227",
+    ("4", 2): "ce7e9ab9e877aaee52e3a5d1cfeade681a282b7377bb9a540c66295a55c3174a",
+    ("4", 3): "6927f1cf0dc2255de9f79672fcebfaa693d1f43b8542807c7921bc73c9827b8c",
+    ("original", 1): "a5599bd058a1fc5f2d37154e74e1f0d4c8cd0f39bd1d82e6da14bd0ca8a17009",
+    ("original", 2): "351d314846680f29f8a2371b78aca87e965cef752e9411750d08fe81b4ad13fe",
+    ("original", 3): "d3744f3c009f279f543cfb3a4ae33df160d2958cf4df603f241eec569d61846e",
+}
+
+
+@pytest.mark.parametrize("paradox,level", sorted(DUMP_DIGESTS))
+def test_dump_paradox_payload_digest(capsys, paradox, level):
+    code, report = run_json(capsys, "dump-paradox", paradox, "--level", str(level))
+    assert code == 0
+    payload = json.dumps(report["outputs"], sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == DUMP_DIGESTS[paradox, level]
 
 
 class TestDeterminism:

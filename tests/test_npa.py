@@ -11,13 +11,14 @@ import scipy.sparse
 from nonlocality_wb import npa
 from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realigned_hardy
 from nonlocality_wb.npa import (
-    Monomial,
     _affine_map,
     _kernel,
     _swap_permutations,
+    adjoint,
     basis_monomials,
     build_expression_program,
     build_program,
+    label,
     moment_key,
     product,
     solve,
@@ -43,7 +44,7 @@ def affine_map(program, reduced):
         return _affine_map(program)
 
 
-def random_monomial(rng, n, max_len):
+def random_word(rng, n, max_len):
     def word(length):
         out = []
         for _ in range(length):
@@ -53,58 +54,53 @@ def random_monomial(rng, n, max_len):
 
     total = int(rng.integers(0, max_len + 1))
     a_len = int(rng.integers(0, total + 1))
-    return Monomial(word(a_len), word(total - a_len))
+    return word(a_len), word(total - a_len)
 
 
-class TestMonomial:
+class TestWord:
     def test_identity_label(self):
-        assert Monomial().label() == "1"
+        assert label(((), ())) == "1"
 
     def test_label_spells_the_word(self):
-        assert Monomial((1, 2), (3,)).label() == "E1*E2*F3"
+        assert label(((1, 2), (3,))) == "E1*E2*F3"
+        assert label(((), (2, 1))) == "F2*F1"
 
-    def test_rejects_adjacent_repeats(self):
-        with pytest.raises(ValidationError):
-            Monomial((1, 1), ())
-        with pytest.raises(ValidationError):
-            Monomial((), (2, 2))
+    def test_adjoint_reverses_each_party(self):
+        assert adjoint(((1, 2, 3), (2, 4))) == ((3, 2, 1), (4, 2))
 
     def test_product_collapses_junction(self):
-        u = Monomial((1, 2), ())
-        v = Monomial((2, 1), ())
-        assert product(u, v) == Monomial((1, 2, 1), ())
+        assert product(((1, 2), ()), ((2, 1), ())) == ((1, 2, 1), ())
 
     def test_parties_commute_in_cells(self):
-        u = Monomial((), (1,))
-        v = Monomial((2,), ())
         # reverse(F1) * E2 reorders to the E-then-F canonical form
-        assert product(u.adjoint(), v) == Monomial((2,), (1,))
+        assert product(adjoint(((), (1,))), ((2,), ())) == ((2,), (1,))
 
     def test_projector_idempotence(self):
-        u = Monomial((1,), ())
-        assert product(u.adjoint(), u) == Monomial((1,), ())
+        u = ((1,), ())
+        assert product(adjoint(u), u) == ((1,), ())
 
     def test_moment_key_identifies_reversal(self):
-        w = Monomial((1, 2, 3), (2, 4))
-        assert moment_key(w) == moment_key(w.adjoint())
+        w = ((1, 2, 3), (2, 4))
+        assert moment_key(w) == moment_key(adjoint(w)) == ((1, 2, 3), (2, 4))
+        assert moment_key(((3, 1), ())) == ((1, 3), ())
 
     def test_canonicalization_association_independent(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
-            w1 = random_monomial(rng, 4, 2)
-            w2 = random_monomial(rng, 4, 2)
-            w3 = random_monomial(rng, 4, 2)
+            w1 = random_word(rng, 4, 2)
+            w2 = random_word(rng, 4, 2)
+            w3 = random_word(rng, 4, 2)
             left = product(product(w1, w2), w3)
             right = product(w1, product(w2, w3))
             assert left == right
-            assert left.degree <= 6
-            assert product(left, Monomial()) == left  # idempotent re-canonicalization
+            assert len(left[0]) + len(left[1]) <= 6
+            assert product(left, ((), ())) == left  # idempotent re-canonicalization
 
 
 class TestBasis:
     def test_level1_n2_content(self):
         basis = basis_monomials(2, 1)
-        labels = [m.label() for m in basis]
+        labels = [label(w) for w in basis]
         assert labels == ["1", "E1", "E2", "F1", "F2"]
 
     @pytest.mark.parametrize(
@@ -131,7 +127,7 @@ class TestBuildProgram:
         assert prog.objective_offset == 0.0
         nz = np.nonzero(prog.objective)[0]
         assert len(nz) == 1
-        assert prog.class_words[nz[0]] == Monomial((1,), (1,))
+        assert prog.class_words[nz[0]] == ((1,), (1,))
         assert prog.objective[nz[0]] == 1.0
 
     def test_identity_pin_first(self):
@@ -140,7 +136,7 @@ class TestBuildProgram:
         assert rhs == 1.0
         nz = np.nonzero(pin)[0]
         assert len(nz) == 1
-        assert prog.class_words[nz[0]] == Monomial()
+        assert prog.class_words[nz[0]] == ((), ())
 
     def test_condition_moment_coefficients(self):
         # expanding the 7-term two-setting condition by complementarity gives
@@ -150,12 +146,12 @@ class TestBuildProgram:
         index = {w: k for k, w in enumerate(prog.class_words)}
         assert rhs == pytest.approx(3.0 - 3.0)  # target minus constant part
         expected = {
-            Monomial((1,), ()): -2.0,
-            Monomial((), (1,)): -2.0,
-            Monomial((1,), (1,)): 1.0,
-            Monomial((1,), (2,)): 2.0,
-            Monomial((2,), (1,)): 2.0,
-            Monomial((2,), (2,)): -2.0,
+            ((1,), ()): -2.0,
+            ((), (1,)): -2.0,
+            ((1,), (1,)): 1.0,
+            ((1,), (2,)): 2.0,
+            ((2,), (1,)): 2.0,
+            ((2,), (2,)): -2.0,
         }
         for word, coeff in expected.items():
             assert vec[index[word]] == pytest.approx(coeff)
@@ -414,7 +410,7 @@ class TestAffineMap:
         condition = Condition(BellExpression(base.scenario, {(1, 1, 2, 2): 1.0}), 0.0)
         prog = build_program(replace(base, conditions=(condition,)), 2)
         (c,) = _kernel(prog)
-        words = {prog.basis[p].label(): c[p] for p in np.flatnonzero(c)}
+        words = {label(prog.basis[p]): c[p] for p in np.flatnonzero(c)}
         assert words == {"1": 1.0, "E2": -1.0, "F2": -1.0, "E2*F2": 1.0}
         m = moment_matrix_of_model(REFERENCE_MODEL_2, 2)
         assert c @ m @ c == pytest.approx(behavior_of_model(REFERENCE_MODEL_2).prob(1, 1, 2, 2), abs=1e-12)
@@ -457,9 +453,9 @@ def test_swap_permutations_match_swapped_class_words(n, level):
     prog = build_program(paradox, level)
     class_perm, basis_perm = _swap_permutations(prog)
     class_index = {w: k for k, w in enumerate(prog.class_words)}
-    expected = [class_index[moment_key(w.swap_parties())] for w in prog.class_words]
+    expected = [class_index[moment_key((b, a))] for a, b in prog.class_words]
     np.testing.assert_array_equal(class_perm, expected)
-    assert all(prog.basis[j] == m.swap_parties() for m, j in zip(prog.basis, basis_perm))
+    assert all(prog.basis[j] == (b, a) for (a, b), j in zip(prog.basis, basis_perm))
 
 
 def test_swap_needs_swap_invariant_zero_terms():

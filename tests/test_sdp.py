@@ -90,7 +90,7 @@ def test_kkt_certificates_on_random_feasible_problem():
     problem = LmiProblem(f0_blocks=[f0], f_blocks=[block(dim, m, entries)], b=rng.normal(size=m))
     sol = solve_lmi(problem)
     assert sol.status == STATUS_OPTIMAL
-    z = sol.matrix_blocks[0]
+    z = problem.mat(sol.y)[0]
     x = sol.primal_blocks[0]
     assert np.linalg.eigvalsh(z)[0] >= -1e-9
     assert np.linalg.eigvalsh(x)[0] >= -1e-9
