@@ -40,11 +40,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .hardy import HardyParadox, zero_sign
 from .scenario import SCHEMA_VERSION, BellExpression, TermKey, ValidationError
@@ -56,6 +54,9 @@ from .sdp import (
     _single_blas_thread,
     solve_lmi,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 MAX_LEVEL = 3
 
@@ -383,6 +384,9 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
     ``M(y) c = 0`` for each kernel row ``c``, express each pivot column
     through the free ones.
     """
+    import scipy.linalg
+    import scipy.sparse
+
     n_classes, size = program.n_classes, program.size
     kernel = _kernel(program)
     swap = _swap_permutations(program)

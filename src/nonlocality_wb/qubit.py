@@ -53,8 +53,9 @@ TWO_PI = 2.0 * math.pi
 def __getattr__(name: str):
     # ``minimize`` is not called here, but the benchmark's tracer
     # (perfbench/tracer.py) patches ``qubit.minimize`` by name and fails if the
-    # attribute is missing; importing it on first access keeps scipy.optimize
-    # out of a plain import of the package.
+    # attribute is missing; importing it on first access keeps scipy out of a
+    # plain import of the package, as ``npa`` and ``sdp`` import it only to
+    # solve.
     if name == "minimize":
         from scipy.optimize import minimize
 

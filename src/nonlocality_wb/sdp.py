@@ -46,6 +46,11 @@ within desk-scale memory; no sparsity is assumed in ``H`` itself.
 thread (``_single_blas_thread``): at these sizes a second OpenBLAS thread
 costs more CPU in hand-offs than it saves, and the thread count would change
 the result bits.
+
+scipy is imported inside the functions that use it, so importing this module,
+``npa`` or ``cli`` loads no scipy, whose import costs more than the rest of
+the package's; only a solve does.  scipy brings its own OpenBLAS, so
+``_blas_setters`` imports it before it looks the libraries up.
 """
 
 from __future__ import annotations
@@ -59,8 +64,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -106,6 +109,8 @@ class LmiProblem:
     """
 
     def __init__(self, f0_blocks: Sequence[np.ndarray], f_blocks: Sequence, b: np.ndarray):
+        import scipy.sparse
+
         self.b = np.asarray(b, dtype=float)
         self.m = len(self.b)
         self.f0 = [np.asarray(f, dtype=float) for f in f0_blocks]
@@ -224,7 +229,13 @@ def _blas_setters() -> tuple:
     numpy and scipy each load their own OpenBLAS; both are found through the
     process's memory map, so on a system without ``/proc/self/maps`` or
     without OpenBLAS the tuple is empty.  Looked up once, on first use.
+    scipy is imported first: this module loads scipy only when a solve needs
+    it, and a lookup made before scipy's OpenBLAS is mapped would cache
+    numpy's alone and leave scipy's Cholesky unpinned for the life of the
+    process.
     """
+    import scipy.linalg
+
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             fields = [line.split(maxsplit=5) for line in maps if "openblas" in line.lower()]
@@ -278,6 +289,8 @@ def _single_blas_thread():
 
 def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
     """Largest alpha with ``A + alpha * D`` PSD, given ``A = L L^T``."""
+    import scipy.linalg
+
     w = scipy.linalg.solve_triangular(chol_lower, direction, lower=True, check_finite=False)
     w = scipy.linalg.solve_triangular(chol_lower, w.T, lower=True, check_finite=False)
     lam = scipy.linalg.eigvalsh(0.5 * (w + w.T), check_finite=False)[0]
@@ -287,6 +300,8 @@ def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
 
 
 def _chol_blocks(blocks: Sequence[np.ndarray]):
+    import scipy.linalg
+
     out = []
     for a in blocks:
         try:
@@ -304,6 +319,8 @@ def solve_lmi(
     trace: bool = False,
 ) -> LmiSolution:
     """Run the predictor-corrector iteration on a preprocessed problem."""
+    import scipy.linalg
+
     dims = problem.dims
     n_total = sum(dims)
     m = problem.m

@@ -310,13 +310,28 @@ class TestEntryPoint:
         assert proc.stdout.split() == ["[]"]
 
     def test_paradox_layers_import_without_scipy(self):
+        # only solving a moment program loads scipy; no import and no other command does
+        commands = [
+            ["dump-paradox", "4", "--level", "2", "--json"],
+            ["classical-bound", "4"],
+            ["certify", "4"],
+            ["table1"],
+            ["optimize", "2"],
+        ]
         code = (
-            "import sys, nonlocality_wb.lhv, nonlocality_wb.hardy, nonlocality_wb.qubit\n"
+            "import contextlib, io, sys\n"
+            "import nonlocality_wb.lhv, nonlocality_wb.hardy, nonlocality_wb.qubit\n"
             "print('nonlocality_wb.npa' in sys.modules, 'scipy' in sys.modules)\n"
+            "import nonlocality_wb.cli, nonlocality_wb.npa, nonlocality_wb.sdp\n"
+            "print('scipy' in sys.modules)\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = nonlocality_wb.cli.main(argv)\n"
+            "    print(code, 'scipy' in sys.modules)\n"
         )
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False"]
+        assert proc.stdout.split() == ["False", "False", "False"] + ["0", "False"] * len(commands)
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         # qubit.minimize exists for the benchmark's tracer and is imported on first access
@@ -403,6 +418,25 @@ class TestEntryPoint:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "m = 46076" in proc.stderr and "15.8 GiB" in proc.stderr, proc.stderr
+
+    def test_first_solve_pins_scipys_openblas(self):
+        # the solve imports scipy, so the BLAS lookup must not run before scipy's OpenBLAS is mapped
+        code = (
+            "import contextlib, io, json\n"
+            "from nonlocality_wb import cli, sdp\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    cli.main(['npa', '2', '--level', '1', '--json'])\n"
+            "payload = json.loads(out.getvalue())\n"
+            "print(len(sdp._blas_setters()), len(sdp._blas_setters.__wrapped__()),\n"
+            "      payload['outputs']['diagnostics']['blas_threads'])\n"
+        )
+        proc = run_python("-c", code, OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        cached, mapped, threads = proc.stdout.split()
+        if mapped != "2":
+            pytest.skip("needs numpy's and scipy's OpenBLAS with thread setters")
+        assert (cached, threads) == ("2", "1")
 
     def test_import_leaves_blas_lookup_for_the_first_solve(self):
         code = (
