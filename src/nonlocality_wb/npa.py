@@ -38,7 +38,6 @@ equalities, and each ``V_b`` spans its swap sector's complement of them
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -60,9 +59,10 @@ if TYPE_CHECKING:
 
 MAX_LEVEL = 3
 
-#: Largest memory, in bytes, that the solver's one m x m array (the Schur
-#: matrix, factored in place) may take; a larger program is rejected before it
-#: allocates it.
+#: Largest memory, in bytes, that the solver's m x m Schur matrix (factored in
+#: place) may take; a larger program is rejected before it allocates it.  A
+#: block on sdp's dense Schur path also holds one m x m product and up to
+#: three dim^2 x m arrays, which the cap does not count.
 MAX_SCHUR_BYTES = 2 * 2**30
 
 
@@ -207,7 +207,7 @@ def _moment_structure(n: int, level: int):
 
 
 def _check_level(level: int) -> None:
-    if not isinstance(level, int) or not (1 <= level <= MAX_LEVEL):
+    if not isinstance(level, int) or isinstance(level, bool) or not (1 <= level <= MAX_LEVEL):
         raise ValidationError(f"hierarchy level must be an integer in 1..{MAX_LEVEL}, got {level!r}")
 
 
@@ -474,7 +474,8 @@ def solve(program: MomentProgram) -> SdpSolution:
 
     Everything runs on one BLAS thread, so the result does not depend on the
     thread count; ``diagnostics["blas_threads"]`` is 1, or None when no
-    OpenBLAS could be pinned.
+    OpenBLAS could be pinned.  ``diagnostics["iteration_log"]`` is the
+    solver's ``LmiSolution.log``.
     """
     with _single_blas_thread() as threads:
         amap = _affine_map(program)
@@ -495,7 +496,7 @@ def solve(program: MomentProgram) -> SdpSolution:
                 f"m x m solver array would need {need / 2**30:.1f} GiB, more than "
                 f"the {MAX_SCHUR_BYTES / 2**30:g} GiB cap"
             )
-        raw = solve_lmi(amap.problem, trace=bool(os.environ.get("NONLOCALITY_WB_SDP_TRACE")))
+        raw = solve_lmi(amap.problem)
 
         y_class = amap.y0 + amap.n @ raw.y
         moment_matrix = y_class[program.cell_class]
@@ -528,5 +529,6 @@ def solve(program: MomentProgram) -> SdpSolution:
                 "symmetry_reduced": amap.symmetric,
                 "facially_reduced_size": amap.face_dim,
                 "blas_threads": threads,
+                "iteration_log": raw.log,
             },
         )

@@ -188,6 +188,11 @@ class OptimizerConfig:
     constraint_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is not a count
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:

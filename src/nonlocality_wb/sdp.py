@@ -16,7 +16,10 @@ algorithm is the usual infeasible-start Mehrotra predictor-corrector with the
 HKM direction: linearized complementarity ``dX = sigma*mu*Z^-1 - X -
 X dZ Z^-1`` (symmetrized), Schur complement ``H_ij = tr(F_i X F_j Z^-1)``
 (symmetric positive definite for symmetric data), one Cholesky of ``H`` per
-iteration shared by predictor and corrector.
+iteration shared by predictor and corrector.  X and Z step by one rule
+(``_step``) that cuts the step until the trial has a Cholesky factor; the
+accepted iterate keeps those factors for its ``Z^-1`` and step lengths, so
+every iterate is factored once and every kept iterate is positive definite.
 
 Each block's constraint matrices come as one sparse ``(dim^2, m)`` matrix
 whose column ``k`` is ``vec(F_k)``, and the per-iteration Schur assembly takes
@@ -34,11 +37,14 @@ product of gathered columns, and reads ``H_ik`` for ``i >= k`` off that
 product through one sparse gather (a CSR matrix with one row per variable,
 cut into tails that start every ``_PIECE`` variables), so it fills one
 triangle of ``H`` only, the one LAPACK's Cholesky reads.  The Cholesky
-factor overwrites ``H`` in its own array, so ``H`` is the only ``m x m``
-array the solver holds; the iterative refinement's product ``H dy`` is taken
-block by block as ``<F_i, X M(dy) Z^-1>`` (``LmiProblem.schur_product``),
-and a failed factorization assembles ``H`` again for its retry.  A dense
-block adds its contribution through one transient ``m x m`` product.
+factor overwrites ``H`` in its own array, so on the thin path ``H`` is the
+only ``m x m`` array the solver holds; the iterative refinement's product
+``H dy`` is taken block by block as ``<F_i, X M(dy) Z^-1>``
+(``LmiProblem.schur_product``), and a failed factorization assembles ``H``
+again for its retry.  A dense block also holds one transient ``m x m``
+product, through which it adds its contribution, and up to three
+``(dim^2, m)`` arrays: ``npa 4 --level 2`` (m = 259, blocks 27 + 22) peaks
+at about 7.9 ``m^2`` doubles, where ``npa 6 --level 2`` (thin) peaks at 1.1.
 Problem sizes up to a few hundred rows per block and ~10^4 variables stay
 within desk-scale memory; no sparsity is assumed in ``H`` itself.
 
@@ -58,7 +64,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import sys
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,13 +74,19 @@ STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
 
+# optimal: relative duality gap, scaled primal and dual infeasibility at most
+GAP_TOL = FEAS_TOL = 1e-7
+# LmiSolution.log's columns, one entry per iterate
+LOG_KEYS = ("rel_gap", "primal_infeasibility", "dual_infeasibility", "mu")
+
 # variables per piece: Schur row j is read through the tail of the row gather
 # that starts at its piece, so it gathers the rows i >= j - j % _PIECE
 _PIECE = 64
 # blocks up to this dimension assemble their Schur contribution densely: its
 # 4 m dim^3 flops cost less than the thin path's two calls per variable (the
-# two break even between dimension 27 and 51), and it holds two (dim^2, m)
-# arrays at a time, at most 16 KB per variable
+# two break even between dimension 27 and 51), and it holds up to three
+# (dim^2, m) arrays at a time, two of its own and one of the previous block,
+# at most 24 KB per variable
 _DENSE_DIM = 32
 
 
@@ -90,6 +101,7 @@ class LmiSolution:
     rel_gap: float
     primal_infeasibility: float
     dual_infeasibility: float
+    log: dict[str, list[float]]  # LOG_KEYS -> one value per iterate
 
 
 class LmiProblem:
@@ -161,13 +173,8 @@ class LmiProblem:
 
     def mat(self, y: np.ndarray, include_f0: bool = True) -> list[np.ndarray]:
         """M(y) blocks (or ``sum_k y_k F_k`` when ``include_f0`` is false)."""
-        out = []
-        for f0, s, nb in zip(self.f0, self.scatter, self.dims):
-            m = (s @ y).reshape(nb, nb)
-            if include_f0:
-                m = m + f0
-            out.append(m)
-        return out
+        blocks = [(s @ y).reshape(nb, nb) for s, nb in zip(self.scatter, self.dims)]
+        return [a + f0 for a, f0 in zip(blocks, self.f0)] if include_f0 else blocks
 
     def inner(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         """Vector of ``<F_k, A>`` for block-diagonal symmetric-ish A."""
@@ -302,23 +309,35 @@ def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
 def _chol_blocks(blocks: Sequence[np.ndarray]):
     import scipy.linalg
 
-    out = []
-    for a in blocks:
-        try:
-            out.append(scipy.linalg.cholesky(a, lower=True, check_finite=False))
-        except scipy.linalg.LinAlgError:
-            return None
-    return out
+    try:
+        return [scipy.linalg.cholesky(a, lower=True, check_finite=False) for a in blocks]
+    except scipy.linalg.LinAlgError:
+        return None
 
 
-def solve_lmi(
-    problem: LmiProblem,
-    max_iterations: int = 150,
-    gap_tol: float = 1e-7,
-    feas_tol: float = 1e-7,
-    trace: bool = False,
-) -> LmiSolution:
-    """Run the predictor-corrector iteration on a preprocessed problem."""
+def _step(blocks, chol, direction, gamma: float):
+    """``(alpha, trial, factors)`` of the step from ``blocks = chol chol^T``.
+
+    ``alpha`` starts at ``gamma`` times the step to the cone's boundary,
+    capped at 1, and is cut by 0.7 until the trial factors; None after 12.
+    """
+    alpha = min(1.0, gamma * min(_max_step(l, d) for l, d in zip(chol, direction)))
+    for _ in range(12):
+        trial = [a + alpha * d for a, d in zip(blocks, direction)]
+        factors = _chol_blocks(trial)
+        if factors is not None:
+            return alpha, trial, factors
+        alpha *= 0.7
+    return None
+
+
+def solve_lmi(problem: LmiProblem, max_iterations: int = 150) -> LmiSolution:
+    """Run the predictor-corrector iteration from ``scale * I``, factored once.
+
+    Ends ``optimal`` within ``GAP_TOL`` and ``FEAS_TOL``, or ``infeasible``
+    on divergence; on the iteration cap, a stall or a step with no trial that
+    factors, it returns the best iterate kept, as ``max_iterations``.
+    """
     import scipy.linalg
 
     dims = problem.dims
@@ -329,6 +348,8 @@ def solve_lmi(
     scale = max(10.0, float(np.sqrt(n_total)), float(np.abs(b).max(initial=1.0)))
     x_blocks = [scale * np.eye(nb) for nb in dims]
     z_blocks = [scale * np.eye(nb) for nb in dims]
+    lx = _chol_blocks(x_blocks)
+    lz = _chol_blocks(z_blocks)
     y = np.zeros(m)
 
     f0_norm = 1.0 + np.sqrt(sum(float((f * f).sum()) for f in problem.f0))
@@ -336,14 +357,13 @@ def solve_lmi(
 
     status = STATUS_MAX_ITERATIONS
     it = 0
-    rel_gap = np.inf
-    pinf = dinf = np.inf
+    rel_gap = pinf = dinf = np.inf
+    log: dict[str, list[float]] = {key: [] for key in LOG_KEYS}
     best_score = np.inf
     best_it = 0
-    best = (y, x_blocks, z_blocks, rel_gap, pinf, dinf)
+    best = (y, x_blocks, rel_gap, pinf, dinf)
     for it in range(1, max_iterations + 1):
-        my = problem.mat(y)
-        rd = [mb - zb for mb, zb in zip(my, z_blocks)]  # dual residual matrices
+        rd = [mb - zb for mb, zb in zip(problem.mat(y), z_blocks)]  # dual residual matrices
         rp = -b - problem.inner(x_blocks)  # primal residuals <F_k, X> = -b_k
         gap = sum(float(np.tensordot(xb, zb)) for xb, zb in zip(x_blocks, z_blocks))
         mu = gap / n_total
@@ -354,17 +374,13 @@ def solve_lmi(
         pinf = float(np.linalg.norm(rp)) / b_norm
         dinf = np.sqrt(sum(float((r * r).sum()) for r in rd)) / f0_norm
         score = max(rel_gap, pinf, dinf)
-        if trace:
-            print(
-                f"    it={it:3d} gap={rel_gap:9.2e} pinf={pinf:9.2e} dinf={dinf:9.2e} mu={mu:9.2e}",
-                file=sys.stderr,
-                flush=True,
-            )
+        for key, value in zip(LOG_KEYS, (rel_gap, pinf, dinf, mu)):
+            log[key].append(float(value))
         if score < 0.98 * best_score:
             best_score = score
             best_it = it
-            best = (y.copy(), [xb.copy() for xb in x_blocks], [zb.copy() for zb in z_blocks], rel_gap, pinf, dinf)
-        if rel_gap <= gap_tol and pinf <= feas_tol and dinf <= feas_tol:
+            best = (y, x_blocks, rel_gap, pinf, dinf)
+        if rel_gap <= GAP_TOL and pinf <= FEAS_TOL and dinf <= FEAS_TOL:
             status = STATUS_OPTIMAL
             break
         # a diverging dual iterate / unbounded primal certifies the LMI empty
@@ -375,10 +391,6 @@ def solve_lmi(
         if it - best_it >= 12 or (score > 1e4 * max(best_score, 1e-12) and it > 10):
             break
 
-        lx = _chol_blocks(x_blocks)
-        lz = _chol_blocks(z_blocks)
-        if lx is None or lz is None:
-            break
         zinv = [scipy.linalg.cho_solve((l, True), np.eye(nb), check_finite=False) for l, nb in zip(lz, dims)]
         zinv = [0.5 * (zi + zi.T) for zi in zinv]
 
@@ -402,8 +414,7 @@ def solve_lmi(
             break
 
         a_vec = problem.inner(zinv)
-        xrz = [xb @ rb @ zi for xb, rb, zi in zip(x_blocks, rd, zinv)]
-        g_vec = problem.inner(xrz)
+        g_vec = problem.inner([xb @ rb @ zi for xb, rb, zi in zip(x_blocks, rd, zinv)])
 
         def directions(sigma_mu: float, corr_blocks=None):
             rhs = sigma_mu * a_vec + b - g_vec
@@ -416,13 +427,10 @@ def solve_lmi(
             resid = rhs - problem.schur_product(x_blocks, zinv, dy) - jitter * dy
             dy = dy + scipy.linalg.cho_solve(cho, resid, check_finite=False)
             dz = [rb + sb for rb, sb in zip(rd, problem.mat(dy, include_f0=False))]
-            dx = []
-            for bi in range(len(dims)):
-                t = sigma_mu * zinv[bi] - x_blocks[bi] - x_blocks[bi] @ dz[bi] @ zinv[bi]
-                if corr_blocks is not None:
-                    t = t - corr_blocks[bi]
-                dx.append(0.5 * (t + t.T))
-            return dy, dx, dz
+            dx = [sigma_mu * zi - xb - xb @ dzb @ zi for xb, dzb, zi in zip(x_blocks, dz, zinv)]
+            if corr_blocks is not None:
+                dx = [t - c for t, c in zip(dx, corr_blocks)]
+            return dy, [0.5 * (t + t.T) for t in dx], dz
 
         # predictor (affine scaling)
         dy_aff, dx_aff, dz_aff = directions(0.0)
@@ -438,31 +446,17 @@ def solve_lmi(
         corr = [dxa @ dza @ zi for dxa, dza, zi in zip(dx_aff, dz_aff, zinv)]
         dy, dx, dz = directions(sigma * mu, corr)
 
-        if it <= 2:
-            gamma = 0.9
-        elif best_score < 1e-4:
-            gamma = 0.99
-        else:
-            gamma = 0.98
-        ap = min(1.0, gamma * min(_max_step(l, d) for l, d in zip(lx, dx)))
-        ad = min(1.0, gamma * min(_max_step(l, d) for l, d in zip(lz, dz)))
-
-        for _ in range(12):  # keep iterates safely positive definite
-            x_try = [xb + ap * dxb for xb, dxb in zip(x_blocks, dx)]
-            if _chol_blocks(x_try) is not None:
-                break
-            ap *= 0.7
-        for _ in range(12):
-            z_try = [zb + ad * dzb for zb, dzb in zip(z_blocks, dz)]
-            if _chol_blocks(z_try) is not None:
-                break
-            ad *= 0.7
-        x_blocks = x_try
-        z_blocks = z_try
+        gamma = 0.9 if it <= 2 else 0.99 if best_score < 1e-4 else 0.98
+        x_step = _step(x_blocks, lx, dx, gamma)
+        z_step = _step(z_blocks, lz, dz, gamma) if x_step else None
+        if z_step is None:
+            break  # no trial factors: end on the last accepted iterate
+        _, x_blocks, lx = x_step
+        ad, z_blocks, lz = z_step
         y = y + ad * dy
 
     if status != STATUS_OPTIMAL:
-        y, x_blocks, z_blocks, rel_gap, pinf, dinf = best
+        y, x_blocks, rel_gap, pinf, dinf = best
     return LmiSolution(
         y=y,
         primal_blocks=x_blocks,
@@ -473,4 +467,5 @@ def solve_lmi(
         rel_gap=float(rel_gap),
         primal_infeasibility=float(pinf),
         dual_infeasibility=float(dinf),
+        log=log,
     )

@@ -142,13 +142,15 @@ class TestNpa:
         _, report = run_json(capsys, "npa", "2", "--level", "2")
         assert 0.4139 <= report["outputs"]["upper_bound"] <= 0.41422
 
-    def test_solver_trace_goes_to_stderr(self, capsys, monkeypatch):
-        monkeypatch.setenv("NONLOCALITY_WB_SDP_TRACE", "1")
+    def test_iteration_log_goes_into_the_report(self, capsys):
         code = main(["npa", "2", "--level", "1", "--json"])
         captured = capsys.readouterr()
         assert code == 0
-        assert json.loads(captured.out)["outputs"]["status"] == "optimal"
-        assert "it=" in captured.err
+        assert captured.err == ""
+        diagnostics = json.loads(captured.out)["outputs"]["diagnostics"]
+        log = diagnostics["iteration_log"]
+        assert sorted(log) == ["dual_infeasibility", "mu", "primal_infeasibility", "rel_gap"]
+        assert all(len(column) == diagnostics["iterations"] for column in log.values())
 
     def test_original_paradox_level1(self, capsys):
         code, report = run_json(capsys, "npa", "original", "--level", "1")

@@ -121,6 +121,10 @@ class TestBuildProgram:
             build_program(realigned_hardy(2), 0)
         with pytest.raises(ValidationError):
             build_program(realigned_hardy(2), 4)
+        # bool is an int subclass; True would build a level-1 program
+        for level in (True, False, 2.0):
+            with pytest.raises(ValidationError):
+                build_program(realigned_hardy(2), level)
 
     def test_objective_is_single_moment(self):
         prog = build_program(realigned_hardy(2), 1)

@@ -258,6 +258,14 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValidationError, match="seed"):
             OptimizerConfig(seed=-1)
+        # bool is an int subclass, but not a count
+        for value in (True, 2.0, "3"):
+            with pytest.raises(ValidationError, match="restarts"):
+                OptimizerConfig(restarts=value)
+            with pytest.raises(ValidationError, match="seed"):
+                OptimizerConfig(seed=value)
+        with pytest.raises(ValidationError):
+            OptimizerConfig(restarts=True, seed=True)
         for tol in (0.0, -1e-6, float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="constraint_tol"):
                 OptimizerConfig(restarts=4, constraint_tol=tol)

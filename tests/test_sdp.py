@@ -1,5 +1,6 @@
 import ctypes
 import functools
+import math
 import sys
 import threading
 import tracemalloc
@@ -362,18 +363,86 @@ def test_schur_tails_hold_at_most_twice_the_gather_entries():
         assert sum(owners.values()) <= 2 * g.nnz
 
 
-def test_solver_holds_one_schur_sized_array_at_most():
-    # npa 6 --level 2: m = 1376, so an m x m array is 15 MB; H, factored in
-    # place, is the only one the solver needs at a time
-    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
-    assert problem.m == 1376
+def solve_peak_bytes(problem):
     tracemalloc.start()
     try:
         solve_lmi(problem)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * problem.m**2 * 8
+    return peak
+
+
+def test_solver_holds_one_schur_sized_array_at_most():
+    # npa 6 --level 2: m = 1376, so an m x m array is 15 MB; on the thin path
+    # H, factored in place, is the only one the solver needs at a time
+    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
+    assert problem.m == 1376
+    assert solve_peak_bytes(problem) < 1.25 * problem.m**2 * 8
+
+
+def test_dense_path_holds_two_schur_sized_and_three_block_arrays_at_most():
+    # npa 4 --level 2 (m = 259, blocks 27 + 22) takes the dense path, which
+    # adds a block's contribution to H through one m x m product and holds up
+    # to three (dim^2, m) arrays while it assembles
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
+    m, dim = problem.m, max(problem.dims)
+    assert problem.tails == [None, None]
+    assert solve_peak_bytes(problem) < 8 * (2 * m * m + 3 * dim * dim * m)
+
+
+def test_iterates_keep_the_factors_that_accepted_them(monkeypatch):
+    # the start point and every accepted step are factored once each, X and Z
+    problem = npa._affine_map(npa.build_program(realigned_hardy(2), 3)).problem
+    chol_blocks = sdp._chol_blocks
+    calls = []
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return chol_blocks(blocks)
+
+    monkeypatch.setattr(sdp, "_chol_blocks", counted)
+    sol = solve_lmi(problem)
+    assert sol.status == STATUS_OPTIMAL
+    assert len(calls) == 2 * sol.iterations
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_no_trial_that_factors_ends_on_the_last_accepted_iterate(monkeypatch, k):
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
+    schur = LmiProblem.schur
+    chol_blocks = sdp._chol_blocks
+    assembled = []
+
+    def counted(self, u_blocks, v_blocks):
+        assembled.append(1)
+        return schur(self, u_blocks, v_blocks)
+
+    def fails_from_iteration_k(blocks):
+        # one Schur assembly per iteration; the start point is factored before any
+        return None if len(assembled) >= k else chol_blocks(blocks)
+
+    monkeypatch.setattr(LmiProblem, "schur", counted)
+    monkeypatch.setattr(sdp, "_chol_blocks", fails_from_iteration_k)
+    sol = solve_lmi(problem)
+    assert sol.status == STATUS_MAX_ITERATIONS
+    assert sol.iterations == k
+    assert all(len(column) == k for column in sol.log.values())
+    for x in sol.primal_blocks:
+        scipy.linalg.cholesky(x, lower=True)
+
+
+def test_iteration_log_ends_on_the_reported_iterate():
+    sol = npa.solve(npa.build_program(realigned_hardy(2), 3))
+    assert sol.status == STATUS_OPTIMAL
+    diagnostics = sol.diagnostics
+    log = diagnostics["iteration_log"]
+    assert list(log) == ["rel_gap", "primal_infeasibility", "dual_infeasibility", "mu"]
+    for column in log.values():
+        assert len(column) == diagnostics["iterations"]
+        assert all(math.isfinite(v) for v in column)
+    for key in ("rel_gap", "primal_infeasibility", "dual_infeasibility"):
+        assert log[key][-1] == diagnostics[key]
 
 
 @pytest.mark.parametrize("n,dense", [(4, True), (6, False)])
