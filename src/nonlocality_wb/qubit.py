@@ -33,7 +33,7 @@ restart counts as feasible only if every condition residual ends within
 paradox touches (4 of the 16 probabilities for the original paradox).  Each
 result reports how many restarts ended feasible, how many of those came
 within 1e-6 of the best value, and the objective evaluations made (one per
-row evaluated).
+row evaluated, speculative line-search trials included).
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def behavior_of_model(model: QubitModel) -> Behavior:
     """Born-rule behavior of the model (closed-form evaluation)."""
     scenario = Scenario(model.n_settings)
     n = model.n_settings
-    p = _full_grid(n)(model.as_vector())[0].reshape(n, n, 2, 2)
+    p = _full_grid(n).probabilities(model.as_vector()).reshape(n, n, 2, 2)
     # clip float dust so Behavior validation never trips on exact-zero entries
     p = np.clip(p, 0.0, 1.0)
     p /= p.sum(axis=(2, 3), keepdims=True)
@@ -126,7 +126,8 @@ class _BornTerms:
     ``dalpha`` (w.r.t. ``alpha_x``) and ``dbeta`` (w.r.t. ``beta_y``); the
     derivative w.r.t. any other angle vanishes.  With ``hessian=True`` it also
     returns the second derivatives over (theta, alpha_x, beta_y): ``d2tt``,
-    ``d2ta``, ``d2tb``, ``d2aa``, ``d2ab`` and ``d2bb``.  Every term and every
+    ``d2ta``, ``d2tb``, ``d2aa``, ``d2ab`` and ``d2bb``; ``probabilities``
+    returns ``p`` alone.  Every term and every
     row is computed by the same elementwise operations whatever else is in
     the call, so a value does not depend on which other terms or rows share
     the call.
@@ -140,7 +141,13 @@ class _BornTerms:
         self.sj = np.where(np.asarray(j) == 0, 1.0, -1.0)
         self.sij = self.si * self.sj
 
-    def __call__(self, vec: np.ndarray, hessian: bool = False):
+    def probabilities(self, vec: np.ndarray) -> np.ndarray:
+        """The ``p`` of ``self(vec)`` alone, by the same operations."""
+        return self._probabilities(vec)[0]
+
+    def _probabilities(self, vec: np.ndarray):
+        """``p`` and what its derivatives reuse: the correlator term and the
+        cosines and sines of 2*theta and of each term's 2*alpha_x, 2*beta_y."""
         n, si, sj, sij = self.n, self.si, self.sj, self.sij
         theta, alpha, beta = vec[..., :1], vec[..., 1 : n + 1], vec[..., n + 1 :]
         two_theta = 2 * theta
@@ -149,10 +156,16 @@ class _BornTerms:
         ca, sa = np.cos(two_alpha)[..., self.x], np.sin(two_alpha)[..., self.x]
         cb, sb = np.cos(two_beta)[..., self.y], np.sin(two_beta)[..., self.y]
 
-        # Keep the order of every operation below: the optimizer's iterates,
-        # and so its reported models, depend on the last bit of these values.
+        # Keep the order of every operation here and in __call__: the
+        # optimizer's iterates, and so its reported models, depend on the
+        # last bit of these values.
         corr = ca * cb + s2t * sa * sb
         p = 0.25 * (1.0 + si * (c2t * ca) + sj * (c2t * cb) + sij * corr)
+        return p, corr, c2t, s2t, ca, sa, cb, sb
+
+    def __call__(self, vec: np.ndarray, hessian: bool = False):
+        si, sj, sij = self.si, self.sj, self.sij
+        p, corr, c2t, s2t, ca, sa, cb, sb = self._probabilities(vec)
         dtheta = 0.25 * (
             si * (-2.0 * s2t * ca) + sj * (-2.0 * s2t * cb) + sij * (2.0 * c2t * sa * sb)
         )
@@ -253,7 +266,9 @@ class _PenaltyProblem:
         i, j, x, y = np.array(keys, dtype=np.intp).T
         self.terms = _BornTerms(n, i, j, x - 1, y - 1)
         self.c = np.array([c for items in expressions for _, c in items])
-        segment = np.repeat(np.arange(len(expressions)), [len(items) for items in expressions])
+        self.segment = segment = np.repeat(
+            np.arange(len(expressions)), [len(items) for items in expressions]
+        )
         # a term's jet (value, gradient, Hessian over its angles u) goes to the
         # bins of its expression's jet (value, gradient, Hessian over all angles)
         d = 1 + 2 * n
@@ -283,6 +298,19 @@ class _PenaltyProblem:
         ).reshape(rows, 1 + len(self.targets), -1)
         return flat[..., 0], flat[..., 1 : 1 + d], flat[..., 1 + d :].reshape(rows, -1, d, d)
 
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Value of every expression at each row of X, shape ``(R, E)``.
+
+        Bitwise equal to ``jets(X)[0]``: the same terms, weighted by the same
+        coefficients, are added into each expression in the same term order.
+        """
+        p = self.terms.probabilities(X)
+        rows, width = len(X), 1 + len(self.targets)
+        index = np.arange(rows)[:, None] * width + self.segment
+        return np.bincount(
+            index.ravel(), weights=(p * self.c).ravel(), minlength=rows * width
+        ).reshape(rows, width)
+
 
 #: A feasible restart counts as reaching the best value within this distance.
 _NEAR_BEST_TOL = 1e-6
@@ -299,13 +327,29 @@ _PENALTY_STAGES = 6
 # fails, or after _INNER_ITERS iterations.  Hessian eigenvalues are replaced by
 # max(|lambda|, _EIG_FLOOR), so every step descends, also near saddles; a step
 # moves no angle by more than _MAX_STEP radians, and the Armijo line search
-# halves it at most _BACKTRACKS times.
+# tries the step lengths t = 2**-k for k < _BACKTRACKS, one call per group of
+# _HALVINGS for every row still searching: t = 1 with full jets, the other
+# groups values only.  These speculative trials count as objective
+# evaluations, also those past a row's accepted step.  Splitting k >= 1 at
+# k = 4 keeps rows that accept at t = 1/2 .. 1/8 from paying for 26 more
+# trials; one call for k = 1 .. 29 was slower on optimize 4 and 6.
 _INNER_ITERS = 150
 _FTOL = 1e-15
 _EIG_FLOOR = 1e-8
 _MAX_STEP = 1.0
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
+_HALVINGS = (range(1), range(1, 4), range(4, _BACKTRACKS))
+
+
+def _penalty_value(values: np.ndarray, problem: _PenaltyProblem, mu: float) -> np.ndarray:
+    """Penalty per row from the expression values alone: the value that
+    ``_penalty`` returns with the gradient and Hessian."""
+    f = -values[:, 0]
+    for k, (target, sign) in enumerate(zip(problem.targets, problem.signs), start=1):
+        r = values[:, k] - target
+        f = f + (mu * sign) * r if sign else f + mu * (r * r)
+    return f
 
 
 def _penalty(jets, problem: _PenaltyProblem, mu: float):
@@ -313,18 +357,81 @@ def _penalty(jets, problem: _PenaltyProblem, mu: float):
     ``mu * sign * value`` for a condition that forces its terms to zero, whose
     amplitudes' gradients do not vanish there, else ``mu * r**2``."""
     values, grads, hess = jets
-    f, g, h = -values[:, 0], -grads[:, 0], -hess[:, 0]
+    g, h = -grads[:, 0], -hess[:, 0]
     for k, (target, sign) in enumerate(zip(problem.targets, problem.signs), start=1):
         r, gk = values[:, k] - target, grads[:, k]
         if sign:
-            f = f + (mu * sign) * r
             g = g + (mu * sign) * gk
             h = h + (mu * sign) * hess[:, k]
             continue
-        f = f + mu * (r * r)
         g = g + (2.0 * mu * r)[:, None] * gk
         h = h + 2.0 * mu * (gk[:, :, None] * gk[:, None, :] + r[:, None, None] * hess[:, k])
-    return f, g, h
+    return _penalty_value(values, problem, mu), g, h
+
+
+def _newton_step(problem, jets, active, mu: float):
+    """Penalty value, damped Newton step and its directional derivative at
+    the rows ``active`` whose penalty Hessian is finite; returns those rows
+    with the three.  The Hessians and eigenvectors are freed on return,
+    before the line search evaluates its trials."""
+    f, g, h = _penalty(tuple(a[active] for a in jets), problem, mu)
+    # a penalty that overflowed leaves its row where it is
+    finite = np.isfinite(h).all(axis=(1, 2))
+    active, f, g, h = active[finite], f[finite], g[finite], h[finite]
+    w, V = np.linalg.eigh(h)
+    b = (g[:, None, :] @ V)[:, 0]
+    coef = b / np.maximum(np.abs(w), _EIG_FLOOR)
+    step = -(V @ coef[:, :, None])[..., 0]
+    shrink = _MAX_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_STEP)
+    step *= shrink[:, None]
+    slope = -shrink * (b * coef).sum(axis=1)
+    return active, f, step, slope
+
+
+def _line_search(problem, X, jets, active, f, step, slope, mu: float):
+    """Move each row of ``active`` to its first step length ``2**-k`` that
+    passes the Armijo test, in place, keeping ``jets`` up to date.
+
+    The trials of every row still searching are made in one call per group
+    of ``_HALVINGS``; a row accepts the same step a sequential backtracking
+    search would, since every trial is computed by the same operations
+    whatever other trials share its call.  Returns the penalty after the
+    step (``f`` where none was accepted) and the row evaluations made.
+    """
+    evals, f_new, moved = 0, f.copy(), active[:0]
+    pending = np.flatnonzero(-slope > _FTOL * np.maximum(np.abs(f), 1.0))
+    for halvings in _HALVINGS:
+        if not len(pending):
+            break
+        t = np.ldexp(1.0, -np.array(halvings))
+        idx = active[pending]
+        trial = X[idx, None] + t[:, None] * step[pending, None]
+        flat = trial.reshape(-1, trial.shape[-1])
+        with_jets = halvings[0] == 0  # t = 1: rows that accept keep these jets
+        if with_jets:
+            trial_jets = problem.jets(flat)
+            values = trial_jets[0]
+        else:
+            values = problem.values(flat)
+        f_trial = _penalty_value(values, problem, mu).reshape(len(idx), len(t))
+        evals += f_trial.size
+        ok = f_trial <= f[pending, None] + _ARMIJO * t * slope[pending, None]
+        hit = ok.any(axis=1)
+        first = ok[hit].argmax(axis=1)
+        X[idx[hit]] = trial[hit, first]
+        f_new[pending[hit]] = f_trial[hit, first]
+        if with_jets:
+            for array, new in zip(jets, trial_jets):
+                array[idx[hit]] = new[hit]
+        else:
+            moved = np.concatenate((moved, idx[hit]))
+        pending = pending[~hit]
+    # the jets of every row that accepted a shorter step, in one call
+    if len(moved):
+        for array, new in zip(jets, problem.jets(X[moved])):
+            array[moved] = new
+        evals += len(moved)
+    return f_new, evals
 
 
 def _newton_stage(problem, X, jets, rows, mu: float) -> int:
@@ -333,41 +440,15 @@ def _newton_stage(problem, X, jets, rows, mu: float) -> int:
     ``jets`` holds the expression jets at every row of ``X`` and is kept up
     to date.  Every operation acts on each row alone, so a row's iterates do
     not depend on which other rows are still active.  Returns the number of
-    row evaluations made.
+    row evaluations made, speculative line-search trials included.
     """
     evals, active = 0, rows
     for _ in range(_INNER_ITERS):
         if not len(active):
             break
-        f, g, h = _penalty(tuple(a[active] for a in jets), problem, mu)
-        # a penalty that overflowed leaves its row where it is
-        finite = np.isfinite(h).all(axis=(1, 2))
-        active, f, g, h = active[finite], f[finite], g[finite], h[finite]
-        w, V = np.linalg.eigh(h)
-        b = (g[:, None, :] @ V)[:, 0]
-        coef = b / np.maximum(np.abs(w), _EIG_FLOOR)
-        step = -(V @ coef[:, :, None])[..., 0]
-        shrink = _MAX_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_STEP)
-        step *= shrink[:, None]
-        slope = -shrink * (b * coef).sum(axis=1)
-
-        f_new, t = f.copy(), np.ones(len(active))
-        pending = np.flatnonzero(-slope > _FTOL * np.maximum(np.abs(f), 1.0))
-        for _ in range(_BACKTRACKS):
-            if not len(pending):
-                break
-            idx = active[pending]
-            trial = X[idx] + t[pending, None] * step[pending]
-            trial_jets = problem.jets(trial)
-            evals += len(idx)
-            f_trial = _penalty(trial_jets, problem, mu)[0]
-            ok = f_trial <= f[pending] + _ARMIJO * t[pending] * slope[pending]
-            X[idx[ok]] = trial[ok]
-            for array, new in zip(jets, trial_jets):
-                array[idx[ok]] = new[ok]
-            f_new[pending[ok]] = f_trial[ok]
-            pending = pending[~ok]
-            t[pending] *= 0.5
+        active, f, step, slope = _newton_step(problem, jets, active, mu)
+        f_new, trials = _line_search(problem, X, jets, active, f, step, slope, mu)
+        evals += trials
         scale = np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
         active = active[f - f_new > _FTOL * scale]
     return evals

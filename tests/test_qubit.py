@@ -8,9 +8,21 @@ import pytest
 from nonlocality_wb import qubit
 from nonlocality_wb.hardy import check, original_hardy, realigned_hardy
 from nonlocality_wb.qubit import (
+    _ARMIJO,
+    _BACKTRACKS,
+    _EIG_FLOOR,
+    _FTOL,
+    _HALVINGS,
+    _INNER_ITERS,
+    _MAX_STEP,
+    _PENALTY_GROWTH,
+    _PENALTY_STAGES,
+    _PENALTY_START,
     OptimizerConfig,
     QubitModel,
     _full_grid,
+    _penalty,
+    _penalty_value,
     _PenaltyProblem,
     _screen,
     _starts,
@@ -219,6 +231,33 @@ class TestBatchedBornTerms:
                 np.testing.assert_allclose(fd, hess[r][:, :, k], rtol=0, atol=1e-6)
 
 
+class TestValuesOnlyPenalty:
+    @pytest.mark.parametrize("name", ["original", 2, 4, 6])
+    def test_equals_the_penalty_of_the_jets(self, name):
+        # the line search's values-only trials must accept exactly the steps
+        # that trials with full jets would
+        problem = _PenaltyProblem(paradox_of(name))
+        X = mixed_scale_vectors(np.random.default_rng(15), 60, problem.n)
+        jets = problem.jets(X)
+        values = problem.values(X)
+        assert values.tobytes() == jets[0].tobytes()
+        schedule = [_PENALTY_START * _PENALTY_GROWTH**k for k in range(_PENALTY_STAGES)]
+        for mu in schedule:
+            penalty = _penalty_value(values, problem, mu)
+            assert penalty.tobytes() == _penalty(jets, problem, mu)[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["original", 2, 4, 6])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_penalty_is_equal_too(self, name):
+        problem = _PenaltyProblem(paradox_of(name))
+        X = mixed_scale_vectors(np.random.default_rng(16), 60, problem.n)
+        values, jets = problem.values(X), problem.jets(X)
+        for mu in (1e300 * 1e10, np.finfo(float).max):
+            reference = _penalty(jets, problem, mu)[0]
+            assert not np.isfinite(reference).all()
+            assert _penalty_value(values, problem, mu).tobytes() == reference.tobytes()
+
+
 class TestGradients:
     @pytest.mark.parametrize("n", [2, 4, "original"])
     def test_matches_central_differences(self, n):
@@ -313,12 +352,17 @@ class TestMaximizeHardy:
         assert max(values) - min(values) <= 1e-10
 
     def test_objective_evals_count_jets_rows_without_scipy(self):
+        # rows passed to either evaluation, speculative line-search trials included
         rows = []
-        jets = _PenaltyProblem.jets
+        jets, values = _PenaltyProblem.jets, _PenaltyProblem.values
 
         def counting_jets(problem, X):
             rows.append(len(X))
             return jets(problem, X)
+
+        def counting_values(problem, X):
+            rows.append(len(X))
+            return values(problem, X)
 
         def no_scipy(*args, **kwargs):
             raise AssertionError("the optimizer must not call scipy.optimize.minimize")
@@ -328,8 +372,10 @@ class TestMaximizeHardy:
             lambda: maximize_hardy(realigned_hardy(2), OptimizerConfig(restarts=4)),
         )
         with mock.patch.object(_PenaltyProblem, "jets", counting_jets), mock.patch.object(
-            qubit, "minimize", no_scipy
-        ), mock.patch("scipy.optimize.minimize", no_scipy):
+            _PenaltyProblem, "values", counting_values
+        ), mock.patch.object(qubit, "minimize", no_scipy), mock.patch(
+            "scipy.optimize.minimize", no_scipy
+        ):
             for run in runs:
                 rows.clear()
                 result = run()
@@ -395,3 +441,115 @@ class TestMaximizeHardy:
         lam = float(g @ c) / float(c @ c)
         projected = g - lam * c
         assert np.linalg.norm(projected) <= 1e-4 * (1.0 + np.linalg.norm(g))
+
+
+def sequential_newton_stage(problem, X, jets, rows, mu: float) -> int:
+    """The Newton stage with the sequential backtracking line search the
+    screen used to run, one ``jets`` call per halving, kept verbatim as the
+    oracle of the batched line search."""
+    evals, active = 0, rows
+    for _ in range(_INNER_ITERS):
+        if not len(active):
+            break
+        f, g, h = _penalty(tuple(a[active] for a in jets), problem, mu)
+        # a penalty that overflowed leaves its row where it is
+        finite = np.isfinite(h).all(axis=(1, 2))
+        active, f, g, h = active[finite], f[finite], g[finite], h[finite]
+        w, V = np.linalg.eigh(h)
+        b = (g[:, None, :] @ V)[:, 0]
+        coef = b / np.maximum(np.abs(w), _EIG_FLOOR)
+        step = -(V @ coef[:, :, None])[..., 0]
+        shrink = _MAX_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_STEP)
+        step *= shrink[:, None]
+        slope = -shrink * (b * coef).sum(axis=1)
+
+        f_new, t = f.copy(), np.ones(len(active))
+        pending = np.flatnonzero(-slope > _FTOL * np.maximum(np.abs(f), 1.0))
+        for _ in range(_BACKTRACKS):
+            if not len(pending):
+                break
+            idx = active[pending]
+            trial = X[idx] + t[pending, None] * step[pending]
+            trial_jets = problem.jets(trial)
+            evals += len(idx)
+            f_trial = _penalty(trial_jets, problem, mu)[0]
+            ok = f_trial <= f[pending] + _ARMIJO * t[pending] * slope[pending]
+            X[idx[ok]] = trial[ok]
+            for array, new in zip(jets, trial_jets):
+                array[idx[ok]] = new[ok]
+            f_new[pending[ok]] = f_trial[ok]
+            pending = pending[~ok]
+            t[pending] *= 0.5
+        scale = np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
+        active = active[f - f_new > _FTOL * scale]
+    return evals
+
+
+def screens(problem, cfg, monkeypatch):
+    """``(X, hardy, residuals)`` of the screen with the batched and with the
+    sequential line search, from the same start points."""
+    outcomes = []
+    for stage in (qubit._newton_stage, sequential_newton_stage):
+        monkeypatch.setattr(qubit, "_newton_stage", stage)
+        X = _starts(cfg, 1 + 2 * problem.n)
+        hardy, residuals, _ = _screen(problem, X)
+        outcomes.append((X, hardy, residuals))
+    return outcomes
+
+
+class TestBatchedLineSearch:
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize(
+        "paradox",
+        [original_hardy(), realigned_hardy(2), realigned_hardy(4), merged_original_hardy(1.0),
+         merged_original_hardy(-2.0)],
+        ids=["original", "2", "4", "merged+1", "merged-2"],
+    )
+    def test_iterates_equal_the_sequential_search(self, paradox, seed, monkeypatch):
+        problem = _PenaltyProblem(paradox)
+        batched, sequential = screens(problem, OptimizerConfig(restarts=40, seed=seed), monkeypatch)
+        for ours, oracle in zip(batched, sequential):
+            assert ours.tobytes() == oracle.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_penalty_schedule_equals_the_sequential_search(self, monkeypatch):
+        monkeypatch.setattr(qubit, "_PENALTY_START", 1e300)
+        monkeypatch.setattr(qubit, "_PENALTY_GROWTH", 1e10)
+        problem = _PenaltyProblem(realigned_hardy(2))
+        batched, sequential = screens(problem, OptimizerConfig(restarts=3), monkeypatch)
+        for ours, oracle in zip(batched, sequential):
+            assert ours.tobytes() == oracle.tobytes()
+
+    def test_at_most_three_evaluation_calls_per_newton_iteration_on_average(self, monkeypatch):
+        # one values-only call per group of halvings and one jets call for the
+        # rows that accepted a shortened step replace a jets call per halving
+        jets, values, eigh = _PenaltyProblem.jets, _PenaltyProblem.values, np.linalg.eigh
+        calls = []  # evaluation calls per Newton iteration, one eigh each
+
+        def counting_eigh(h):
+            calls.append(0)
+            return eigh(h)
+
+        def counting(evaluate):
+            def wrapper(problem, X):
+                if calls:
+                    calls[-1] += 1
+                return evaluate(problem, X)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(_PenaltyProblem, "jets", counting(jets))
+        monkeypatch.setattr(_PenaltyProblem, "values", counting(values))
+        cfg = OptimizerConfig(restarts=200, seed=42)
+        per_stage = {}
+        for stage in (qubit._newton_stage, sequential_newton_stage):
+            monkeypatch.setattr(qubit, "_newton_stage", stage)
+            calls.clear()
+            maximize_hardy(original_hardy(), cfg)
+            per_stage[stage] = [count for count in calls if count]
+        batched, sequential = per_stage.values()
+        assert len(batched) == len(sequential)
+        assert sum(sequential) > 10 * len(sequential)
+        assert sum(batched) <= 3 * len(batched)
+        assert max(batched) <= len(_HALVINGS) + 1
