@@ -221,7 +221,9 @@ def certify_hardy_soundness(paradox: "HardyParadox") -> SoundnessReport:
     hi, hj, hx, hy = paradox.hardy_term
     answers[:, hy - 1, 1 - hj] = False
     counterexamples: list[DeterministicStrategy] = []
-    for a in np.flatnonzero(allowed & (alice[:, hx - 1] == hi)):
+    # an Alice strategy some Bob setting has no answer for yields no strategy
+    nonempty = answers.any(axis=2).all(axis=1)
+    for a in np.flatnonzero(allowed & nonempty & (alice[:, hx - 1] == hi)):
         counterexamples.extend(_strategies(alice[a], answers[a]))
 
     return SoundnessReport(

@@ -20,20 +20,24 @@ behavior tensor is that list over the full grid.  The explicit trace form,
 the tests' oracle, agrees with it to machine precision.
 
 Maximization of a paradox's Hardy value subject to its condition equalities
-uses a fixed penalty schedule (10 -> 1e6, factor 10 per stage) and uniform
-multi-start over all angles.  The penalty of a condition that forces its terms
+uses uniform multi-start over all angles, one penalty stage at ``mu = 10``
+and a KKT Newton finish.  The penalty of a condition that forces its terms
 to zero (``hardy.zero_sign``) is ``mu`` times its signed value, a sum of
 squared amplitudes; any other condition's is ``mu`` times its squared
 residual.  One batched screen advances every restart at once as one
-``(restarts, 1 + 2n)`` array of damped Newton steps
-with analytic Hessians; each row stops on its own, so a restart's outcome
-does not depend on the others.  The best feasible row is the result.  A
-restart counts as feasible only if every condition residual ends within
-``constraint_tol``.  The penalty objective evaluates only the terms the
-paradox touches (4 of the 16 probabilities for the original paradox).  Each
-result reports how many restarts ended feasible, how many of those came
-within 1e-6 of the best value, and the objective evaluations made (one per
-row evaluated, speculative line-search trials included).
+``(restarts, 1 + 2n)`` array of damped Newton steps with analytic Hessians.
+The finish then takes full Newton steps on each row's first-order
+conditions, with each forced term's amplitude, and each other condition's
+residual, as an equality constraint, until they hold to ``_KKT_TOL``; a row
+it does not finish keeps its screened point.  Each row stops on its own, so
+a restart's outcome does not depend on the others.  The best feasible row
+is the result.  A restart counts as feasible only if every condition
+residual ends within ``constraint_tol``.  The objective evaluates only the
+terms the paradox touches (4 of the 16 probabilities for the original
+paradox).  Each result reports how many restarts ended feasible, how many
+of those came within 1e-6 of the best value, and the objective evaluations
+made (one per row evaluated by the stage or the finish, speculative
+line-search trials included).
 """
 
 from __future__ import annotations
@@ -127,7 +131,8 @@ class _BornTerms:
     derivative w.r.t. any other angle vanishes.  With ``hessian=True`` it also
     returns the second derivatives over (theta, alpha_x, beta_y): ``d2tt``,
     ``d2ta``, ``d2tb``, ``d2aa``, ``d2ab`` and ``d2bb``; ``probabilities``
-    returns ``p`` alone.  Every term and every
+    returns ``p`` alone, and ``amplitudes`` the same jet of each term's
+    amplitude, whose square is ``p``.  Every term and every
     row is computed by the same elementwise operations whatever else is in
     the call, so a value does not depend on which other terms or rows share
     the call.
@@ -182,6 +187,31 @@ class _BornTerms:
         d2bb = -(sj * (c2t * cb) + sij * corr)
         return p, dtheta, dalpha, dbeta, d2tt, d2ta, d2tb, d2aa, d2ab, d2bb
 
+    def amplitudes(self, vec: np.ndarray):
+        """Amplitude ``A = <u_i(alpha_x) v_j(beta_y)|psi>`` of each term, with
+        ``A**2 = p``, and its derivatives in the order of ``self(vec, True)``.
+
+        ``u_0(a) = (cos a, sin a)`` and ``u_1(a) = (-sin a, cos a)`` are the
+        eigenvectors of ``A(a)``, so ``A = cos(theta) u_0 v_0 + sin(theta) u_1
+        v_1``.  Unlike ``p``, ``A`` has a nonzero gradient where it vanishes.
+        """
+        n = self.n
+        theta, alpha, beta = vec[..., :1], vec[..., 1 : n + 1], vec[..., n + 1 :]
+        ct, st = np.cos(theta), np.sin(theta)
+        ca, sa = np.cos(alpha)[..., self.x], np.sin(alpha)[..., self.x]
+        cb, sb = np.cos(beta)[..., self.y], np.sin(beta)[..., self.y]
+        u0, u1 = np.where(self.si > 0, ca, -sa), np.where(self.si > 0, sa, ca)
+        v0, v1 = np.where(self.sj > 0, cb, -sb), np.where(self.sj > 0, sb, cb)
+        # d/da turns (u_0, u_1) into (-u_1, u_0), and likewise for v
+        amp = ct * u0 * v0 + st * u1 * v1
+        dtheta = -st * u0 * v0 + ct * u1 * v1
+        dalpha = -ct * u1 * v0 + st * u0 * v1
+        dbeta = -ct * u0 * v1 + st * u1 * v0
+        d2ta = st * u1 * v0 + ct * u0 * v1
+        d2tb = st * u0 * v1 + ct * u1 * v0
+        d2ab = ct * u1 * v1 + st * u0 * v0
+        return amp, dtheta, dalpha, dbeta, -amp, d2ta, d2tb, -amp, d2ab, -amp
+
 
 def _full_grid(n: int) -> _BornTerms:
     """Every term of the ``(x, y, i, j)`` behavior tensor, in row-major order."""
@@ -193,8 +223,8 @@ def _full_grid(n: int) -> _BornTerms:
 class OptimizerConfig:
     """Multi-start settings: the number of restarts, the seed of their start
     points, and the largest condition residual a feasible restart may end
-    with.  The penalty schedule is fixed (``_PENALTY_START`` and the
-    constants next to it)."""
+    with.  The penalty stage and the KKT finish are fixed (``_PENALTY_MU``,
+    ``_KKT_ITERS`` and the constants next to them)."""
 
     restarts: int = 200
     seed: int = 42
@@ -279,6 +309,21 @@ class _PenaltyProblem:
         self.jet_bins = segment[:, None] * width + np.concatenate(
             (np.zeros((len(x), 1), dtype=np.intp), 1 + u, hess_bins.reshape(-1, 9)), axis=1
         )
+        # The KKT finish's equality constraints: each term of a condition that
+        # forces its terms to zero as its amplitude, whose gradient does not
+        # vanish there as the probability's does, and any other condition as
+        # its value minus its target.  A repeated condition or term would make
+        # every row's KKT matrix singular, so each is kept once.
+        plain, forced = {}, set()
+        for k, ((expr, target), sign) in enumerate(zip(paradox.conditions, self.signs), start=1):
+            if sign:
+                forced.update(key for key, _ in expr.items())
+            else:
+                plain.setdefault((expr, target), k)
+        self.plain = np.array(list(plain.values()), dtype=np.intp)
+        i, j, x, y = np.array(sorted(forced), dtype=np.intp).reshape(-1, 4).T
+        self.amplitude_terms = _BornTerms(n, i, j, x - 1, y - 1)
+        self.amplitude_u = np.stack((np.zeros_like(x), x, n + y), axis=1)
 
     def jets(self, X: np.ndarray):
         """Values, gradients and Hessians of every expression at each row of X.
@@ -311,16 +356,38 @@ class _PenaltyProblem:
             index.ravel(), weights=(p * self.c).ravel(), minlength=rows * width
         ).reshape(rows, width)
 
+    def constraints(self, X: np.ndarray, jets):
+        """Values, gradients and Hessians of the KKT finish's constraints at
+        each row of X, given the expression jets there: the conditions that
+        are not zero-forcing first, then the forced terms' amplitudes."""
+        values, grads, hess = jets
+        k = self.plain
+        c, J, H = values[:, k] - self.targets[k - 1], grads[:, k], hess[:, k]
+        terms = len(self.amplitude_u)
+        if not terms:
+            return c, J, H
+        parts = np.stack(self.amplitude_terms.amplitudes(X), axis=-1)
+        rows, d = len(X), 1 + 2 * self.n
+        t, u = np.arange(terms)[:, None], self.amplitude_u
+        grad = np.zeros((rows, terms, d))
+        grad[:, t, u] = parts[..., 1:4]
+        hessian = np.zeros((rows, terms, d, d))
+        block = parts[..., [4, 5, 6, 5, 7, 8, 6, 8, 9]].reshape(rows, terms, 3, 3)
+        hessian[:, t[:, :, None], u[:, :, None], u[:, None, :]] = block
+        return (
+            np.concatenate((c, parts[..., 0]), axis=1),
+            np.concatenate((J, grad), axis=1),
+            np.concatenate((H, hessian), axis=1),
+        )
+
 
 #: A feasible restart counts as reaching the best value within this distance.
 _NEAR_BEST_TOL = 1e-6
 
 
-# The penalty schedule: _PENALTY_STAGES stages, the first at mu =
-# _PENALTY_START, each next one at _PENALTY_GROWTH times the last (10 -> 1e6).
-_PENALTY_START = 10.0
-_PENALTY_GROWTH = 10.0
-_PENALTY_STAGES = 6
+# The penalty weight of the screen's one stage.  It only has to bring each row
+# near a constrained maximizer; the KKT finish makes the constraints exact.
+_PENALTY_MU = 10.0
 
 # The batched Newton screen.  A row's stage ends when its Newton decrement or
 # its accepted decrease is at most _FTOL * max(|f|, 1), when its line search
@@ -340,6 +407,13 @@ _MAX_STEP = 1.0
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
 _HALVINGS = (range(1), range(1, 4), range(4, _BACKTRACKS))
+
+# The KKT finish.  Each row takes up to _KKT_ITERS full Newton steps on its
+# first-order conditions and is finished once every entry of their residual
+# is at most _KKT_TOL; a row that is not finished by then keeps its screened
+# point.
+_KKT_ITERS = 8
+_KKT_TOL = 1e-12
 
 
 def _penalty_value(values: np.ndarray, problem: _PenaltyProblem, mu: float) -> np.ndarray:
@@ -454,16 +528,84 @@ def _newton_stage(problem, X, jets, rows, mu: float) -> int:
     return evals
 
 
+def _solve_rows(A: np.ndarray, b: np.ndarray):
+    """Solve ``A[r] x[r] = b[r]`` for each row; returns ``x`` and a mask of
+    the rows whose system is finite and nonsingular and whose ``x`` is finite.
+
+    ``np.linalg.solve`` fails the whole stack on one singular matrix, so
+    then every row is solved alone, by the same LAPACK call on a stack of
+    one: a row's solution does not depend on the other rows.
+    """
+    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    x = np.full(b.shape, np.nan)
+    try:
+        x[ok] = np.linalg.solve(A[ok], b[ok, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        for r in np.flatnonzero(ok):
+            try:
+                x[r] = np.linalg.solve(A[r : r + 1], b[r : r + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                ok[r] = False
+    return x, ok & np.isfinite(x).all(axis=1)
+
+
+def _kkt_finish(problem: _PenaltyProblem, X: np.ndarray, jets) -> int:
+    """Newton's method on every row's first-order conditions for a maximum
+    of the Hardy value f subject to the constraints c = 0 of
+    ``problem.constraints``: ``grad f - J^T lam = 0`` and ``c = 0``.
+
+    The multipliers start from least squares at the screened point.  Each
+    step solves the row's ``(d + K, d + K)`` system ``[[H, J^T], [J, 0]]
+    [dx, -lam_new] = [-grad f, -c]``, with H the Hessian of the Lagrangian
+    ``f - lam . c``.  A row whose residual is within ``_KKT_TOL`` moves to
+    that point, ``jets`` included, in place; any other row, also one whose
+    system is singular or not finite, stays at its screened point.  Returns
+    the row evaluations made.
+    """
+    d = 1 + 2 * problem.n
+    c, J, H = problem.constraints(X, jets)
+    grad = jets[1][:, 0]
+    # least-squares multipliers: (J J^T) lam = J grad f
+    JJt = (J[:, :, None] * J[:, None]).sum(axis=3)
+    lam, ok = _solve_rows(JJt, (J * grad[:, None]).sum(axis=2))
+    active = np.flatnonzero(ok)
+    Z, Z_jets = X[active], tuple(a[active] for a in jets)
+    c, J, H, grad, lam = (a[active] for a in (c, J, H, grad, lam))
+    evals = 0
+    for step in range(_KKT_ITERS + 1):
+        residual = np.concatenate((grad - (lam[:, :, None] * J).sum(axis=1), c), axis=1)
+        done = np.abs(residual).max(axis=1) <= _KKT_TOL
+        X[active[done]] = Z[done]
+        for array, new in zip(jets, Z_jets):
+            array[active[done]] = new[done]
+        keep = ~done
+        if step == _KKT_ITERS or not keep.any():
+            break
+        J = J[keep]
+        K = np.zeros((len(J), d + J.shape[1], d + J.shape[1]))
+        K[:, :d, :d] = Z_jets[2][keep, 0] - (lam[keep, :, None, None] * H[keep]).sum(axis=1)
+        K[:, :d, d:] = J.transpose(0, 2, 1)
+        K[:, d:, :d] = J
+        solution, ok = _solve_rows(K, -np.concatenate((grad[keep], c[keep]), axis=1))
+        active, Z = active[keep][ok], Z[keep][ok] + solution[ok, :d]
+        lam = -solution[ok, d:]
+        if not len(active):
+            break
+        Z_jets = problem.jets(Z)
+        evals += len(Z)
+        c, J, H = problem.constraints(Z, Z_jets)
+        grad = Z_jets[1][:, 0]
+    return evals
+
+
 def _screen(problem: _PenaltyProblem, X: np.ndarray):
-    """Run the penalty schedule from every row of ``X`` at once, in place;
-    returns the rows' Hardy values, condition residuals and evaluations made."""
+    """Run the penalty stage and the KKT finish from every row of ``X`` at
+    once, in place; returns the rows' Hardy values, condition residuals and
+    evaluations made."""
     jets = problem.jets(X)
     evals = len(X)
-    rows = np.arange(len(X))
-    mu = _PENALTY_START
-    for _ in range(_PENALTY_STAGES):
-        evals += _newton_stage(problem, X, jets, rows, mu)
-        mu *= _PENALTY_GROWTH
+    evals += _newton_stage(problem, X, jets, np.arange(len(X)), _PENALTY_MU)
+    evals += _kkt_finish(problem, X, jets)
     return jets[0][:, 0], jets[0][:, 1:] - problem.targets, evals
 
 
@@ -486,9 +628,9 @@ def maximize_hardy(
 
     Multi-start penalty search: every restart draws all angles
     uniformly from [-pi, pi) out of its own ``(seed, restart index)`` stream,
-    and all restarts run the penalty schedule together, one
-    ``(restarts, 1 + 2n)`` array of damped Newton steps; a restart's outcome
-    does not depend on the others.  A restart is feasible if all its condition residuals end
+    and all restarts run the penalty stage and the KKT finish together, one
+    ``(restarts, 1 + 2n)`` array of Newton steps; a restart's outcome does
+    not depend on the others.  A restart is feasible if all its condition residuals end
     within ``cfg.constraint_tol``.  The result is the best feasible restart
     (ties broken by lowest restart index), or the least-infeasible one if
     none is feasible; ``converged`` says whether it is feasible.

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy
+from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realigned_hardy
 from nonlocality_wb.qubit import QubitModel
 from nonlocality_wb.scenario import Behavior, BellExpression, Scenario
 
@@ -12,6 +12,10 @@ REFERENCE_MODEL_2 = QubitModel(0.7968, (-0.1996, 0.5901), (0.1996, -0.5901))
 REFERENCE_MODEL_4 = QubitModel(
     1.0793, (-1.5309, 1.3084, 2.1179, 0.9181), (-1.6107, -1.3084, -2.1179, -0.9181)
 )
+
+#: The n = 2 qubit maximum, from a 60-digit mpmath solve of its KKT conditions
+#: (0.41398960806666891199847731...); no closed form is known.
+QUBIT_VALUE_2 = 0.41398960806666891
 
 
 def jet_components(problem, x: np.ndarray):
@@ -48,3 +52,12 @@ def merged_original_hardy(coeff: float) -> HardyParadox:
     terms = {key: coeff for expr, _ in base.conditions for key, _ in expr.items()}
     condition = Condition(BellExpression(base.scenario, terms), 0.0)
     return replace(base, paradox_id="original-merged", conditions=(condition,))
+
+
+def unattainable_hardy(n: int) -> HardyParadox:
+    """``realigned_hardy(n)`` with its condition pinned one above the sum of
+    its coefficients' magnitudes, a value no behavior reaches."""
+    base = realigned_hardy(n)
+    (expr, _), = base.conditions
+    target = sum(abs(c) for _, c in expr.items()) + 1.0
+    return replace(base, paradox_id=f"unattainable-{n}", conditions=(Condition(expr, target),))

@@ -17,9 +17,20 @@ from pathlib import Path
 import pytest
 
 import nonlocality_wb
-from nonlocality_wb import npa, qubit
+from nonlocality_wb import cli, npa
 from nonlocality_wb.cli import TABLE1_COLUMNS, build_parser, main
+from nonlocality_wb.hardy import ORIGINAL_HARDY_VALUE
 from nonlocality_wb.npa import MAX_LEVEL
+from conftest import QUBIT_VALUE_2, unattainable_hardy
+
+#: (feasible_restarts, restarts_near_best) of ``optimize`` at its default
+#: restart budget, per paradox and seed.
+RESTART_STATISTICS = {
+    "original": {42: (200, 200), 7: (200, 200), 2026: (200, 200)},
+    "2": {42: (200, 200), 7: (200, 200), 2026: (200, 200)},
+    "4": {42: (500, 162), 7: (500, 141), 2026: (500, 143)},
+    "6": {42: (500, 46), 7: (500, 46), 2026: (500, 44)},
+}
 
 
 def run_cli(capsys, *argv):
@@ -85,13 +96,25 @@ class TestOptimize:
         assert report["seed"] == 42
 
     def test_nonconvergence_exits_1(self, capsys, monkeypatch):
-        # a penalty schedule too weak to enforce the condition
-        monkeypatch.setattr(qubit, "_PENALTY_START", 1e-3)
-        monkeypatch.setattr(qubit, "_PENALTY_GROWTH", 1.5)
-        monkeypatch.setattr(qubit, "_PENALTY_STAGES", 1)
+        # a condition no behavior meets, so no restart can end feasible
+        monkeypatch.setattr(cli, "realigned_hardy", unattainable_hardy)
         code, report = run_json(capsys, "optimize", "2", "--seed", "1")
         assert code == 1
         assert report["outputs"]["converged"] is False
+        assert report["outputs"]["feasible_restarts"] == 0
+
+    @pytest.mark.parametrize("seed", [42, 7, 2026])
+    @pytest.mark.parametrize("name", ["original", "2", "4", "6"])
+    def test_exact_values_and_restart_statistics(self, capsys, name, seed):
+        code, report = run_json(capsys, "optimize", name, "--seed", str(seed))
+        out = report["outputs"]
+        assert code == 0
+        assert out["converged"] is True
+        assert max(abs(r) for r in out["condition_residuals"]) <= 1e-12
+        exact = {"original": ORIGINAL_HARDY_VALUE, "2": QUBIT_VALUE_2}.get(name)
+        if exact is not None:
+            assert abs(out["hardy_value"] - exact) <= 1e-12
+        assert (out["feasible_restarts"], out["restarts_near_best"]) == RESTART_STATISTICS[name][seed]
 
     def test_human_output_reports_restart_statistics(self, capsys):
         _, report = run_json(capsys, "optimize", "2")

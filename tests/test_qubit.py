@@ -1,12 +1,19 @@
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from nonlocality_wb import qubit
-from nonlocality_wb.hardy import check, original_hardy, realigned_hardy
+from nonlocality_wb.hardy import (
+    ORIGINAL_HARDY_VALUE,
+    Condition,
+    check,
+    original_hardy,
+    realigned_hardy,
+)
 from nonlocality_wb.qubit import (
     _ARMIJO,
     _BACKTRACKS,
@@ -14,23 +21,31 @@ from nonlocality_wb.qubit import (
     _FTOL,
     _HALVINGS,
     _INNER_ITERS,
+    _KKT_TOL,
     _MAX_STEP,
-    _PENALTY_GROWTH,
-    _PENALTY_STAGES,
-    _PENALTY_START,
     OptimizerConfig,
     QubitModel,
     _full_grid,
+    _kkt_finish,
+    _newton_stage,
     _penalty,
     _penalty_value,
     _PenaltyProblem,
     _screen,
+    _solve_rows,
     _starts,
     behavior_of_model,
     maximize_hardy,
 )
 from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality, evaluate
-from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4, jet_components, merged_original_hardy
+from conftest import (
+    QUBIT_VALUE_2,
+    REFERENCE_MODEL_2,
+    REFERENCE_MODEL_4,
+    jet_components,
+    merged_original_hardy,
+    unattainable_hardy,
+)
 from oracles import behavior_of_model_trace, observable, state_vector
 
 
@@ -241,8 +256,7 @@ class TestValuesOnlyPenalty:
         jets = problem.jets(X)
         values = problem.values(X)
         assert values.tobytes() == jets[0].tobytes()
-        schedule = [_PENALTY_START * _PENALTY_GROWTH**k for k in range(_PENALTY_STAGES)]
-        for mu in schedule:
+        for mu in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
             penalty = _penalty_value(values, problem, mu)
             assert penalty.tobytes() == _penalty(jets, problem, mu)[0].tobytes()
 
@@ -319,8 +333,8 @@ class TestMaximizeHardy:
     def test_realigned_2(self):
         result = maximize_hardy(realigned_hardy(2), OptimizerConfig(restarts=40))
         assert result.converged
-        assert 0.4135 <= result.hardy_value <= 0.4143
-        assert max(abs(r) for r in result.condition_residuals) <= 1e-6
+        assert abs(result.hardy_value - QUBIT_VALUE_2) <= 1e-12
+        assert max(abs(r) for r in result.condition_residuals) <= 1e-12
         assert result.restarts_used == 40
         assert_restart_statistics(result)
 
@@ -332,7 +346,7 @@ class TestMaximizeHardy:
     def test_original(self):
         result = maximize_hardy(original_hardy(), OptimizerConfig(restarts=40))
         assert result.converged
-        assert abs(result.hardy_value - (5 * math.sqrt(5) - 11) / 2) <= 5e-7
+        assert abs(result.hardy_value - ORIGINAL_HARDY_VALUE) <= 1e-12
         assert max(abs(r) for r in result.condition_residuals) <= 1e-12
         assert_restart_statistics(result)
 
@@ -341,7 +355,8 @@ class TestMaximizeHardy:
         # the three zero conditions folded into one same-sign sum pinned at 0
         result = maximize_hardy(merged_original_hardy(coeff), OptimizerConfig(restarts=40))
         assert result.converged
-        assert abs(result.hardy_value - (5 * math.sqrt(5) - 11) / 2) <= 5e-7
+        assert abs(result.hardy_value - ORIGINAL_HARDY_VALUE) <= 1e-12
+        assert max(abs(r) for r in result.condition_residuals) <= 1e-12
 
     @pytest.mark.parametrize("name, restarts", [(2, 40), (4, 60), ("original", 40)])
     def test_value_does_not_depend_on_the_seed(self, name, restarts):
@@ -382,14 +397,17 @@ class TestMaximizeHardy:
                 assert sum(rows) > result.restarts_used
                 assert result.objective_evals == sum(rows)
 
-    @pytest.mark.parametrize("name", ["original", 4])
+    @pytest.mark.parametrize("name", ["original", 2, 4])
     def test_screened_restarts_do_not_depend_on_the_batch(self, name):
+        # the rows leave the screen finished, and the same with or without
+        # the other 160 rows in the batch
         problem = _PenaltyProblem(paradox_of(name))
         d = 1 + 2 * problem.n
         outcomes = []
         for restarts in (40, 200):
             X = _starts(OptimizerConfig(restarts=restarts), d)
             hardy, residuals, _ = _screen(problem, X)
+            assert np.abs(residuals).max() <= 1e-12
             outcomes.append((X[:40], hardy[:40], residuals[:40]))
         for small, large in zip(*outcomes):
             assert np.array_equal(small, large)
@@ -414,21 +432,30 @@ class TestMaximizeHardy:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_penalty_schedule_still_reports(self, monkeypatch):
-        # the penalty reaches inf in the second stage; rows whose penalty
-        # Hessian overflows stay where they are instead of failing eigh
-        monkeypatch.setattr(qubit, "_PENALTY_START", 1e300)
-        monkeypatch.setattr(qubit, "_PENALTY_GROWTH", 1e10)
+        # at this weight the penalty Hessian of two of the three start points
+        # overflows; those rows stay where they are instead of failing eigh
+        monkeypatch.setattr(qubit, "_PENALTY_MU", 3e307)
         result = maximize_hardy(realigned_hardy(2), OptimizerConfig(restarts=3))
         assert result.restarts_used == 3
         assert result.converged == (max(abs(r) for r in result.condition_residuals) <= 1e-6)
 
     def test_weak_penalty_reports_nonconvergence(self, monkeypatch):
-        monkeypatch.setattr(qubit, "_PENALTY_START", 1e-3)
-        monkeypatch.setattr(qubit, "_PENALTY_GROWTH", 1.5)
-        monkeypatch.setattr(qubit, "_PENALTY_STAGES", 1)
+        # without the KKT finish, a row keeps the point of a penalty too weak
+        # to enforce the condition, and the residual test judges it
+        monkeypatch.setattr(qubit, "_PENALTY_MU", 1e-3)
+        monkeypatch.setattr(qubit, "_KKT_ITERS", 0)
         cfg = OptimizerConfig(restarts=2)
         result = maximize_hardy(realigned_hardy(2), cfg)
         assert not result.converged
+        assert max(abs(r) for r in result.condition_residuals) > cfg.constraint_tol
+
+    def test_unattainable_condition_reports_nonconvergence(self):
+        # no behavior meets the condition, so neither the penalty stage nor
+        # the finish can make a restart feasible
+        cfg = OptimizerConfig(restarts=20)
+        result = maximize_hardy(unattainable_hardy(2), cfg)
+        assert not result.converged
+        assert result.feasible_restarts == result.restarts_near_best == 0
         assert max(abs(r) for r in result.condition_residuals) > cfg.constraint_tol
 
     def test_stationarity_at_the_reported_model(self):
@@ -440,7 +467,7 @@ class TestMaximizeHardy:
         g, c = hardy_grad, cond_grads[0]
         lam = float(g @ c) / float(c @ c)
         projected = g - lam * c
-        assert np.linalg.norm(projected) <= 1e-4 * (1.0 + np.linalg.norm(g))
+        assert np.linalg.norm(projected) <= 1e-12 * (1.0 + np.linalg.norm(g))
 
 
 def sequential_newton_stage(problem, X, jets, rows, mu: float) -> int:
@@ -513,8 +540,7 @@ class TestBatchedLineSearch:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_penalty_schedule_equals_the_sequential_search(self, monkeypatch):
-        monkeypatch.setattr(qubit, "_PENALTY_START", 1e300)
-        monkeypatch.setattr(qubit, "_PENALTY_GROWTH", 1e10)
+        monkeypatch.setattr(qubit, "_PENALTY_MU", 3e307)
         problem = _PenaltyProblem(realigned_hardy(2))
         batched, sequential = screens(problem, OptimizerConfig(restarts=3), monkeypatch)
         for ours, oracle in zip(batched, sequential):
@@ -525,6 +551,7 @@ class TestBatchedLineSearch:
         # rows that accepted a shortened step replace a jets call per halving
         jets, values, eigh = _PenaltyProblem.jets, _PenaltyProblem.values, np.linalg.eigh
         calls = []  # evaluation calls per Newton iteration, one eigh each
+        in_finish = []  # the KKT finish's calls belong to no screen iteration
 
         def counting_eigh(h):
             calls.append(0)
@@ -532,15 +559,23 @@ class TestBatchedLineSearch:
 
         def counting(evaluate):
             def wrapper(problem, X):
-                if calls:
+                if calls and not in_finish:
                     calls[-1] += 1
                 return evaluate(problem, X)
 
             return wrapper
 
+        def uncounted_finish(*args):
+            in_finish.append(True)
+            try:
+                return _kkt_finish(*args)
+            finally:
+                in_finish.clear()
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(_PenaltyProblem, "jets", counting(jets))
         monkeypatch.setattr(_PenaltyProblem, "values", counting(values))
+        monkeypatch.setattr(qubit, "_kkt_finish", uncounted_finish)
         cfg = OptimizerConfig(restarts=200, seed=42)
         per_stage = {}
         for stage in (qubit._newton_stage, sequential_newton_stage):
@@ -550,6 +585,134 @@ class TestBatchedLineSearch:
             per_stage[stage] = [count for count in calls if count]
         batched, sequential = per_stage.values()
         assert len(batched) == len(sequential)
-        assert sum(sequential) > 10 * len(sequential)
+        # at mu = 10 few steps backtrack far, so the sequential search makes
+        # only a few more calls (60 against 51 at seed 42)
+        assert sum(batched) < sum(sequential)
         assert sum(batched) <= 3 * len(batched)
         assert max(batched) <= len(_HALVINGS) + 1
+
+
+class TestAmplitudes:
+    @pytest.mark.parametrize("name", ["original", 2, 4, 6])
+    def test_square_is_the_probability(self, name):
+        n = paradox_of(name).scenario.n_settings
+        born = _full_grid(n)
+        X = mixed_scale_vectors(np.random.default_rng(17), 30, n)
+        np.testing.assert_allclose(born.amplitudes(X)[0] ** 2, born.probabilities(X), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["original", 4])
+    def test_derivatives_match_central_differences(self, name):
+        n = paradox_of(name).scenario.n_settings
+        born = _full_grid(n)
+        step = 1e-6
+        for x in mixed_scale_vectors(np.random.default_rng(18), 6, n):
+            amp, at, aa, ab, tt, ta, tb, a2a, a2b, b2b = born.amplitudes(x)
+            gradient = np.array([at, aa, ab])
+            hessian = np.array([[tt, ta, tb], [ta, a2a, a2b], [tb, a2b, b2b]])
+            for row, angles in enumerate((np.zeros_like(born.x), 1 + born.x, 1 + n + born.y)):
+                fd_value = np.empty(len(born.x))
+                fd_grad = np.empty((3, len(born.x)))
+                for t, k in enumerate(angles):
+                    xp, xm = x.copy(), x.copy()
+                    xp[k] += step
+                    xm[k] -= step
+                    plus, minus = born.amplitudes(xp), born.amplitudes(xm)
+                    fd_value[t] = (plus[0][t] - minus[0][t]) / (2 * step)
+                    fd_grad[:, t] = [(p[t] - m[t]) / (2 * step) for p, m in zip(plus[1:4], minus[1:4])]
+                np.testing.assert_allclose(fd_value, gradient[row], rtol=0, atol=1e-8)
+                np.testing.assert_allclose(fd_grad, hessian[row], rtol=0, atol=1e-8)
+
+
+class TestKktFinish:
+    @pytest.mark.parametrize("paradox", [original_hardy(), realigned_hardy(4), merged_original_hardy(-2.0)],
+                             ids=["original", "4", "merged-2"])
+    def test_constraint_jets_match_differences(self, paradox):
+        # each finish constraint's gradient and Hessian against central
+        # differences of its value and gradient
+        problem = _PenaltyProblem(paradox)
+        step = 1e-6
+        for x in mixed_scale_vectors(np.random.default_rng(19), 4, problem.n):
+            c, J, H = (a[0] for a in problem.constraints(x[None], problem.jets(x[None])))
+            assert np.array_equal(H, H.transpose(0, 2, 1))
+            for k in range(len(x)):
+                xp, xm = x.copy(), x.copy()
+                xp[k] += step
+                xm[k] -= step
+                plus = problem.constraints(xp[None], problem.jets(xp[None]))
+                minus = problem.constraints(xm[None], problem.jets(xm[None]))
+                np.testing.assert_allclose((plus[0][0] - minus[0][0]) / (2 * step), J[:, k], atol=1e-8)
+                np.testing.assert_allclose((plus[1][0] - minus[1][0]) / (2 * step), H[:, :, k], atol=1e-8)
+
+    def test_one_constraint_per_forced_term_and_distinct_condition(self):
+        # three one-term zero conditions, or one three-term sum: three
+        # amplitudes; the realigned condition stays one value.  A repeated
+        # condition would make every row's system singular.
+        original, realigned = original_hardy(), realigned_hardy(2)
+        for paradox, plain, amplitudes in (
+            (original, 0, 3),
+            (merged_original_hardy(1.0), 0, 3),
+            (replace(original, conditions=original.conditions * 2), 0, 3),
+            (realigned_hardy(4), 1, 0),
+            (replace(realigned, conditions=realigned.conditions * 2), 1, 0),
+        ):
+            problem = _PenaltyProblem(paradox)
+            assert (len(problem.plain), len(problem.amplitude_u)) == (plain, amplitudes)
+        result = maximize_hardy(replace(realigned, conditions=realigned.conditions * 2),
+                                OptimizerConfig(restarts=8))
+        assert result.converged
+        assert abs(result.hardy_value - QUBIT_VALUE_2) <= 1e-12
+
+    def test_solve_rows_flags_singular_and_non_finite_rows(self):
+        rng = np.random.default_rng(20)
+        A = rng.normal(size=(5, 4, 4))
+        b = rng.normal(size=(5, 4))
+        A[1, :, 2] = 0.0  # singular
+        A[3, 0, 0] = np.nan
+        x, ok = _solve_rows(A, b)
+        assert ok.tolist() == [True, False, True, False, True]
+        for r in (0, 2, 4):
+            assert np.array_equal(x[r], _solve_rows(A[r : r + 1], b[r : r + 1])[0][0])
+            np.testing.assert_allclose(A[r] @ x[r], b[r], atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_singular_or_non_finite_rows_stay_where_they_are(self):
+        # at the all-zero vector every probability's gradient vanishes, so
+        # the n = 2 condition's does and the row's system is singular; a NaN
+        # row's system is not finite.  Neither fails the batch.
+        problem = _PenaltyProblem(realigned_hardy(2))
+        X = _starts(OptimizerConfig(restarts=6), 1 + 2 * problem.n)
+        jets = problem.jets(X)
+        _newton_stage(problem, X, jets, np.arange(len(X)), qubit._PENALTY_MU)
+        alone = (X.copy(), *(a.copy() for a in jets))
+        _kkt_finish(problem, alone[0], alone[1:])
+        X[2] = 0.0
+        X[4] = np.nan
+        jets = problem.jets(X)
+        before = (X.copy(), *(a.copy() for a in jets))
+        _kkt_finish(problem, X, jets)
+        for ours, stuck, finished in zip((X, *jets), before, alone):
+            assert np.array_equal(ours[[2, 4]], stuck[[2, 4]], equal_nan=True)
+            assert np.array_equal(ours[[0, 1, 3, 5]], finished[[0, 1, 3, 5]])
+        assert np.abs(jets[0][[0, 1, 3, 5], 1] - problem.targets[0]).max() <= _KKT_TOL
+
+    def test_a_batch_whose_every_system_is_singular_still_reports(self):
+        # the condition and its double: every row's constraint gradients are
+        # parallel, so no row's system can be solved
+        base = realigned_hardy(2)
+        (expr, target), = base.conditions
+        doubled = BellExpression(base.scenario, {key: 2 * c for key, c in expr.items()})
+        paradox = replace(base, conditions=(Condition(expr, target), Condition(doubled, 2 * target)))
+        result = maximize_hardy(paradox, OptimizerConfig(restarts=4))
+        assert result.restarts_used == 4
+        assert result.converged == (max(abs(r) for r in result.condition_residuals) <= 1e-6)
+
+    def test_unfinished_rows_keep_their_screened_point(self, monkeypatch):
+        # one Newton step does not finish a row from the penalty stage's point
+        monkeypatch.setattr(qubit, "_KKT_ITERS", 1)
+        problem = _PenaltyProblem(original_hardy())
+        X = _starts(OptimizerConfig(restarts=4), 1 + 2 * problem.n)
+        jets = problem.jets(X)
+        _newton_stage(problem, X, jets, np.arange(len(X)), qubit._PENALTY_MU)
+        before = X.copy()
+        assert _kkt_finish(problem, X, jets) == len(X)
+        assert np.array_equal(X, before)
