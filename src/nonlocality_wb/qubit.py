@@ -5,19 +5,21 @@ sin(theta)|11>`` measured with reflections in the X-Z plane,
 
     A(a) = [[cos 2a, sin 2a], [sin 2a, -cos 2a]],
 
-one angle per setting and party.  Outcome probabilities follow the Born rule
-``P(ij|xy) = Tr[(I + (-1)^i A_x)/2 (x) (I + (-1)^j B_y)/2 rho]``, which for
-this family reduces to the closed form
+one angle per setting and party.  The eigenvectors of ``A(a)`` are
+``u_0(a) = (cos a, sin a)`` for outcome 0 and ``u_1(a) = (-sin a, cos a)`` for
+outcome 1, so the amplitude of outcome ``(i, j)`` at settings ``(x, y)`` is
 
-    P(ij|xy) = (1 + (-1)^i c2t*cos 2a_x + (-1)^j c2t*cos 2b_y
-                + (-1)^(i+j) (cos 2a_x cos 2b_y + s2t*sin 2a_x sin 2b_y)) / 4
+    amp(ij|xy) = <u_i(a_x) v_j(b_y)|psi>
+               = cos(theta) u_i(a_x)_0 v_j(b_y)_0 + sin(theta) u_i(a_x)_1 v_j(b_y)_1
 
-with ``c2t = cos 2*theta``, ``s2t = sin 2*theta``.  The closed form is written
-once, per term: it evaluates any list of terms ``(i, j, x, y)`` together with
-the first and, on request, second derivatives w.r.t. theta and the two angles
-the term depends on, at one parameter vector or at a stack of them.  The
-behavior tensor is that list over the full grid.  The explicit trace form,
-the tests' oracle, agrees with it to machine precision.
+with ``v_j`` the same vectors at Bob's angles, and the Born rule gives
+``P(ij|xy) = amp(ij|xy)**2``, which is never negative.  The amplitude is the
+one closed form, written once, per term: it evaluates any list of terms
+``(i, j, x, y)`` together with its first and second derivatives w.r.t. theta
+and the two angles the term depends on, at one parameter vector or at a stack
+of them, and the probabilities and their derivatives follow from it by the
+chain rule.  The behavior tensor is that list over the full grid.  The
+explicit trace form, the tests' oracle, agrees with it to machine precision.
 
 Maximization of a paradox's Hardy value subject to its condition equalities
 uses uniform multi-start over all angles, one penalty stage at ``mu = 10``
@@ -111,99 +113,60 @@ class QubitModel:
 
 
 def behavior_of_model(model: QubitModel) -> Behavior:
-    """Born-rule behavior of the model (closed-form evaluation)."""
-    scenario = Scenario(model.n_settings)
+    """Born-rule behavior of the model: each entry is the square of its
+    term's amplitude, so none is negative, and each distribution sums to one
+    up to rounding."""
     n = model.n_settings
     p = _full_grid(n).probabilities(model.as_vector()).reshape(n, n, 2, 2)
-    # clip float dust so Behavior validation never trips on exact-zero entries
-    p = np.clip(p, 0.0, 1.0)
-    p /= p.sum(axis=(2, 3), keepdims=True)
-    return Behavior(scenario, p)
+    return Behavior(Scenario(n), p)
 
 
 class _BornTerms:
     """Closed-form Born rule for a fixed list of terms ``P(i j | x y)``.
 
-    ``x`` and ``y`` are 0-based setting indices.  A call on a parameter
-    vector, or on an ``(R, 1 + 2n)`` stack of them, returns per term (along
-    the last axis) the probability ``p`` and its derivatives ``dtheta``,
-    ``dalpha`` (w.r.t. ``alpha_x``) and ``dbeta`` (w.r.t. ``beta_y``); the
-    derivative w.r.t. any other angle vanishes.  With ``hessian=True`` it also
-    returns the second derivatives over (theta, alpha_x, beta_y): ``d2tt``,
-    ``d2ta``, ``d2tb``, ``d2aa``, ``d2ab`` and ``d2bb``; ``probabilities``
-    returns ``p`` alone, and ``amplitudes`` the same jet of each term's
-    amplitude, whose square is ``p``.  Every term and every
-    row is computed by the same elementwise operations whatever else is in
-    the call, so a value does not depend on which other terms or rows share
-    the call.
+    ``x`` and ``y`` are 0-based setting indices.  ``amplitudes`` returns,
+    per term (along the last axis), the amplitude ``A`` at a parameter vector
+    or at each row of an ``(R, 1 + 2n)`` stack of them, its derivatives
+    ``dtheta``, ``dalpha`` (w.r.t. ``alpha_x``) and ``dbeta`` (w.r.t.
+    ``beta_y``), and its second derivatives over (theta, alpha_x, beta_y):
+    ``d2tt``, ``d2ta``, ``d2tb``, ``d2aa``, ``d2ab`` and ``d2bb``; the
+    derivative w.r.t. any other angle vanishes.  A call returns the same jet
+    of the probability ``p = A**2`` by the chain rule, and ``probabilities``
+    ``p`` alone.  Every term and every row is computed by the same
+    elementwise operations whatever else is in the call, so a value does not
+    depend on which other terms or rows share the call.
     """
 
     def __init__(self, n: int, i, j, x, y):
         self.n = n
         self.x = np.asarray(x, dtype=np.intp)
         self.y = np.asarray(y, dtype=np.intp)
-        self.si = np.where(np.asarray(i) == 0, 1.0, -1.0)
-        self.sj = np.where(np.asarray(j) == 0, 1.0, -1.0)
-        self.sij = self.si * self.sj
+        self.i0 = np.asarray(i) == 0
+        self.j0 = np.asarray(j) == 0
 
-    def probabilities(self, vec: np.ndarray) -> np.ndarray:
-        """The ``p`` of ``self(vec)`` alone, by the same operations."""
-        return self._probabilities(vec)[0]
-
-    def _probabilities(self, vec: np.ndarray):
-        """``p`` and what its derivatives reuse: the correlator term and the
-        cosines and sines of 2*theta and of each term's 2*alpha_x, 2*beta_y."""
-        n, si, sj, sij = self.n, self.si, self.sj, self.sij
-        theta, alpha, beta = vec[..., :1], vec[..., 1 : n + 1], vec[..., n + 1 :]
-        two_theta = 2 * theta
-        c2t, s2t = np.cos(two_theta), np.sin(two_theta)
-        two_alpha, two_beta = 2 * alpha, 2 * beta
-        ca, sa = np.cos(two_alpha)[..., self.x], np.sin(two_alpha)[..., self.x]
-        cb, sb = np.cos(two_beta)[..., self.y], np.sin(two_beta)[..., self.y]
-
-        # Keep the order of every operation here and in __call__: the
-        # optimizer's iterates, and so its reported models, depend on the
-        # last bit of these values.
-        corr = ca * cb + s2t * sa * sb
-        p = 0.25 * (1.0 + si * (c2t * ca) + sj * (c2t * cb) + sij * corr)
-        return p, corr, c2t, s2t, ca, sa, cb, sb
-
-    def __call__(self, vec: np.ndarray, hessian: bool = False):
-        si, sj, sij = self.si, self.sj, self.sij
-        p, corr, c2t, s2t, ca, sa, cb, sb = self._probabilities(vec)
-        dtheta = 0.25 * (
-            si * (-2.0 * s2t * ca) + sj * (-2.0 * s2t * cb) + sij * (2.0 * c2t * sa * sb)
-        )
-        # d(cos 2a) = -2 sin 2a, d(sin 2a) = 2 cos 2a
-        dalpha = 0.25 * (si * (c2t * -2.0 * sa) + sij * (-2.0 * sa * cb + s2t * (2.0 * ca) * sb))
-        dbeta = 0.25 * (sj * (c2t * -2.0 * sb) + sij * (ca * (-2.0 * sb) + s2t * sa * (2.0 * cb)))
-        if not hessian:
-            return p, dtheta, dalpha, dbeta
-        d2tt = -(si * (c2t * ca) + sj * (c2t * cb) + sij * (s2t * sa * sb))
-        d2ta = si * (s2t * sa) + sij * (c2t * ca * sb)
-        d2tb = sj * (s2t * sb) + sij * (c2t * sa * cb)
-        d2aa = -(si * (c2t * ca) + sij * corr)
-        d2ab = sij * (sa * sb + s2t * ca * cb)
-        d2bb = -(sj * (c2t * cb) + sij * corr)
-        return p, dtheta, dalpha, dbeta, d2tt, d2ta, d2tb, d2aa, d2ab, d2bb
-
-    def amplitudes(self, vec: np.ndarray):
-        """Amplitude ``A = <u_i(alpha_x) v_j(beta_y)|psi>`` of each term, with
-        ``A**2 = p``, and its derivatives in the order of ``self(vec, True)``.
-
-        ``u_0(a) = (cos a, sin a)`` and ``u_1(a) = (-sin a, cos a)`` are the
-        eigenvectors of ``A(a)``, so ``A = cos(theta) u_0 v_0 + sin(theta) u_1
-        v_1``.  Unlike ``p``, ``A`` has a nonzero gradient where it vanishes.
-        """
+    def _amplitude(self, vec: np.ndarray):
+        """``A`` and what its derivatives reuse: cos and sin of theta, and
+        the components of ``u_i(alpha_x)`` and ``v_j(beta_y)``."""
         n = self.n
         theta, alpha, beta = vec[..., :1], vec[..., 1 : n + 1], vec[..., n + 1 :]
         ct, st = np.cos(theta), np.sin(theta)
         ca, sa = np.cos(alpha)[..., self.x], np.sin(alpha)[..., self.x]
         cb, sb = np.cos(beta)[..., self.y], np.sin(beta)[..., self.y]
-        u0, u1 = np.where(self.si > 0, ca, -sa), np.where(self.si > 0, sa, ca)
-        v0, v1 = np.where(self.sj > 0, cb, -sb), np.where(self.sj > 0, sb, cb)
+        u0, u1 = np.where(self.i0, ca, -sa), np.where(self.i0, sa, ca)
+        v0, v1 = np.where(self.j0, cb, -sb), np.where(self.j0, sb, cb)
+        return ct * u0 * v0 + st * u1 * v1, ct, st, u0, u1, v0, v1
+
+    def probabilities(self, vec: np.ndarray) -> np.ndarray:
+        """The ``p`` of ``self(vec)`` alone, by the same operations."""
+        amp = self._amplitude(vec)[0]
+        return amp * amp
+
+    def amplitudes(self, vec: np.ndarray):
+        """Amplitude ``A = <u_i(alpha_x) v_j(beta_y)|psi>`` of each term and
+        its derivatives.  Unlike ``p``, ``A`` has a nonzero gradient where it
+        vanishes."""
+        amp, ct, st, u0, u1, v0, v1 = self._amplitude(vec)
         # d/da turns (u_0, u_1) into (-u_1, u_0), and likewise for v
-        amp = ct * u0 * v0 + st * u1 * v1
         dtheta = -st * u0 * v0 + ct * u1 * v1
         dalpha = -ct * u1 * v0 + st * u0 * v1
         dbeta = -ct * u0 * v1 + st * u1 * v0
@@ -211,6 +174,21 @@ class _BornTerms:
         d2tb = st * u0 * v1 + ct * u1 * v0
         d2ab = ct * u1 * v1 + st * u0 * v0
         return amp, dtheta, dalpha, dbeta, -amp, d2ta, d2tb, -amp, d2ab, -amp
+
+    def __call__(self, vec: np.ndarray):
+        """``p = A**2`` with its derivatives in the order of ``amplitudes``:
+        ``2 A dA`` and ``2 (dA dA^T + A d2A)``, where ``d2A`` has ``-A`` on
+        its diagonal."""
+        amp, at, aa, ab, _, ata, atb, _, aab, _ = self.amplitudes(vec)
+        # Keep the order of every operation here and in _amplitude: the
+        # optimizer's iterates, and so its reported models, depend on the
+        # last bit of these values.
+        p = amp * amp
+        return (
+            p, 2.0 * amp * at, 2.0 * amp * aa, 2.0 * amp * ab,
+            2.0 * (at * at - p), 2.0 * (at * aa + amp * ata), 2.0 * (at * ab + amp * atb),
+            2.0 * (aa * aa - p), 2.0 * (aa * ab + amp * aab), 2.0 * (ab * ab - p),
+        )
 
 
 def _full_grid(n: int) -> _BornTerms:
@@ -312,18 +290,27 @@ class _PenaltyProblem:
         # The KKT finish's equality constraints: each term of a condition that
         # forces its terms to zero as its amplitude, whose gradient does not
         # vanish there as the probability's does, and any other condition as
-        # its value minus its target.  A repeated condition or term would make
-        # every row's KKT matrix singular, so each is kept once.
-        plain, forced = {}, set()
-        for k, ((expr, target), sign) in enumerate(zip(paradox.conditions, self.signs), start=1):
+        # its value minus its target.  Dependent constraints would make every
+        # row's KKT matrix singular, so each forced term is kept once, and any
+        # other condition only if its coefficients raise the rank of those of
+        # the conditions kept before it (a repeat or a scaled copy does not).
+        forced, plain, kept = set(), [], []
+        column = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+        for k, ((expr, _), sign) in enumerate(zip(paradox.conditions, self.signs), start=1):
             if sign:
                 forced.update(key for key, _ in expr.items())
-            else:
-                plain.setdefault((expr, target), k)
-        self.plain = np.array(list(plain.values()), dtype=np.intp)
-        i, j, x, y = np.array(sorted(forced), dtype=np.intp).reshape(-1, 4).T
-        self.amplitude_terms = _BornTerms(n, i, j, x - 1, y - 1)
-        self.amplitude_u = np.stack((np.zeros_like(x), x, n + y), axis=1)
+                continue
+            coefficients = np.zeros(len(column))
+            for key, c in expr.items():
+                coefficients[column[key]] = c
+            if np.linalg.matrix_rank(np.array(kept + [coefficients])) > len(kept):
+                kept.append(coefficients)
+                plain.append(k)
+        self.plain = np.array(plain, dtype=np.intp)
+        forced = sorted(forced)
+        # each forced term's amplitude is read at its first position in terms
+        self.forced = np.array([keys.index(key) for key in forced], dtype=np.intp)
+        self.forced_u = u[self.forced]
 
     def jets(self, X: np.ndarray):
         """Values, gradients and Hessians of every expression at each row of X.
@@ -334,7 +321,7 @@ class _PenaltyProblem:
         into its expression's in term order, so a row's jets depend on that
         row alone.
         """
-        p, dt, da, db, tt, ta, tb, aa, ab, bb = self.terms(X, hessian=True)
+        p, dt, da, db, tt, ta, tb, aa, ab, bb = self.terms(X)
         parts = np.stack((p, dt, da, db, tt, ta, tb, ta, aa, ab, tb, ab, bb), axis=-1)
         rows, size, d = len(X), self.jet_size, 1 + 2 * self.n
         index = np.arange(rows)[:, None, None] * size + self.jet_bins
@@ -363,12 +350,12 @@ class _PenaltyProblem:
         values, grads, hess = jets
         k = self.plain
         c, J, H = values[:, k] - self.targets[k - 1], grads[:, k], hess[:, k]
-        terms = len(self.amplitude_u)
+        terms = len(self.forced)
         if not terms:
             return c, J, H
-        parts = np.stack(self.amplitude_terms.amplitudes(X), axis=-1)
+        parts = np.stack(self.terms.amplitudes(X), axis=-1)[:, self.forced]
         rows, d = len(X), 1 + 2 * self.n
-        t, u = np.arange(terms)[:, None], self.amplitude_u
+        t, u = np.arange(terms)[:, None], self.forced_u
         grad = np.zeros((rows, terms, d))
         grad[:, t, u] = parts[..., 1:4]
         hessian = np.zeros((rows, terms, d, d))

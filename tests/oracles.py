@@ -6,8 +6,8 @@
   responses.
 - The operator-form Born rule: ``behavior_of_model_trace`` and
   ``moment_matrix_of_model`` build probabilities and moment matrices from
-  explicit 2x2 observables and the state vector, where ``qubit`` evaluates a
-  closed form per term.
+  explicit 2x2 observables and the state vector, where ``qubit`` squares a
+  closed-form amplitude per term.
 """
 
 from __future__ import annotations

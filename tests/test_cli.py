@@ -29,7 +29,7 @@ RESTART_STATISTICS = {
     "original": {42: (200, 200), 7: (200, 200), 2026: (200, 200)},
     "2": {42: (200, 200), 7: (200, 200), 2026: (200, 200)},
     "4": {42: (500, 162), 7: (500, 141), 2026: (500, 143)},
-    "6": {42: (500, 46), 7: (500, 46), 2026: (500, 44)},
+    "6": {42: (500, 46), 7: (500, 45), 2026: (500, 44)},
 }
 
 
