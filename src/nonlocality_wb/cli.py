@@ -14,7 +14,9 @@ dump-paradox ...    paradox JSON (optionally with its moment program)
 
 Every command understands ``--json`` (machine-readable run report with a
 stable payload: identical inputs and seed give identical bytes apart from
-``wall_time_ms``); ``table1`` also understands ``--csv``.  Exit codes:
+``wall_time_ms``); ``table1`` also understands ``--csv``.  This module builds
+every schema-v1 document in those reports; the library's result types are
+plain data.  Exit codes:
 0 success / sound, 1 computational non-convergence or failed reproduction,
 2 validation error.
 """
@@ -31,14 +33,17 @@ import time
 from . import __version__
 from .hardy import HardyParadox, check, original_hardy, realigned_hardy
 from .lhv import certify_hardy_soundness, classical_max
-from .npa import MAX_LEVEL, build_program, solve
+from .npa import MAX_LEVEL, MomentProgram, build_program, label, solve
 from .qubit import (
     OptimizerConfig,
     QubitModel,
     behavior_of_model,
     maximize_hardy,
 )
-from .scenario import SCHEMA_VERSION, ValidationError, as_inequality
+from .scenario import ValidationError, as_inequality
+
+#: Version of the run reports and of the JSON documents inside them.
+SCHEMA_VERSION = "1"
 
 #: Reference qubit models reproduced by ``table1``: per setting count, the
 #: optimized parameters reaching the paradox's reference Hardy value.
@@ -72,6 +77,48 @@ def _paradox_from_arg(target: str) -> HardyParadox:
     return realigned_hardy(n)
 
 
+def _document(kind: str, fields: dict) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+
+
+def _paradox_document(paradox: HardyParadox) -> dict:
+    """The ``hardy_paradox`` document; condition terms in canonical order."""
+    conditions = [
+        {"terms": [dict(zip("ijxy", key), coeff=c) for key, c in expr.items()], "target": target}
+        for expr, target in paradox.conditions
+    ]
+    return _document(
+        "hardy_paradox",
+        {
+            "paradox_id": paradox.paradox_id,
+            "n": paradox.scenario.n_settings,
+            "conditions": conditions,
+            "hardy_term": dict(zip("ijxy", paradox.hardy_term)),
+            "reference_value": paradox.quantum_value_reference,
+        },
+    )
+
+
+def _program_document(program: MomentProgram) -> dict:
+    """The ``moment_program`` document; words as labels, ``cell_class`` row-major."""
+    return _document(
+        "moment_program",
+        {
+            "n_settings": program.n_settings,
+            "level": program.level,
+            "description": program.description,
+            "basis": [label(w) for w in program.basis],
+            "class_words": [label(w) for w in program.class_words],
+            "cell_class": program.cell_class.ravel().tolist(),
+            "objective": program.objective.tolist(),
+            "objective_offset": program.objective_offset,
+            "equalities": [
+                {"coefficients": vec.tolist(), "target": rhs} for vec, rhs in program.equalities
+            ],
+        },
+    )
+
+
 def _report(command: str, inputs: dict, outputs: dict, seed=None) -> dict:
     return {
         "command": command,
@@ -102,7 +149,7 @@ def _cmd_classical_bound(args) -> tuple[dict, int, list[str]]:
 def _cmd_certify(args) -> tuple[dict, int, list[str]]:
     paradox = realigned_hardy(args.n)
     report = certify_hardy_soundness(paradox)
-    outputs = report.to_json_dict()
+    outputs = _document("soundness_report", {**dataclasses.asdict(report), "sound": report.sound})
     lines = [
         f"paradox: {report.paradox_id}",
         f"checked {report.checked} strategies, {report.saturating} saturate the condition",
@@ -119,8 +166,8 @@ def _cmd_optimize(args) -> tuple[dict, int, list[str]]:
         OptimizerConfig.default_for(paradox), seed=args.seed, constraint_tol=args.tol
     )
     result = maximize_hardy(paradox, cfg)
-    outputs = result.to_json_dict()
-    outputs["paradox_id"] = paradox.paradox_id
+    fields = {**dataclasses.asdict(result), "paradox_id": paradox.paradox_id}
+    outputs = _document("optimization_result", fields)
     reference = paradox.quantum_value_reference
     lines = [
         f"paradox: {paradox.paradox_id}",
@@ -196,9 +243,9 @@ def _cmd_table1(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_dump_paradox(args) -> tuple[dict, int, list[str]]:
     paradox = _paradox_from_arg(args.paradox)
-    outputs = {"paradox": paradox.to_json_dict()}
+    outputs = {"paradox": _paradox_document(paradox)}
     if args.level is not None:
-        outputs["moment_program"] = build_program(paradox, args.level).to_json_dict()
+        outputs["moment_program"] = _program_document(build_program(paradox, args.level))
     lines = [json.dumps(outputs, indent=2, sort_keys=True)]
     inputs = {"paradox": args.paradox, "level": args.level}
     return _report("dump-paradox", inputs, outputs), 0, lines

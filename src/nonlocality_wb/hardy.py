@@ -24,14 +24,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .scenario import (
-    SCHEMA_VERSION,
     Behavior,
     BellExpression,
     Scenario,
     ScenarioMismatchError,
     TermKey,
     ValidationError,
-    _terms_to_json,
     as_classical_bound,
     as_inequality,
     evaluate,
@@ -75,21 +73,6 @@ class HardyParadox:
                 raise ValidationError(
                     "the Hardy term must not appear in any condition expression"
                 )
-
-    def to_json_dict(self) -> dict:
-        i, j, x, y = self.hardy_term
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "hardy_paradox",
-            "paradox_id": self.paradox_id,
-            "n": self.scenario.n_settings,
-            "conditions": [
-                {"terms": _terms_to_json(expr), "target": target}
-                for expr, target in self.conditions
-            ],
-            "hardy_term": {"i": i, "j": j, "x": x, "y": y},
-            "reference_value": self.quantum_value_reference,
-        }
 
 
 def original_hardy() -> HardyParadox:

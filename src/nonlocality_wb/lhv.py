@@ -21,19 +21,18 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .scenario import (
-    SCHEMA_VERSION,
-    BellExpression,
-    Scenario,
-    TOLERANCES,
-    ValidationError,
-)
+from .scenario import BellExpression, Scenario, ValidationError
 
 if TYPE_CHECKING:
     from .hardy import HardyParadox
 
 #: Largest setting count that bounds and certificates accept.
 MAX_SETTINGS = 12
+
+#: Slack when comparing expression values on deterministic strategies; the
+#: exact values are sums of the coefficients, so this only absorbs float
+#: accumulation order.
+SATURATION_TOL = 1e-12
 
 
 class CapacityError(ValidationError):
@@ -55,9 +54,6 @@ class DeterministicStrategy:
             raise ValidationError("strategy maps must cover the same settings")
         if not all(v in (0, 1) for v in self.a + self.b):
             raise ValidationError("strategy outcomes must be 0 or 1")
-
-    def to_json_dict(self) -> dict:
-        return {"a": list(self.a), "b": list(self.b)}
 
 
 def _check_capacity(scenario: Scenario) -> None:
@@ -91,7 +87,7 @@ def _scores(expr: BellExpression, alice: np.ndarray) -> np.ndarray:
 def _best_responses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per Alice strategy: its best value and the mask of Bob's best answers."""
     top = s.max(axis=2)
-    return top.sum(axis=1), s >= top[:, :, None] - TOLERANCES.saturation
+    return top.sum(axis=1), s >= top[:, :, None] - SATURATION_TOL
 
 
 def _strategies(a: np.ndarray, answers: np.ndarray) -> Iterator[DeterministicStrategy]:
@@ -129,7 +125,7 @@ class ClassicalMax:
 
 def classical_max(expr: BellExpression) -> ClassicalMax:
     """Maximum of ``expr`` over all deterministic strategies, with all
-    maximizers (ties within ``TOLERANCES.saturation``) in enumeration order.
+    maximizers (ties within ``SATURATION_TOL``) in enumeration order.
 
     For fixed Alice outcomes the expression splits over Bob's settings, so the
     maximum is ``max_a sum_y max_j s[a, y, j]`` and the maximizers are, per
@@ -139,7 +135,7 @@ def classical_max(expr: BellExpression) -> ClassicalMax:
     alice = _alice_strategies(expr.scenario.n_settings)
     values, answers = _best_responses(_scores(expr, alice))
     best = values.max()
-    top = values >= best - TOLERANCES.saturation
+    top = values >= best - SATURATION_TOL
     return ClassicalMax(float(best), alice[top], answers[top])
 
 
@@ -164,24 +160,12 @@ class SoundnessReport:
     def sound(self) -> bool:
         return not self.counterexamples
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "soundness_report",
-            "paradox_id": self.paradox_id,
-            "n": self.n,
-            "checked": self.checked,
-            "saturating": self.saturating,
-            "counterexamples": [s.to_json_dict() for s in self.counterexamples],
-            "sound": self.sound,
-        }
-
 
 def certify_hardy_soundness(paradox: "HardyParadox") -> SoundnessReport:
     """Check every deterministic strategy saturating the paradox conditions.
 
     A counterexample is a strategy whose condition values all equal their
-    targets within ``TOLERANCES.saturation`` yet whose Hardy-term probability
+    targets within ``SATURATION_TOL`` yet whose Hardy-term probability
     is 1 (deterministic behaviors only take values 0 or 1 there).
 
     Each target must be its condition's deterministic maximum or minimum, so
@@ -193,7 +177,7 @@ def certify_hardy_soundness(paradox: "HardyParadox") -> SoundnessReport:
     scenario = paradox.scenario
     _check_capacity(scenario)
     n = scenario.n_settings
-    tol = TOLERANCES.saturation
+    tol = SATURATION_TOL
     alice = _alice_strategies(n)
     allowed = np.ones(1 << n, dtype=bool)
     answers = np.ones((1 << n, n, 2), dtype=bool)

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .hardy import HardyParadox, zero_sign
-from .scenario import SCHEMA_VERSION, BellExpression, TermKey, ValidationError
+from .scenario import BellExpression, TermKey, ValidationError
 from .sdp import (
     LmiProblem,
     STATUS_INFEASIBLE,
@@ -131,7 +131,7 @@ class MomentProgram:
     objective_offset: float
     equalities: tuple[tuple[np.ndarray, float], ...]  # first row pins identity
     description: str = ""
-    # terms P(ij|xy) that a condition forces to zero; not part of the JSON
+    # terms P(ij|xy) that a condition forces to zero; not in the moment_program document
     zero_terms: tuple[TermKey, ...] = ()
 
     @property
@@ -141,24 +141,6 @@ class MomentProgram:
     @property
     def n_classes(self) -> int:
         return len(self.class_words)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "moment_program",
-            "n_settings": self.n_settings,
-            "level": self.level,
-            "description": self.description,
-            "basis": [label(w) for w in self.basis],
-            "class_words": [label(w) for w in self.class_words],
-            "cell_class": [int(v) for v in self.cell_class.ravel()],
-            "objective": [float(v) for v in self.objective],
-            "objective_offset": self.objective_offset,
-            "equalities": [
-                {"coefficients": [float(v) for v in vec], "target": rhs}
-                for vec, rhs in self.equalities
-            ],
-        }
 
 
 def _moment_terms(i: int, j: int, x: int, y: int) -> tuple[float, list[tuple[Word, float]]]:

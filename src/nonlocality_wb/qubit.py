@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .hardy import HardyParadox, zero_sign
-from .scenario import SCHEMA_VERSION, Behavior, Scenario, ValidationError
+from .scenario import Behavior, Scenario, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,13 +103,6 @@ class QubitModel:
         if len(vec) != 1 + 2 * n:
             raise ValidationError(f"parameter vector length {len(vec)} is not 1 + 2n")
         return QubitModel(vec[0], tuple(vec[1 : n + 1]), tuple(vec[n + 1 :]))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "alpha": list(self.alpha),
-            "beta": list(self.beta),
-        }
 
 
 def behavior_of_model(model: QubitModel) -> Behavior:
@@ -240,20 +233,6 @@ class OptimizationResult:
     feasible_restarts: int
     restarts_near_best: int
     objective_evals: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "optimization_result",
-            "model": self.model.to_json_dict(),
-            "hardy_value": self.hardy_value,
-            "condition_residuals": list(self.condition_residuals),
-            "restarts_used": self.restarts_used,
-            "feasible_restarts": self.feasible_restarts,
-            "restarts_near_best": self.restarts_near_best,
-            "objective_evals": self.objective_evals,
-            "converged": self.converged,
-        }
 
 
 class _PenaltyProblem:

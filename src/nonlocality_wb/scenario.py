@@ -36,8 +36,6 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-SCHEMA_VERSION = "1"
-
 
 class ValidationError(ValueError):
     """Inputs violate a constructor or operation contract."""
@@ -45,29 +43,6 @@ class ValidationError(ValueError):
 
 class ScenarioMismatchError(ValidationError):
     """Two objects built for different scenarios were combined."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical hygiene knobs, centralized so there is a single dial.
-
-    normalization:
-        Allowed deviation of each per-setting outcome distribution from
-        summing to one.
-    nonnegativity:
-        Most negative probability entry accepted (guards float rounding).
-    saturation:
-        Slack used when comparing integer-coefficient expression values on
-        deterministic behaviors; the exact values are integers, so this only
-        absorbs float accumulation order.
-    """
-
-    normalization: float = 1e-12
-    nonnegativity: float = 1e-12
-    saturation: float = 1e-12
-
-
-TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -87,13 +62,20 @@ class Scenario:
             )
 
 
+#: Largest deviation of a per-setting outcome distribution from summing to
+#: one that a behavior may show.
+NORMALIZATION_TOL = 1e-12
+#: Most negative probability entry a behavior may hold (float rounding).
+NONNEGATIVITY_TOL = 1e-12
+
+
 class Behavior:
     """Conditional probability table ``P(ij|xy)`` for one scenario.
 
     The tensor is stored with axes ``(x, y, i, j)`` (settings 0-based
     internally) and is validated on construction: every per-setting
-    distribution sums to one within ``TOLERANCES.normalization`` and no entry
-    is below ``-TOLERANCES.nonnegativity``.  Instances are immutable.
+    distribution sums to one within ``NORMALIZATION_TOL`` and no entry is
+    below ``-NONNEGATIVITY_TOL``.  Instances are immutable.
     """
 
     __slots__ = ("scenario", "_p")
@@ -107,16 +89,16 @@ class Behavior:
             )
         if not np.all(np.isfinite(arr)):
             raise ValidationError("behavior entries must be finite")
-        if arr.min() < -TOLERANCES.nonnegativity:
+        if arr.min() < -NONNEGATIVITY_TOL:
             raise ValidationError(
                 f"behavior has negative entry {arr.min():.3e} below tolerance"
             )
         sums = arr.sum(axis=(2, 3))
         worst = np.abs(sums - 1.0).max()
-        if worst > TOLERANCES.normalization:
+        if worst > NORMALIZATION_TOL:
             raise ValidationError(
                 f"behavior normalization violated by {worst:.3e} (tolerance "
-                f"{TOLERANCES.normalization:.0e})"
+                f"{NORMALIZATION_TOL:.0e})"
             )
         arr = arr.copy()
         arr.flags.writeable = False
@@ -212,13 +194,6 @@ class BellExpression:
             raise ValidationError(f"term {key} not present in expression")
         rest = {k: v for k, v in self._terms.items() if k != key}
         return BellExpression(self.scenario, rest)
-
-
-def _terms_to_json(expr: BellExpression) -> list[dict]:
-    """The terms as ``[{x, y, i, j, coeff}]`` in canonical order."""
-    return [
-        {"x": x, "y": y, "i": i, "j": j, "coeff": float(c)} for (i, j, x, y), c in expr.items()
-    ]
 
 
 def evaluate(expr: BellExpression, behavior: Behavior) -> float:

@@ -3,15 +3,7 @@ from dataclasses import replace
 import numpy as np
 
 from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realigned_hardy
-from nonlocality_wb.qubit import QubitModel
 from nonlocality_wb.scenario import Behavior, BellExpression, Scenario
-
-# Known-good optimized parameter sets (state angle, Alice angles, Bob angles)
-# reaching the reference Hardy values 0.4140 and 0.7734.
-REFERENCE_MODEL_2 = QubitModel(0.7968, (-0.1996, 0.5901), (0.1996, -0.5901))
-REFERENCE_MODEL_4 = QubitModel(
-    1.0793, (-1.5309, 1.3084, 2.1179, 0.9181), (-1.6107, -1.3084, -2.1179, -0.9181)
-)
 
 #: The n = 2 qubit maximum, from a 60-digit mpmath solve of its KKT conditions
 #: (0.41398960806666891199847731...); no closed form is known.

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from nonlocality_wb.cli import REFERENCE_MODELS
 from nonlocality_wb.hardy import check, original_hardy, realigned_hardy
 from nonlocality_wb.lhv import certify_hardy_soundness, classical_max
 from nonlocality_wb.npa import build_expression_program, build_program, solve
@@ -28,7 +29,7 @@ from nonlocality_wb.scenario import (
     chsh_probability_form,
     evaluate,
 )
-from conftest import REFERENCE_MODEL_2, REFERENCE_MODEL_4, jet_components
+from conftest import jet_components
 from oracles import behavior_of, behavior_of_model_trace, enumerate_strategies
 
 
@@ -118,8 +119,8 @@ def test_criterion_4_reference_model_forward_reproduction():
     t0 = time.perf_counter()
     ok = True
     for n, model, reference in (
-        (2, REFERENCE_MODEL_2, 0.4140),
-        (4, REFERENCE_MODEL_4, 0.7734),
+        (2, REFERENCE_MODELS[2], 0.4140),
+        (4, REFERENCE_MODELS[4], 0.7734),
     ):
         result = check(realigned_hardy(n), behavior_of_model(model), tol=2e-3)
         ok &= record(

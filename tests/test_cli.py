@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,9 @@ import pytest
 import nonlocality_wb
 from nonlocality_wb import cli, npa
 from nonlocality_wb.cli import TABLE1_COLUMNS, build_parser, main
-from nonlocality_wb.hardy import ORIGINAL_HARDY_VALUE
+from nonlocality_wb.hardy import ORIGINAL_HARDY_VALUE, original_hardy, realigned_hardy
 from nonlocality_wb.npa import MAX_LEVEL
+from nonlocality_wb.qubit import OptimizerConfig, maximize_hardy
 from conftest import QUBIT_VALUE_2, unattainable_hardy
 
 #: (feasible_restarts, restarts_near_best) of ``optimize`` at its default
@@ -67,6 +69,13 @@ class TestClassicalBound:
         assert code == 0
         assert "classical bound for n=2: 3" in out
 
+    def test_at_the_cap(self, capsys):
+        code, report = run_json(capsys, "classical-bound", "12")
+        assert code == 0
+        assert report["outputs"] == {
+            "n": 12, "value": 78.0, "maximizer_count": 28672, "strategy_count": 4**12
+        }
+
 
 @pytest.mark.parametrize("command", ["classical-bound", "certify"])
 def test_setting_count_above_the_cap_exits_2(capsys, command):
@@ -81,8 +90,32 @@ class TestCertify:
     def test_sound(self, capsys, n):
         code, report = run_json(capsys, "certify", str(n))
         assert code == 0
-        assert report["outputs"]["sound"] is True
-        assert report["outputs"]["checked"] == 4**n
+        doc = report["outputs"]
+        assert doc["kind"] == "soundness_report"
+        assert doc["paradox_id"] == f"realigned-{n}"
+        assert doc["sound"] is True
+        assert doc["checked"] == 4**n
+        assert doc["counterexamples"] == []
+
+    def test_at_the_cap(self, capsys):
+        code, report = run_json(capsys, "certify", "12")
+        assert code == 0
+        doc = report["outputs"]
+        assert (doc["checked"], doc["saturating"]) == (4**12, 17108)
+        assert doc["sound"] is True
+        assert doc["counterexamples"] == []
+
+    def test_counterexamples(self, capsys, monkeypatch):
+        # the original paradox without its third condition is unsound
+        base = original_hardy()
+        unsound = replace(base, conditions=base.conditions[:2])
+        monkeypatch.setattr(cli, "realigned_hardy", lambda n: unsound)
+        code, report = run_json(capsys, "certify", "2")
+        assert code == 1
+        assert report["outputs"]["sound"] is False
+        assert report["outputs"]["counterexamples"] == [{"a": [0, 1], "b": [0, 0]}]
+        _, text = run_cli(capsys, "certify", "2")
+        assert "counterexamples: 1" in text
 
 
 class TestOptimize:
@@ -90,10 +123,22 @@ class TestOptimize:
         code, report = run_json(capsys, "optimize", "2")
         assert code == 0
         out = report["outputs"]
+        assert out["kind"] == "optimization_result"
+        assert out["paradox_id"] == "realigned-2"
         assert out["converged"] is True
         assert 0.0 <= out["hardy_value"] <= 0.4143
-        assert len(out["model"]["alpha"]) == 2
         assert report["seed"] == 42
+        # the document carries every field of the library's result
+        result = maximize_hardy(realigned_hardy(2), OptimizerConfig())
+        assert out["model"] == {
+            "theta": result.model.theta,
+            "alpha": list(result.model.alpha),
+            "beta": list(result.model.beta),
+        }
+        assert out["condition_residuals"] == list(result.condition_residuals)
+        for key in ("hardy_value", "converged", "restarts_used", "feasible_restarts",
+                    "restarts_near_best", "objective_evals"):
+            assert out[key] == getattr(result, key)
 
     def test_nonconvergence_exits_1(self, capsys, monkeypatch):
         # a condition no behavior meets, so no restart can end feasible
@@ -243,7 +288,11 @@ class TestDumpParadox:
     def test_with_moment_program(self, capsys):
         code, report = run_json(capsys, "dump-paradox", "2", "--level", "1")
         assert code == 0
-        assert report["outputs"]["moment_program"]["basis"] == ["1", "E1", "E2", "F1", "F2"]
+        doc = report["outputs"]["moment_program"]
+        assert doc["kind"] == "moment_program"
+        assert doc["basis"] == ["1", "E1", "E2", "F1", "F2"]
+        assert len(doc["cell_class"]) == 25
+        assert len(doc["equalities"]) == 2
 
     def test_original(self, capsys):
         code, report = run_json(capsys, "dump-paradox", "original")
@@ -263,6 +312,44 @@ class TestDumpParadox:
                 "schema_version": "1",
             }
         }
+
+
+#: The keys of each schema-v1 document; the ``optimization_result`` and
+#: ``soundness_report`` keys are the field names of their result types.
+DOCUMENT_KEYS = {
+    "hardy_paradox": {
+        "schema_version", "kind", "paradox_id", "n", "conditions", "hardy_term", "reference_value"
+    },
+    "soundness_report": {
+        "schema_version", "kind", "paradox_id", "n", "checked", "saturating", "counterexamples",
+        "sound",
+    },
+    "optimization_result": {
+        "schema_version", "kind", "paradox_id", "model", "hardy_value", "condition_residuals",
+        "restarts_used", "converged", "feasible_restarts", "restarts_near_best",
+        "objective_evals",
+    },
+    "moment_program": {
+        "schema_version", "kind", "n_settings", "level", "description", "basis", "class_words",
+        "cell_class", "objective", "objective_offset", "equalities",
+    },
+}
+
+
+def test_document_key_sets(capsys):
+    _, certify = run_json(capsys, "certify", "2")
+    _, optimize = run_json(capsys, "optimize", "original")
+    _, dump = run_json(capsys, "dump-paradox", "2", "--level", "1")
+    docs = [certify["outputs"], optimize["outputs"], *dump["outputs"].values()]
+    assert {doc["kind"]: set(doc) for doc in docs} == DOCUMENT_KEYS
+    assert all(doc["schema_version"] == "1" for doc in docs)
+    paradox = dump["outputs"]["paradox"]
+    assert set(paradox["hardy_term"]) == {"i", "j", "x", "y"}
+    assert {key for condition in paradox["conditions"] for key in condition} == {"terms", "target"}
+    terms = paradox["conditions"][0]["terms"]
+    assert {key for term in terms for key in term} == {"x", "y", "i", "j", "coeff"}
+    equalities = dump["outputs"]["moment_program"]["equalities"]
+    assert {key for row in equalities for key in row} == {"coefficients", "target"}
 
 
 # SHA-256 of the sorted-key JSON of each `dump-paradox --level` payload.  The

@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.sparse
 
 from nonlocality_wb import npa
+from nonlocality_wb.cli import REFERENCE_MODELS
 from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realigned_hardy
 from nonlocality_wb.npa import (
     _affine_map,
@@ -25,7 +26,7 @@ from nonlocality_wb.npa import (
 )
 from nonlocality_wb.qubit import OptimizerConfig, QubitModel, behavior_of_model, maximize_hardy
 from nonlocality_wb.scenario import BellExpression, ValidationError, chsh_probability_form
-from conftest import REFERENCE_MODEL_2, merged_original_hardy
+from conftest import merged_original_hardy
 from oracles import moment_matrix_of_model
 
 ORIGINAL_VALUE = (5 * math.sqrt(5) - 11) / 2
@@ -167,13 +168,6 @@ class TestBuildProgram:
 
     def test_classes_count_level3(self):
         assert build_program(realigned_hardy(4), 3).n_classes == 6157
-
-    def test_json_dump(self):
-        doc = build_program(realigned_hardy(2), 1).to_json_dict()
-        assert doc["kind"] == "moment_program"
-        assert doc["basis"] == ["1", "E1", "E2", "F1", "F2"]
-        assert len(doc["cell_class"]) == 25
-        assert len(doc["equalities"]) == 2
 
 
 class TestSolve:
@@ -416,8 +410,8 @@ class TestAffineMap:
         (c,) = _kernel(prog)
         words = {label(prog.basis[p]): c[p] for p in np.flatnonzero(c)}
         assert words == {"1": 1.0, "E2": -1.0, "F2": -1.0, "E2*F2": 1.0}
-        m = moment_matrix_of_model(REFERENCE_MODEL_2, 2)
-        assert c @ m @ c == pytest.approx(behavior_of_model(REFERENCE_MODEL_2).prob(1, 1, 2, 2), abs=1e-12)
+        m = moment_matrix_of_model(REFERENCE_MODELS[2], 2)
+        assert c @ m @ c == pytest.approx(behavior_of_model(REFERENCE_MODELS[2]).prob(1, 1, 2, 2), abs=1e-12)
 
     @pytest.mark.parametrize("reduced", [True, False])
     @pytest.mark.parametrize("level,face", [(2, 10), (3, 16)])
@@ -489,7 +483,7 @@ class TestModelMomentMatrix:
             assert np.abs(values - means[classes]).max() <= 1e-10
 
     def test_degree_two_moments_match_behavior(self):
-        model = REFERENCE_MODEL_2
+        model = REFERENCE_MODELS[2]
         m = moment_matrix_of_model(model, 1)
         b = behavior_of_model(model)
         # rows: 1, E1, E2, F1, F2; <E_x F_y> = P(00|xy), <E_x> = P(0.|x)

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 from nonlocality_wb import qubit
+from nonlocality_wb.cli import REFERENCE_MODELS
 from nonlocality_wb.hardy import (
     ORIGINAL_HARDY_VALUE,
     Condition,
@@ -40,8 +40,6 @@ from nonlocality_wb.qubit import (
 from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality, evaluate
 from conftest import (
     QUBIT_VALUE_2,
-    REFERENCE_MODEL_2,
-    REFERENCE_MODEL_4,
     jet_components,
     merged_original_hardy,
     unattainable_hardy,
@@ -69,7 +67,7 @@ class TestQubitModel:
         assert m.beta[0] == pytest.approx(-math.pi / 2)
 
     def test_vector_round_trip(self):
-        m = REFERENCE_MODEL_4
+        m = REFERENCE_MODELS[4]
         m2 = QubitModel.from_vector(m.as_vector())
         assert m2 == m
 
@@ -101,17 +99,17 @@ class TestBehaviorOfModel:
         assert b.prob(1, 0, 1, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_model_2(self):
-        result = check(realigned_hardy(2), behavior_of_model(REFERENCE_MODEL_2), tol=2e-3)
+        result = check(realigned_hardy(2), behavior_of_model(REFERENCE_MODELS[2]), tol=2e-3)
         assert result.conditions_met
         assert result.hardy_value == pytest.approx(0.4140, abs=1e-3)
 
     def test_reference_model_4(self):
-        result = check(realigned_hardy(4), behavior_of_model(REFERENCE_MODEL_4), tol=2e-3)
+        result = check(realigned_hardy(4), behavior_of_model(REFERENCE_MODELS[4]), tol=2e-3)
         assert result.conditions_met
         assert result.hardy_value == pytest.approx(0.7734, abs=1e-3)
 
     def test_expression_value_on_reference_model_4(self):
-        value = evaluate(as_inequality(4), behavior_of_model(REFERENCE_MODEL_4))
+        value = evaluate(as_inequality(4), behavior_of_model(REFERENCE_MODELS[4]))
         assert value == pytest.approx(10.0 + 0.7734, abs=1e-3)
 
     def test_closed_form_matches_trace_formula(self):
@@ -430,17 +428,6 @@ class TestMaximizeHardy:
         r2 = maximize_hardy(realigned_hardy(2), cfg)
         assert r1.hardy_value == r2.hardy_value
         assert r1.model == r2.model
-
-    def test_result_json(self):
-        result = maximize_hardy(realigned_hardy(2), OptimizerConfig(restarts=4))
-        doc = result.to_json_dict()
-        assert doc["kind"] == "optimization_result"
-        assert len(doc["model"]["alpha"]) == 2
-        assert isinstance(doc["converged"], bool)
-        assert doc["restarts_used"] == 4
-        for key in ("feasible_restarts", "restarts_near_best", "objective_evals"):
-            assert doc[key] == getattr(result, key)
-        assert json.loads(json.dumps(doc)) == doc
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_penalty_schedule_still_reports(self, monkeypatch):
