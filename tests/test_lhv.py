@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from nonlocality_wb.cli import main
 from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realigned_hardy
 from nonlocality_wb.lhv import (
     SATURATION_TOL,
@@ -267,3 +269,12 @@ class TestSoundness:
         report = certify_hardy_soundness(paradox)
         assert report.checked == 4**paradox.scenario.n_settings
         assert (report.saturating, report.counterexamples) == oracle_soundness(paradox)
+
+    def test_report_json(self, capsys):
+        assert main(["certify", "2", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)["outputs"]
+        assert doc["kind"] == "soundness_report"
+        assert doc["sound"] is True
+        assert doc["checked"] == 16
+        assert doc["paradox_id"] == "realigned-2"
+        assert doc["counterexamples"] == []

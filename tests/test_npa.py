@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse
 
 from nonlocality_wb import npa
-from nonlocality_wb.cli import REFERENCE_MODELS
+from nonlocality_wb.cli import REFERENCE_MODELS, _program_document
 from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realigned_hardy
 from nonlocality_wb.npa import (
     _affine_map,
@@ -168,6 +168,14 @@ class TestBuildProgram:
 
     def test_classes_count_level3(self):
         assert build_program(realigned_hardy(4), 3).n_classes == 6157
+
+    def test_json_dump(self):
+        doc = _program_document(build_program(realigned_hardy(2), 1))
+        assert doc["kind"] == "moment_program"
+        assert doc["basis"] == ["1", "E1", "E2", "F1", "F2"]
+        assert len(doc["cell_class"]) == 25
+        assert len(doc["equalities"]) == 2
+        assert json.loads(json.dumps(doc)) == doc
 
 
 class TestSolve:

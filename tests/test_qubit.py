@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -5,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nonlocality_wb import qubit
+from nonlocality_wb import cli, qubit
 from nonlocality_wb.cli import REFERENCE_MODELS
 from nonlocality_wb.hardy import (
     ORIGINAL_HARDY_VALUE,
@@ -428,6 +429,24 @@ class TestMaximizeHardy:
         r2 = maximize_hardy(realigned_hardy(2), cfg)
         assert r1.hardy_value == r2.hardy_value
         assert r1.model == r2.model
+
+    def test_result_json(self, capsys, monkeypatch):
+        results = []
+
+        def four_restarts(paradox, cfg):
+            results.append(maximize_hardy(paradox, replace(cfg, restarts=4)))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "maximize_hardy", four_restarts)
+        cli.main(["optimize", "2", "--json"])
+        doc = json.loads(capsys.readouterr().out)["outputs"]
+        (result,) = results
+        assert doc["kind"] == "optimization_result"
+        assert len(doc["model"]["alpha"]) == 2
+        assert isinstance(doc["converged"], bool)
+        assert doc["restarts_used"] == 4
+        for key in ("feasible_restarts", "restarts_near_best", "objective_evals"):
+            assert doc[key] == getattr(result, key)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_penalty_schedule_still_reports(self, monkeypatch):
