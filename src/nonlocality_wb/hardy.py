@@ -32,6 +32,7 @@ from .scenario import (
     ValidationError,
     as_classical_bound,
     as_inequality,
+    check_term_key,
     evaluate,
 )
 
@@ -58,10 +59,10 @@ class HardyParadox:
     quantum_value_reference: float | None = None
 
     def __post_init__(self) -> None:
-        i, j, x, y = self.hardy_term
-        n = self.scenario.n_settings
-        if i not in (0, 1) or j not in (0, 1) or not (1 <= x <= n and 1 <= y <= n):
-            raise ValidationError(f"hardy_term {self.hardy_term} is out of range")
+        try:
+            check_term_key(self.hardy_term, self.scenario)
+        except ValidationError as err:
+            raise ValidationError(f"hardy_term {self.hardy_term} is out of range") from err
         for expr, target in self.conditions:
             if expr.scenario != self.scenario:
                 raise ScenarioMismatchError(

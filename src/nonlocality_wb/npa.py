@@ -60,9 +60,8 @@ if TYPE_CHECKING:
 MAX_LEVEL = 3
 
 #: Largest memory, in bytes, that the solver's m x m Schur matrix (factored in
-#: place) may take; a larger program is rejected before it allocates it.  A
-#: block on sdp's dense Schur path also holds one m x m product and up to
-#: three dim^2 x m arrays, which the cap does not count.
+#: place), its one m x m array, may take; a larger program is rejected before
+#: it allocates it.
 MAX_SCHUR_BYTES = 2 * 2**30
 
 

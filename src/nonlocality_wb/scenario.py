@@ -121,6 +121,20 @@ class Behavior:
 TermKey = tuple[int, int, int, int]  # (i, j, x, y)
 
 
+def check_term_key(key: TermKey, scenario: Scenario) -> None:
+    """Raise ``ValidationError`` unless ``key`` is an ``(i, j, x, y)`` of four
+    ints (not bools) with outcomes in ``{0, 1}`` and settings in
+    ``1..n_settings``."""
+    if len(key) != 4 or any(type(v) is not int for v in key):
+        raise ValidationError(f"term key must be four ints (i, j, x, y), got {key!r}")
+    i, j, x, y = key
+    n = scenario.n_settings
+    if i not in (0, 1) or j not in (0, 1):
+        raise ValidationError(f"outcomes must be 0 or 1, got term key {key}")
+    if not (1 <= x <= n and 1 <= y <= n):
+        raise ValidationError(f"settings must lie in 1..{n}, got term key {key}")
+
+
 def _canonical_sort_key(key: TermKey) -> tuple[int, int, int, int]:
     i, j, x, y = key
     return (x, y, i, j)
@@ -146,19 +160,13 @@ class BellExpression:
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[TermKey, float] = {}
-        n = scenario.n_settings
         for key, coeff in items:
-            i, j, x, y = key
-            if i not in (0, 1) or j not in (0, 1):
-                raise ValidationError(f"outcomes must be 0 or 1, got term key {key}")
-            if not (1 <= x <= n and 1 <= y <= n):
-                raise ValidationError(
-                    f"settings must lie in 1..{n}, got term key {key}"
-                )
+            key = tuple(key)
+            check_term_key(key, scenario)
             c = float(coeff)
             if not math.isfinite(c):
                 raise ValidationError(f"coefficient for {key} must be finite, got {coeff}")
-            acc[(i, j, x, y)] = acc.get((i, j, x, y), 0.0) + c
+            acc[key] = acc.get(key, 0.0) + c
         acc = {k: v for k, v in acc.items() if v != 0.0}
         order = tuple(sorted(acc, key=_canonical_sort_key))
         object.__setattr__(self, "scenario", scenario)

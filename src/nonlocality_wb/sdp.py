@@ -22,31 +22,20 @@ accepted iterate keeps those factors for its ``Z^-1`` and step lengths, so
 every iterate is factored once and every kept iterate is positive definite.
 
 Each block's constraint matrices come as one sparse ``(dim^2, m)`` matrix
-whose column ``k`` is ``vec(F_k)``, and the per-iteration Schur assembly takes
-one of two paths per block, chosen from the block's dimension.  A block of
-dimension at most ``_DENSE_DIM`` assembles its whole contribution as
-``G (U kron V) G^T``, where ``G`` is the sparse gather with one row
-``vec(F_i)`` per variable: since every ``F_k`` is symmetric, column ``j`` of
-``(U kron V) G^T`` is ``vec(U F_j V)``, which two BLAS products on the
-densified constraint matrix give for every ``j`` at once, without forming
-``U kron V``.  These are a few array calls per block where the other path
-makes two Python-level calls per variable, and they cost ``4 m dim^3`` flops,
-which at small ``dim`` is less than that per-call overhead.  A larger block
-exploits that each ``F_k`` has few entries by forming ``U F_k V`` as a thin
-product of gathered columns, and reads ``H_ik`` for ``i >= k`` off that
-product through one sparse gather (a CSR matrix with one row per variable,
-cut into tails that start every ``_PIECE`` variables), so it fills one
-triangle of ``H`` only, the one LAPACK's Cholesky reads.  The Cholesky
-factor overwrites ``H`` in its own array, so on the thin path ``H`` is the
-only ``m x m`` array the solver holds; the iterative refinement's product
-``H dy`` is taken block by block as ``<F_i, X M(dy) Z^-1>``
-(``LmiProblem.schur_product``), and a failed factorization assembles ``H``
-again for its retry.  A dense block also holds one transient ``m x m``
-product, through which it adds its contribution, and up to three
-``(dim^2, m)`` arrays: ``npa 4 --level 2`` (m = 259, blocks 27 + 22) peaks
-at about 7.9 ``m^2`` doubles, where ``npa 6 --level 2`` (thin) peaks at 1.1.
-Problem sizes up to a few hundred rows per block and ~10^4 variables stay
-within desk-scale memory; no sparsity is assumed in ``H`` itself.
+whose column ``k`` is ``vec(F_k)``.  The per-iteration Schur assembly uses
+that each ``F_k`` has few entries: it forms ``U F_j V`` as a thin product of
+gathered columns, one batched ``np.matmul`` for a piece of ``_PIECE``
+consecutive variables whose entry lists are padded with zeros to the piece's
+longest, and reads ``H_ij`` for ``i >= j`` off those products through one
+sparse gather (a CSR matrix with one row per variable, cut into tails that
+start at each piece), so it fills one triangle of ``H`` only, the one
+LAPACK's Cholesky reads.  The Cholesky factor overwrites ``H`` in its own
+array, so ``H`` is the only ``m x m`` array the solver holds; the iterative
+refinement's product ``H dy`` is taken block by block as
+``<F_i, X M(dy) Z^-1>`` (``LmiProblem.schur_product``), and a failed
+factorization assembles ``H`` again for its retry.  Problem sizes up to a few
+hundred rows per block and ~10^4 variables stay within desk-scale memory; no
+sparsity is assumed in ``H`` itself.
 
 ``npa.solve`` is the one place that pins every BLAS and LAPACK call to one
 thread (``_single_blas_thread``): at these sizes a second OpenBLAS thread
@@ -79,15 +68,11 @@ GAP_TOL = FEAS_TOL = 1e-7
 # LmiSolution.log's columns, one entry per iterate
 LOG_KEYS = ("rel_gap", "primal_infeasibility", "dual_infeasibility", "mu")
 
-# variables per piece: Schur row j is read through the tail of the row gather
-# that starts at its piece, so it gathers the rows i >= j - j % _PIECE
-_PIECE = 64
-# blocks up to this dimension assemble their Schur contribution densely: its
-# 4 m dim^3 flops cost less than the thin path's two calls per variable (the
-# two break even between dimension 27 and 51), and it holds up to three
-# (dim^2, m) arrays at a time, two of its own and one of the previous block,
-# at most 24 KB per variable
-_DENSE_DIM = 32
+# variables per piece: one batched product forms U F_j V for every variable j
+# of a piece, and its Schur rows read the rows i >= the piece's start through
+# the tail of the row gather that starts there; of 4, 8, 16 and 32, 16
+# assembled npa 4 --level 3 fastest, and a piece's buffers grow with it
+_PIECE = 16
 
 
 @dataclass
@@ -113,11 +98,10 @@ class LmiProblem:
     must be symmetric, so an off-diagonal entry is stored in both
     orientations; duplicate entries are summed.
 
-    A block of dimension at most ``_DENSE_DIM`` assembles its Schur
-    contribution densely and needs nothing beyond the scatter and gather; a
-    larger one also keeps its per-variable entries and the tails of its row
-    gather for the thin-product path (``tails[b]`` is None for a dense
-    block).
+    Each block also keeps, for every piece of ``_PIECE`` variables, their
+    entries padded with zeros to the piece's longest list (``pieces[b]``) and
+    the tail of its row gather from the piece's first variable on
+    (``tails[b]``), which ``schur`` reads.
     """
 
     def __init__(self, f0_blocks: Sequence[np.ndarray], f_blocks: Sequence, b: np.ndarray):
@@ -128,15 +112,14 @@ class LmiProblem:
         self.f0 = [np.asarray(f, dtype=float) for f in f0_blocks]
         self.dims = []
         # per block: the scatter S_b with vec(M_b) = vec(F0_b) + S_b @ y and its
-        # transpose the gather; on the thin path also the per-variable entry
-        # slices and the tails of the row gather R_b[i, col*dim + row] =
-        # F_i[row, col], which reads tr(F_i T) off T.ravel(): tail p holds the
-        # rows i >= p * _PIECE
+        # transpose the gather; per piece the padded (row, col, value) arrays of
+        # its variables and the tail of the row gather R_b[i, col*dim + row] =
+        # F_i[row, col], which reads tr(F_i T) off T.ravel(): the tail of the
+        # piece that starts at variable p holds the rows i >= p
         self.scatter = []
         self.gather = []
-        self.per_var = []
+        self.pieces = []
         self.tails = []
-        self._piece = _PIECE
         for f0, f in zip(self.f0, f_blocks, strict=True):
             if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
                 raise ValueError(f"F0 block of shape {f0.shape} is not square")
@@ -148,27 +131,32 @@ class LmiProblem:
             s.eliminate_zeros()
             # each variable's entries in ascending cell order
             g = s.T.tocsr()
+            rows, cols = np.divmod(g.indices, dim)
+            tail = scipy.sparse.csr_matrix((g.data, cols * dim + rows, g.indptr), shape=(self.m, dim * dim))
+            pieces, tails = [], []
+            for start in range(0, self.m, _PIECE):
+                if start:
+                    # each tail is cut from the previous one's arrays: scipy copies
+                    # a slice shorter than half of its base array, so copies happen
+                    # only at halvings and all tails together hold about twice the
+                    # entries of R_b
+                    cut = tail.indptr[_PIECE]
+                    tail = scipy.sparse.csr_matrix(
+                        (tail.data[cut:], tail.indices[cut:], tail.indptr[_PIECE:] - cut),
+                        shape=(self.m - start, dim * dim),
+                    )
+                tails.append(tail)
+                # the piece's entries, one row per variable, padded with zero
+                # values to its longest list
+                ptr = g.indptr[start : start + _PIECE + 1]
+                at = ptr[:-1, None] + np.arange(np.diff(ptr).max())
+                pad = at >= ptr[1:, None]
+                at[pad] = 0
+                pieces.append((rows[at], cols[at], np.where(pad, 0.0, g.data[at])))
             self.dims.append(dim)
             self.scatter.append(s)
             self.gather.append(g)
-            if dim <= _DENSE_DIM:
-                self.per_var.append(None)
-                self.tails.append(None)
-                continue
-            rows, cols = np.divmod(g.indices, dim)
-            self.per_var.append((g.indptr, rows, cols, g.data))
-            tail = scipy.sparse.csr_matrix((g.data, cols * dim + rows, g.indptr), shape=(self.m, dim * dim))
-            tails = [tail]
-            # each tail is cut from the previous one's arrays: scipy copies a
-            # slice shorter than half of its base array, so copies happen only at
-            # halvings and all tails together hold about twice the entries of R_b
-            for _ in range(self._piece, self.m, self._piece):
-                cut = tail.indptr[self._piece]
-                tail = scipy.sparse.csr_matrix(
-                    (tail.data[cut:], tail.indices[cut:], tail.indptr[self._piece :] - cut),
-                    shape=(tail.shape[0] - self._piece, dim * dim),
-                )
-                tails.append(tail)
+            self.pieces.append(pieces)
             self.tails.append(tails)
 
     def mat(self, y: np.ndarray, include_f0: bool = True) -> list[np.ndarray]:
@@ -189,33 +177,24 @@ class LmiProblem:
         Row ``j`` holds ``H_ij`` for ``i >= j`` in its columns ``>= j``: the
         upper triangle in C order, which is the lower triangle of ``h.T`` that
         LAPACK reads and ``solve_lmi`` factors in place.  The strict lower
-        triangle is left unused.  A block of dimension at most ``_DENSE_DIM``
-        adds its whole ``G (U kron V) G^T`` there; a larger one adds zeros
-        and, within each piece of ``_PIECE`` variables, stray gathered
-        entries.
+        triangle is left unused; within each piece it picks up zeros and
+        stray gathered entries.
         """
         m = self.m
         h = np.zeros((m, m))
-        piece = self._piece
-        for s, g, per_var, tails, u, v, dim in zip(
-            self.scatter, self.gather, self.per_var, self.tails, u_blocks, v_blocks, self.dims
-        ):
-            if tails is None:
-                # t[row, col, j] = (F_j V)[row, col], then t[row, (col, j)] = (U F_j V)[row, col]:
-                # column j of (U kron V) G^T, as V is symmetric
-                t = np.matmul(v, s.toarray().reshape(dim, dim, m))
-                t = u @ t.reshape(dim, dim * m)
-                h += g @ t.reshape(dim * dim, m)
-                continue
-            ptr, rows, cols, vals = per_var
-            for j in range(m):
-                lo, hi = ptr[j], ptr[j + 1]
-                if lo == hi:
-                    continue
-                r, c, w = rows[lo:hi], cols[lo:hi], vals[lo:hi]
-                t = (u[:, r] * w[None, :]) @ v[c, :]  # U F_j V
-                # tr(F_i U F_j V) for every i from the start of j's piece on
-                h[j, j - j % piece :] += tails[j // piece] @ t.ravel()
+        for pieces, tails, u, v in zip(self.pieces, self.tails, u_blocks, v_blocks):
+            # a piece's products and their copy with j running fastest, which the
+            # sparse product reads, in buffers reused from piece to piece: fresh
+            # arrays of this size fault their pages in again for every piece
+            t = np.empty((len(pieces[0][0]) if pieces else 0, *u.shape))
+            x = np.empty((u.size, len(t)))
+            for (r, c, w), tail in zip(pieces, tails):
+                start, n = m - tail.shape[0], len(r)
+                # t[k] = U F_j V for variable j = start + k; padded entries add zeros
+                np.matmul((u[:, r] * w).transpose(1, 0, 2), v[c], out=t[:n])
+                x[:, :n] = t[:n].reshape(n, -1).T
+                # tr(F_i U F_j V) for every i >= start
+                h[start : start + n, start:] += (tail @ x[:, :n]).T
         return h
 
     def schur_product(

@@ -129,6 +129,12 @@ class TestRealignedHardy:
                 hardy_term=base.hardy_term,
             )
 
+    def test_rejects_bad_hardy_terms(self):
+        base = realigned_hardy(2)
+        for key in ((0, 2, 1, 1), (0, 0, 3, 1), (0, 0, 1.5, 1), (True, 0, 1, 1)):
+            with pytest.raises(ValidationError, match="out of range"):
+                HardyParadox("bad", base.scenario, base.conditions, key)
+
 
 class TestCheck:
     def test_uniform_hardy_value(self):

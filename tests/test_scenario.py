@@ -116,6 +116,10 @@ class TestBellExpression:
             BellExpression(s, {(0, 0, 3, 1): 1.0})
         with pytest.raises(ValidationError):
             BellExpression(s, {(0, 0, 1, 1): float("nan")})
+        # a non-int setting or outcome, and a bool one that would print as true
+        for key in ((0, 0, 1.5, 1), (True, 0, 1, 1), (0, 0, 1, np.int64(1)), (0, 0, 1)):
+            with pytest.raises(ValidationError, match="four ints"):
+                BellExpression(s, {key: 1.0})
 
 
 class TestEvaluate:

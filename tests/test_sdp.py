@@ -198,9 +198,7 @@ def dense_trace_schur(m, f_blocks, u_blocks, v_blocks):
     return h
 
 
-def test_schur_matches_dense_trace_and_bincount_assembly(monkeypatch):
-    # a cap of 0 puts every block on the thin-product path
-    monkeypatch.setattr(sdp, "_DENSE_DIM", 0)
+def test_schur_matches_dense_trace_and_bincount_assembly():
     rng = np.random.default_rng(11)
     m, shuffled = random_schur_entries(rng)
     dims = [d for d, _ in shuffled]
@@ -214,18 +212,16 @@ def test_schur_matches_dense_trace_and_bincount_assembly(monkeypatch):
     assert np.array_equal(upper, np.triu(bincount_schur(m, blocks, u, v).T))
 
 
-def test_schur_does_not_depend_on_entry_order(monkeypatch):
+def test_schur_does_not_depend_on_entry_order():
     rng = np.random.default_rng(11)
     m, shuffled = random_schur_entries(rng)
     dims = [dim for dim, _ in shuffled]
     f0 = [np.zeros((d, d)) for d in dims]
     u = [random_spd(rng, d) for d in dims]
     v = [random_spd(rng, d) for d in dims]
-    for dense_dim in (sdp._DENSE_DIM, 0):  # both blocks dense, then both thin
-        monkeypatch.setattr(sdp, "_DENSE_DIM", dense_dim)
-        h_shuffled = LmiProblem(f0, [block(d, m, e) for d, e in shuffled], np.zeros(m)).schur(u, v)
-        h_sorted = LmiProblem(f0, [block(d, m, sorted(e)) for d, e in shuffled], np.zeros(m)).schur(u, v)
-        assert np.array_equal(h_shuffled, h_sorted)
+    h_shuffled = LmiProblem(f0, [block(d, m, e) for d, e in shuffled], np.zeros(m)).schur(u, v)
+    h_sorted = LmiProblem(f0, [block(d, m, sorted(e)) for d, e in shuffled], np.zeros(m)).schur(u, v)
+    assert np.array_equal(h_shuffled, h_sorted)
 
 
 def test_problem_rejects_misshapen_blocks():
@@ -265,7 +261,6 @@ def schur_inputs(problem, seed):
 
 @pytest.mark.parametrize("n,level", [(2, 3), (4, 2)])
 def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, level):
-    monkeypatch.setattr(sdp, "_DENSE_DIM", 0)  # the thin-product path on every block
     problem, blocks = recorded_npa_problem(monkeypatch, n, level)
     u, v = schur_inputs(problem, n + level)
     upper = np.triu(problem.schur(u, v))
@@ -273,14 +268,13 @@ def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, 
 
 
 def test_schur_triangle_does_not_depend_on_piece_length(monkeypatch):
-    monkeypatch.setattr(sdp, "_DENSE_DIM", 0)  # the thin-product path on every block
     _, blocks = recorded_npa_problem(monkeypatch, 2, 3)
     m = blocks[0].shape[1]
     triangles = []
     for piece in (1, 7, m):
         monkeypatch.setattr(sdp, "_PIECE", piece)
         problem = npa._affine_map(npa.build_program(realigned_hardy(2), 3)).problem
-        assert len(problem.tails[0]) == -(-m // piece)
+        assert len(problem.tails[0]) == len(problem.pieces[0]) == -(-m // piece)
         u, v = schur_inputs(problem, 5)
         triangles.append(np.triu(problem.schur(u, v)))
     assert all(np.array_equal(t, triangles[0]) for t in triangles[1:])
@@ -295,40 +289,19 @@ def test_dense_schur_matches_dense_trace_on_random_blocks(monkeypatch):
     u = [random_spd(rng, d) for d in dims]
     v = [random_spd(rng, d) for d in dims]
     oracle = dense_trace_schur(m, blocks, u, v)
-    # both blocks dense, then the 4-row block dense next to the 5-row thin one
-    for dense_dim, dense in ((sdp._DENSE_DIM, [True, True]), (4, [False, True])):
-        monkeypatch.setattr(sdp, "_DENSE_DIM", dense_dim)
+    # at one variable per piece, variable 5's piece of the second block has no entry
+    for piece in (1, 4, sdp._PIECE):
+        monkeypatch.setattr(sdp, "_PIECE", piece)
         problem = LmiProblem([np.zeros((d, d)) for d in dims], blocks, np.zeros(m))
-        assert [tails is None for tails in problem.tails] == dense
         assert np.abs(np.triu(problem.schur(u, v) - oracle)).max() <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("n,level", [(2, 3), (4, 2), ("original", 3)])
 def test_dense_schur_matches_dense_trace_on_npa_programs(monkeypatch, n, level):
     problem, blocks = recorded_npa_problem(monkeypatch, n, level)
-    assert all(tails is None for tails in problem.tails)
     u, v = schur_inputs(problem, 3)
     oracle = dense_trace_schur(problem.m, blocks, u, v)
     assert np.abs(np.triu(problem.schur(u, v) - oracle)).max() <= 1e-12 * np.abs(oracle).max()
-
-
-def test_block_dimension_picks_the_schur_path():
-    small = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
-    large = npa._affine_map(npa.build_program(realigned_hardy(4), 3)).problem
-    assert max(small.dims) <= sdp._DENSE_DIM < min(large.dims)
-    assert small.tails == [None, None]
-    assert all(len(tails) == -(-large.m // sdp._PIECE) for tails in large.tails)
-
-
-def test_solve_does_not_depend_on_the_schur_path(monkeypatch):
-    program = npa.build_program(realigned_hardy(4), 2)
-    dense = solve_lmi(npa._affine_map(program).problem)
-    monkeypatch.setattr(sdp, "_DENSE_DIM", 0)
-    thin = solve_lmi(npa._affine_map(program).problem)
-    assert dense.status == thin.status == STATUS_OPTIMAL
-    assert dense.iterations == thin.iterations
-    assert abs(dense.objective - thin.objective) <= 1e-9
-    assert abs(dense.primal_objective - thin.primal_objective) <= 1e-9
 
 
 def test_solver_reads_only_the_schur_triangle(monkeypatch):
@@ -354,13 +327,17 @@ def test_schur_tails_hold_at_most_twice_the_gather_entries():
     # scipy copies a CSR slice shorter than half of its base array; the tails
     # are cut from each other, so their entries fit in about twice the gather's
     problem = npa._affine_map(npa.build_program(realigned_hardy(4), 3)).problem
-    for tails, g in zip(problem.tails, problem.gather):
+    for pieces, tails, g in zip(problem.pieces, problem.tails, problem.gather):
         assert len(tails) == -(-problem.m // sdp._PIECE)
         owners = {}
         for t in tails:
             base = t.data if t.data.base is None else t.data.base
             owners[id(base)] = base.size
         assert sum(owners.values()) <= 2 * g.nnz
+        # the padded entries of a piece add at most as many zeros as it has entries
+        assert len(pieces) == len(tails)
+        assert all(r.dtype == c.dtype == np.int32 for r, c, _ in pieces)
+        assert sum(w.size for _, _, w in pieces) <= 2 * g.nnz
 
 
 def solve_peak_bytes(problem):
@@ -374,21 +351,13 @@ def solve_peak_bytes(problem):
 
 
 def test_solver_holds_one_schur_sized_array_at_most():
-    # npa 6 --level 2: m = 1376, so an m x m array is 15 MB; on the thin path
-    # H, factored in place, is the only one the solver needs at a time
-    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
-    assert problem.m == 1376
-    assert solve_peak_bytes(problem) < 1.25 * problem.m**2 * 8
-
-
-def test_dense_path_holds_two_schur_sized_and_three_block_arrays_at_most():
-    # npa 4 --level 2 (m = 259, blocks 27 + 22) takes the dense path, which
-    # adds a block's contribution to H through one m x m product and holds up
-    # to three (dim^2, m) arrays while it assembles
-    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
-    m, dim = problem.m, max(problem.dims)
-    assert problem.tails == [None, None]
-    assert solve_peak_bytes(problem) < 8 * (2 * m * m + 3 * dim * dim * m)
+    # H, factored in place, is the only m x m array the solver needs at a time:
+    # npa 6 --level 2 (m = 1376, an m x m array is 15 MB) and npa 4 --level 2
+    # (m = 259, where the per-block arrays weigh more against m^2)
+    for n, m, bound in ((6, 1376, 1.25), (4, 259, 2.5)):
+        problem = npa._affine_map(npa.build_program(realigned_hardy(n), 2)).problem
+        assert problem.m == m
+        assert solve_peak_bytes(problem) < bound * m**2 * 8
 
 
 def test_iterates_keep_the_factors_that_accepted_them(monkeypatch):
@@ -445,10 +414,9 @@ def test_iteration_log_ends_on_the_reported_iterate():
         assert log[key][-1] == diagnostics[key]
 
 
-@pytest.mark.parametrize("n,dense", [(4, True), (6, False)])
-def test_schur_product_is_the_assembled_schur_matrix_times_a_vector(n, dense):
+@pytest.mark.parametrize("n", [4, 6])
+def test_schur_product_is_the_assembled_schur_matrix_times_a_vector(n):
     problem = npa._affine_map(npa.build_program(realigned_hardy(n), 2)).problem
-    assert all((tails is None) == dense for tails in problem.tails)
     u, v = schur_inputs(problem, n)
     y = np.random.default_rng(n).normal(size=problem.m)
     upper = np.triu(problem.schur(u, v))
