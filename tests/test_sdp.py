@@ -351,13 +351,25 @@ def solve_peak_bytes(problem):
 
 
 def test_solver_holds_one_schur_sized_array_at_most():
-    # H, factored in place, is the only m x m array the solver needs at a time:
-    # npa 6 --level 2 (m = 1376, an m x m array is 15 MB) and npa 4 --level 2
-    # (m = 259, where the per-block arrays weigh more against m^2)
-    for n, m, bound in ((6, 1376, 1.25), (4, 259, 2.5)):
-        problem = npa._affine_map(npa.build_program(realigned_hardy(n), 2)).problem
-        assert problem.m == m
-        assert solve_peak_bytes(problem) < bound * m**2 * 8
+    # npa 6 --level 2: m = 1376, so an m x m array is 15 MB; H, factored in
+    # place, is the only one the solver needs at a time
+    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
+    assert problem.m == 1376
+    assert solve_peak_bytes(problem) < 1.25 * problem.m**2 * 8
+
+
+def test_dense_path_holds_two_schur_sized_and_three_block_arrays_at_most():
+    # npa 4 --level 2 (m = 259, blocks 27 + 22) once took a dense path that
+    # held two m x m arrays and three (dim^2, m) arrays; it now takes the one
+    # batched assembly, which must stay within that bound and, with the
+    # per-block arrays weighing more against m^2 here, within 2.5 m^2 doubles
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
+    m, dim = problem.m, max(problem.dims)
+    assert m == 259
+    assert all(len(tails) == -(-m // sdp._PIECE) for tails in problem.tails)
+    peak = solve_peak_bytes(problem)
+    assert peak < 8 * (2 * m * m + 3 * dim * dim * m)
+    assert peak < 2.5 * m**2 * 8
 
 
 def test_iterates_keep_the_factors_that_accepted_them(monkeypatch):
