@@ -29,7 +29,9 @@ consecutive variables whose entry lists are padded with zeros to the piece's
 longest, and reads ``H_ij`` for ``i >= j`` off those products through one
 sparse gather (a CSR matrix with one row per variable, cut into tails that
 start at each piece), so it fills one triangle of ``H`` only, the one
-LAPACK's Cholesky reads.  The Cholesky factor overwrites ``H`` in its own
+LAPACK's Cholesky reads.  A piece's tail reads only cells of a trailing
+square ``[lo, dim)^2`` of its block, so the products are formed and copied
+on that square alone.  The Cholesky factor overwrites ``H`` in its own
 array, so ``H`` is the only ``m x m`` array the solver holds; the iterative
 refinement's product ``H dy`` is taken block by block as
 ``<F_i, X M(dy) Z^-1>`` (``LmiProblem.schur_product``), and a failed
@@ -99,9 +101,10 @@ class LmiProblem:
     orientations; duplicate entries are summed.
 
     Each block also keeps, for every piece of ``_PIECE`` variables, their
-    entries padded with zeros to the piece's longest list (``pieces[b]``) and
+    entries padded with zeros to the piece's longest list (``pieces[b]``),
     the tail of its row gather from the piece's first variable on
-    (``tails[b]``), which ``schur`` reads.
+    (``tails[b]``), which ``schur`` reads, and the smallest row or column
+    index that tail uses (``lo[b]``, ``dim_b`` for an empty tail).
     """
 
     def __init__(self, f0_blocks: Sequence[np.ndarray], f_blocks: Sequence, b: np.ndarray):
@@ -120,6 +123,7 @@ class LmiProblem:
         self.gather = []
         self.pieces = []
         self.tails = []
+        self.lo = []
         for f0, f in zip(self.f0, f_blocks, strict=True):
             if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
                 raise ValueError(f"F0 block of shape {f0.shape} is not square")
@@ -133,6 +137,14 @@ class LmiProblem:
             g = s.T.tocsr()
             rows, cols = np.divmod(g.indices, dim)
             tail = scipy.sparse.csr_matrix((g.data, cols * dim + rows, g.indptr), shape=(self.m, dim * dim))
+            # the smallest row or column index of each variable (dim for one with
+            # no entry) and its suffix minimum: a tail that starts at variable p
+            # reads only cells of the trailing square [lo, dim)^2, lo = the minimum at p
+            least = np.full(self.m, dim)
+            filled = np.flatnonzero(np.diff(g.indptr))
+            if len(filled):
+                least[filled] = np.minimum.reduceat(np.minimum(rows, cols), g.indptr[filled])
+            lo = np.minimum.accumulate(least[::-1])[::-1]
             pieces, tails = [], []
             for start in range(0, self.m, _PIECE):
                 if start:
@@ -158,6 +170,7 @@ class LmiProblem:
             self.gather.append(g)
             self.pieces.append(pieces)
             self.tails.append(tails)
+            self.lo.append(lo[::_PIECE].tolist())
 
     def mat(self, y: np.ndarray, include_f0: bool = True) -> list[np.ndarray]:
         """M(y) blocks (or ``sum_k y_k F_k`` when ``include_f0`` is false)."""
@@ -178,21 +191,29 @@ class LmiProblem:
         upper triangle in C order, which is the lower triangle of ``h.T`` that
         LAPACK reads and ``solve_lmi`` factors in place.  The strict lower
         triangle is left unused; within each piece it picks up zeros and
-        stray gathered entries.
+        stray gathered entries.  Each piece forms ``U F_j V`` on the trailing
+        square ``[lo, dim)^2`` that its tail reads, and nothing outside it.
         """
         m = self.m
         h = np.zeros((m, m))
-        for pieces, tails, u, v in zip(self.pieces, self.tails, u_blocks, v_blocks):
-            # a piece's products and their copy with j running fastest, which the
-            # sparse product reads, in buffers reused from piece to piece: fresh
-            # arrays of this size fault their pages in again for every piece
-            t = np.empty((len(pieces[0][0]) if pieces else 0, *u.shape))
-            x = np.empty((u.size, len(t)))
-            for (r, c, w), tail in zip(pieces, tails):
-                start, n = m - tail.shape[0], len(r)
-                # t[k] = U F_j V for variable j = start + k; padded entries add zeros
-                np.matmul((u[:, r] * w).transpose(1, 0, 2), v[c], out=t[:n])
-                x[:, :n] = t[:n].reshape(n, -1).T
+        # a piece's products and their copy with j running fastest, which the
+        # sparse product reads, in two buffers sized for the largest block and
+        # reused by every piece: fresh arrays of this size fault their pages in
+        # again for every piece.  Cells outside a piece's square keep whatever an
+        # earlier piece or block left there; its tail never reads them
+        width = min(_PIECE, m)
+        t_buf = np.empty(width * max(self.dims, default=0) ** 2)
+        x_buf = np.empty_like(t_buf)
+        for pieces, tails, los, u, v in zip(self.pieces, self.tails, self.lo, u_blocks, v_blocks):
+            dim = len(u)
+            x = x_buf[: dim * dim * width].reshape(dim * dim, width)
+            for (r, c, w), tail, lo in zip(pieces, tails, los):
+                start, n, side = m - tail.shape[0], len(r), dim - lo
+                # t[k] = U F_j V on [lo, dim)^2 for variable j = start + k; padded
+                # entries add zeros
+                t = t_buf[: n * side * side].reshape(n, side, side)
+                np.matmul((u[lo:, r] * w).transpose(1, 0, 2), v[:, lo:][c], out=t)
+                x.reshape(dim, dim, width)[lo:, lo:, :n] = t.transpose(1, 2, 0)
                 # tr(F_i U F_j V) for every i >= start
                 h[start : start + n, start:] += (tail @ x[:, :n]).T
         return h

@@ -340,6 +340,39 @@ def test_schur_tails_hold_at_most_twice_the_gather_entries():
         assert sum(w.size for _, _, w in pieces) <= 2 * g.nnz
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_piece_square_starts_at_the_smallest_index_its_tail_reads(n):
+    problem = npa._affine_map(npa.build_program(realigned_hardy(n), 2)).problem
+    for dim, tails, los in zip(problem.dims, problem.tails, problem.lo):
+        assert len(los) == len(tails)
+        for tail, lo in zip(tails, los):
+            rows, cols = np.divmod(tail.indices, dim)
+            assert lo == min(rows.min(initial=dim), cols.min(initial=dim))
+        # the restriction is exercised: some piece of every block forms less than dim^2
+        assert max(los) > 0
+
+
+def test_schur_reads_no_stale_cells_outside_a_piece_square(monkeypatch):
+    # two variables per piece; in the first block variables 0-3 touch row 0 and
+    # fill the piece buffers, then the pieces of variables 4-7 read only rows 3-5
+    # and 4-5, each from its second variable on; in the smaller second block
+    # variables 6 and 7 have no entry at all
+    monkeypatch.setattr(sdp, "_PIECE", 2)
+    rng = np.random.default_rng(7)
+    m = 8
+    first = [(k, 0, int(c), float(rng.normal())) for k in range(4) for c in rng.integers(0, 6, size=3)]
+    late = [(4, 4, 5), (4, 5, 5), (5, 3, 4), (5, 3, 3), (6, 5, 5), (7, 4, 5), (7, 4, 4)]
+    first += [(k, r, c, float(rng.normal())) for k, r, c in late]
+    second = [(k, int(r), int(c), float(rng.normal())) for k in range(6) for r, c in rng.integers(0, 4, size=(2, 2))]
+    dims = [6, 4]
+    blocks = [block(6, m, first), block(4, m, second)]
+    problem = LmiProblem([np.zeros((d, d)) for d in dims], blocks, np.zeros(m))
+    assert problem.lo[0] == [0, 0, 3, 4] and problem.lo[1][3] == 4
+    u = [random_spd(rng, d) for d in dims]
+    v = [random_spd(rng, d) for d in dims]
+    assert np.array_equal(np.triu(problem.schur(u, v)), np.triu(bincount_schur(m, blocks, u, v).T))
+
+
 def solve_peak_bytes(problem):
     tracemalloc.start()
     try:
@@ -370,6 +403,23 @@ def test_dense_path_holds_two_schur_sized_and_three_block_arrays_at_most():
     peak = solve_peak_bytes(problem)
     assert peak < 8 * (2 * m * m + 3 * dim * dim * m)
     assert peak < 2.5 * m**2 * 8
+
+
+def test_schur_holds_one_pair_of_piece_buffers_beside_h():
+    # npa 6 --level 2 (blocks 58 + 51): beyond H, one call holds the two piece
+    # buffers of the largest block and a piece's (m - start, _PIECE) product;
+    # a second pair of buffers would break the bound
+    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
+    m = problem.m
+    u, v = schur_inputs(problem, 6)
+    tracemalloc.start()
+    try:
+        h = problem.schur(u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.nbytes == 8 * m * m
+    assert peak - h.nbytes <= 8 * 2.5 * sdp._PIECE * (max(problem.dims) ** 2 + m)
 
 
 def test_iterates_keep_the_factors_that_accepted_them(monkeypatch):
