@@ -278,10 +278,9 @@ def _kernel(program: MomentProgram) -> np.ndarray:
 
 
 def _row_reduce(rows: list[tuple[np.ndarray, float]]):
-    """RREF of a small equality system; returns (pivots, solved rows) or None
-    if the system is inconsistent."""
+    """RREF of a small equality system; returns its solved rows
+    ``(pivot, row, rhs)`` or None if the system is inconsistent."""
     work = [(vec.astype(float).copy(), float(rhs)) for vec, rhs in rows]
-    pivots: list[int] = []
     solved: list[tuple[int, np.ndarray, float]] = []
     for vec, rhs in work:
         for p, pvec, prhs in solved:
@@ -301,8 +300,7 @@ def _row_reduce(rows: list[tuple[np.ndarray, float]]):
             (p2, v2 - v2[p] * pvec, r2 - v2[p] * prhs) for p2, v2, r2 in solved
         ]
         solved.append((p, pvec, prhs))
-        pivots.append(p)
-    return pivots, solved
+    return solved
 
 
 def _swap_permutations(program: MomentProgram):
@@ -386,11 +384,10 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
     )
     pins = [(orbits.T @ vec, rhs) for vec, rhs in program.equalities]
     null = scipy.sparse.kron(scipy.sparse.eye(size), kernel) @ cells @ orbits  # M(y) c = 0
-    reduced = _row_reduce(pins + [(row, 0.0) for row in null.toarray()])
-    if reduced is None:
+    solved = _row_reduce(pins + [(row, 0.0) for row in null.toarray()])
+    if solved is None:
         return None
-    pivots, solved = reduced
-    free = np.setdiff1d(np.arange(n_orbits), pivots)
+    free = np.setdiff1d(np.arange(n_orbits), [p for p, _, _ in solved])
     # orbit moments w0 + P z: free orbits are the variables, pivots follow
     w0 = np.zeros(n_orbits)
     rows, cols, vals = [free], [np.arange(len(free))], [np.ones(len(free))]

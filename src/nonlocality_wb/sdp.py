@@ -22,22 +22,22 @@ accepted iterate keeps those factors for its ``Z^-1`` and step lengths, so
 every iterate is factored once and every kept iterate is positive definite.
 
 Each block's constraint matrices come as one sparse ``(dim^2, m)`` matrix
-whose column ``k`` is ``vec(F_k)``.  The per-iteration Schur assembly uses
-that each ``F_k`` has few entries: it forms ``U F_j V`` as a thin product of
-gathered columns, one batched ``np.matmul`` for a piece of ``_PIECE``
-consecutive variables whose entry lists are padded with zeros to the piece's
-longest, and reads ``H_ij`` for ``i >= j`` off those products through one
-sparse gather (a CSR matrix with one row per variable, cut into tails that
-start at each piece), so it fills one triangle of ``H`` only, the one
-LAPACK's Cholesky reads.  A piece's tail reads only cells of a trailing
-square ``[lo, dim)^2`` of its block, so the products are formed and copied
-on that square alone.  The Cholesky factor overwrites ``H`` in its own
-array, so ``H`` is the only ``m x m`` array the solver holds; the iterative
-refinement's product ``H dy`` is taken block by block as
-``<F_i, X M(dy) Z^-1>`` (``LmiProblem.schur_product``), and a failed
-factorization assembles ``H`` again for its retry.  Problem sizes up to a few
-hundred rows per block and ~10^4 variables stay within desk-scale memory; no
-sparsity is assumed in ``H`` itself.
+whose column ``k`` is ``vec(F_k)``; the solver keeps its transpose, the gather
+``G`` with one row per variable, which reads ``<F_k, A>`` as ``G vec(A)``
+and builds ``M(y) - F0`` as ``G^T y``.  The per-iteration Schur assembly
+uses that each ``F_k`` has few entries: it forms ``U F_j V`` as a thin
+product of gathered columns, one batched ``np.matmul`` for a piece of
+``_PIECE`` consecutive variables whose entry lists are padded with zeros to
+the piece's longest, and reads ``H_ij`` for ``i >= j`` off those products
+through the gather cut into tails that start at each piece, so it fills one
+triangle of ``H`` only, the one LAPACK's Cholesky reads.  A piece's tail
+reads only cells of a trailing square ``[lo, dim)^2`` of its block, so the
+products are formed and copied on that square alone.  The Cholesky factor
+overwrites ``H`` in its own array, so ``H`` is the only ``m x m`` array the
+solver holds; each search direction is one solve with that factor, and a
+failed factorization assembles ``H`` again for its retry.  Problem sizes up
+to a few hundred rows per block and ~10^4 variables stay within desk-scale
+memory; no sparsity is assumed in ``H`` itself.
 
 ``npa.solve`` is the one place that pins every BLAS and LAPACK call to one
 thread (``_single_blas_thread``): at these sizes a second OpenBLAS thread
@@ -92,13 +92,14 @@ class LmiSolution:
 
 
 class LmiProblem:
-    """Preprocessed problem data with fast scatter/gather operators.
+    """Preprocessed problem data: one sparse gather per block, cut for ``schur``.
 
     ``f_blocks[b]`` is a ``scipy.sparse`` matrix of shape ``(dim_b^2, m)``
     whose column ``k`` is ``vec(F_k)`` restricted to block ``b`` in row-major
     order, with ``dim_b`` read off the square ``f0_blocks[b]``.  Each ``F_k``
     must be symmetric, so an off-diagonal entry is stored in both
-    orientations; duplicate entries are summed.
+    orientations; duplicate entries are summed.  ``gather[b]`` is its
+    transpose in CSR form, one row per variable.
 
     Each block also keeps, for every piece of ``_PIECE`` variables, their
     entries padded with zeros to the piece's longest list (``pieces[b]``),
@@ -114,12 +115,11 @@ class LmiProblem:
         self.m = len(self.b)
         self.f0 = [np.asarray(f, dtype=float) for f in f0_blocks]
         self.dims = []
-        # per block: the scatter S_b with vec(M_b) = vec(F0_b) + S_b @ y and its
-        # transpose the gather; per piece the padded (row, col, value) arrays of
-        # its variables and the tail of the row gather R_b[i, col*dim + row] =
-        # F_i[row, col], which reads tr(F_i T) off T.ravel(): the tail of the
-        # piece that starts at variable p holds the rows i >= p
-        self.scatter = []
+        # per block: the gather G_b with vec(M_b) = vec(F0_b) + G_b.T @ y; per
+        # piece the padded (row, col, value) arrays of its variables and the tail
+        # of the row gather R_b[i, col*dim + row] = F_i[row, col], which reads
+        # tr(F_i T) off T.ravel(): the tail of the piece that starts at variable
+        # p holds the rows i >= p
         self.gather = []
         self.pieces = []
         self.tails = []
@@ -166,7 +166,6 @@ class LmiProblem:
                 at[pad] = 0
                 pieces.append((rows[at], cols[at], np.where(pad, 0.0, g.data[at])))
             self.dims.append(dim)
-            self.scatter.append(s)
             self.gather.append(g)
             self.pieces.append(pieces)
             self.tails.append(tails)
@@ -174,7 +173,13 @@ class LmiProblem:
 
     def mat(self, y: np.ndarray, include_f0: bool = True) -> list[np.ndarray]:
         """M(y) blocks (or ``sum_k y_k F_k`` when ``include_f0`` is false)."""
-        blocks = [(s @ y).reshape(nb, nb) for s, nb in zip(self.scatter, self.dims)]
+        # G^T y, each cell summed in variable order as scipy's product sums it;
+        # g.T @ y would build a CSC object per call, which costs more than the
+        # product on the small blocks
+        blocks = [
+            np.bincount(g.indices, g.data * np.repeat(y, np.diff(g.indptr)), nb * nb).reshape(nb, nb)
+            for g, nb in zip(self.gather, self.dims)
+        ]
         return [a + f0 for a, f0 in zip(blocks, self.f0)] if include_f0 else blocks
 
     def inner(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -217,16 +222,6 @@ class LmiProblem:
                 # tr(F_i U F_j V) for every i >= start
                 h[start : start + n, start:] += (tail @ x[:, :n]).T
         return h
-
-    def schur_product(
-        self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray], y: np.ndarray
-    ) -> np.ndarray:
-        """``H y`` for the ``H`` of ``schur(u_blocks, v_blocks)``, without forming ``H``.
-
-        ``(H y)_i = sum_j tr(F_i U F_j V) y_j = <F_i, U (sum_j y_j F_j) V>``:
-        two ``dim^3`` products per block in place of ``m^2`` reads of ``H``.
-        """
-        return self.inner([u @ s @ v for u, s, v in zip(u_blocks, self.mat(y, include_f0=False), v_blocks)])
 
 
 @functools.cache
@@ -334,6 +329,9 @@ def _step(blocks, chol, direction, gamma: float):
 def solve_lmi(problem: LmiProblem, max_iterations: int = 150) -> LmiSolution:
     """Run the predictor-corrector iteration from ``scale * I``, factored once.
 
+    Each iteration factors ``H`` once; the predictor and the corrector
+    direction are one solve with that factor each.
+
     Ends ``optimal`` within ``GAP_TOL`` and ``FEAS_TOL``, or ``infeasible``
     on divergence; on the iteration cap, a stall or a step with no trial that
     factors, it returns the best iterate kept, as ``max_iterations``.
@@ -421,11 +419,6 @@ def solve_lmi(problem: LmiProblem, max_iterations: int = 150) -> LmiSolution:
             if corr_blocks is not None:
                 rhs = rhs - problem.inner(corr_blocks)
             dy = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-            # one step of iterative refinement; the Schur system turns badly
-            # conditioned near the optimum and the raw solve loses digits.
-            # H was factored in place, so its product is taken from X and Z^-1
-            resid = rhs - problem.schur_product(x_blocks, zinv, dy) - jitter * dy
-            dy = dy + scipy.linalg.cho_solve(cho, resid, check_finite=False)
             dz = [rb + sb for rb, sb in zip(rd, problem.mat(dy, include_f0=False))]
             dx = [sigma_mu * zi - xb - xb @ dzb @ zi for xb, dzb, zi in zip(x_blocks, dz, zinv)]
             if corr_blocks is not None:

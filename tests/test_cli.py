@@ -194,6 +194,33 @@ class TestOptimize:
         }
 
 
+#: (iterations, upper_bound) of every npa program the tier-1 suite can
+#: afford, all ``optimal``: a change that takes more iterations shows here
+NPA_PROGRAMS = {
+    ("2", 1): (10, 0.41421356062),
+    ("2", 2): (12, 0.41398957921),
+    ("2", 3): (14, 0.41398954130),
+    ("original", 1): (11, 0.20626736682),
+    ("original", 2): (12, 0.09016993736),
+    ("original", 3): (12, 0.09016991595),
+    ("4", 1): (10, 0.99999992144),
+    ("4", 2): (17, 0.78387955620),
+    ("6", 1): (11, 0.99999997025),
+    ("6", 2): (20, 0.95750513167),
+}
+
+
+@pytest.mark.parametrize("paradox,level", sorted(NPA_PROGRAMS))
+def test_npa_program_iterations_and_bound(capsys, paradox, level):
+    iterations, bound = NPA_PROGRAMS[paradox, level]
+    code, report = run_json(capsys, "npa", paradox, "--level", str(level))
+    assert code == 0
+    outputs = report["outputs"]
+    assert outputs["status"] == "optimal"
+    assert outputs["diagnostics"]["iterations"] == iterations
+    assert abs(outputs["upper_bound"] - bound) <= 1e-9
+
+
 class TestNpa:
     def test_level1_value(self, capsys):
         code, report = run_json(capsys, "npa", "2", "--level", "1")

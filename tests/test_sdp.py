@@ -267,6 +267,24 @@ def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, 
     assert np.array_equal(upper, np.triu(bincount_schur(problem.m, blocks, u, v).T))
 
 
+@pytest.mark.parametrize("n,level", [(2, 3), (4, 2), ("original", 3)])
+def test_mat_is_bitwise_the_csr_product_on_npa_programs(monkeypatch, n, level):
+    problem, blocks = recorded_npa_problem(monkeypatch, n, level)
+    csr = []
+    for f in blocks:
+        c = scipy.sparse.csr_matrix(f, dtype=float, copy=True)
+        c.sum_duplicates()
+        csr.append(c)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        y = rng.normal(size=problem.m)
+        sums = problem.mat(y, include_f0=False)
+        full = problem.mat(y)
+        for c, f0, s, a in zip(csr, problem.f0, sums, full):
+            assert np.array_equal(s, (c @ y).reshape(f0.shape))
+            assert np.array_equal(a, s + f0)
+
+
 def test_schur_triangle_does_not_depend_on_piece_length(monkeypatch):
     _, blocks = recorded_npa_problem(monkeypatch, 2, 3)
     m = blocks[0].shape[1]
@@ -476,15 +494,23 @@ def test_iteration_log_ends_on_the_reported_iterate():
         assert log[key][-1] == diagnostics[key]
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_schur_product_is_the_assembled_schur_matrix_times_a_vector(n):
-    problem = npa._affine_map(npa.build_program(realigned_hardy(n), 2)).problem
-    u, v = schur_inputs(problem, n)
-    y = np.random.default_rng(n).normal(size=problem.m)
-    upper = np.triu(problem.schur(u, v))
-    expected = (upper + np.triu(upper, 1).T) @ y
-    product = problem.schur_product(u, v, y)
-    assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
+def test_each_direction_is_one_solve_with_the_schur_factor(monkeypatch):
+    problem = npa._affine_map(npa.build_program(realigned_hardy(2), 3)).problem
+    m = problem.m
+    assert m not in problem.dims
+    cho_solve = scipy.linalg.cho_solve
+    solves = []
+
+    def counted(c_and_lower, b, *args, **kwargs):
+        if c_and_lower[0].shape == (m, m):
+            solves.append(1)
+        return cho_solve(c_and_lower, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", counted)
+    sol = solve_lmi(problem)
+    assert sol.status == STATUS_OPTIMAL
+    # a predictor and a corrector in every iteration but the one that stops
+    assert len(solves) == 2 * (sol.iterations - 1)
 
 
 def test_failed_factorization_retries_on_a_reassembled_schur_matrix(monkeypatch):
