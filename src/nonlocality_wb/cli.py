@@ -2,10 +2,11 @@
 
 Subcommands
 -----------
-classical-bound N   deterministic maximum of the n-setting expression by
-                    exhaustive strategy enumeration
-certify N           soundness certificate for the realigned paradox (exit 0
-                    iff sound)
+classical-bound N   deterministic maximum of the n-setting expression and its
+                    maximizer count, from Bob's best responses to each of
+                    Alice's 2^n strategies (n <= 16)
+certify N           soundness certificate for the realigned paradox from the
+                    same table (exit 0 iff sound, n <= 16)
 optimize N|original constrained qubit maximization of the Hardy value
 npa N --level L     moment-relaxation upper bound on the Hardy value
 table1              evaluates the bundled reference models and compares
@@ -32,7 +33,7 @@ import time
 
 from . import __version__
 from .hardy import HardyParadox, check, original_hardy, realigned_hardy
-from .lhv import certify_hardy_soundness, classical_max
+from .lhv import certify_hardy_soundness, check_capacity, classical_max
 from .npa import MAX_LEVEL, MomentProgram, build_program, label, solve
 from .qubit import (
     OptimizerConfig,
@@ -131,6 +132,7 @@ def _report(command: str, inputs: dict, outputs: dict, seed=None) -> dict:
 
 
 def _cmd_classical_bound(args) -> tuple[dict, int, list[str]]:
+    check_capacity(args.n)  # before the O(n^2) expression is built
     expr = as_inequality(args.n)
     result = classical_max(expr)
     outputs = {
@@ -147,6 +149,7 @@ def _cmd_classical_bound(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_certify(args) -> tuple[dict, int, list[str]]:
+    check_capacity(args.n)  # before the O(n^2) paradox is built
     paradox = realigned_hardy(args.n)
     report = certify_hardy_soundness(paradox)
     outputs = _document("soundness_report", {**dataclasses.asdict(report), "sound": report.sound})

@@ -4,30 +4,31 @@ A deterministic strategy assigns one fixed outcome to every setting of each
 party; these are the extreme points of the local polytope, so the maximum of
 a Bell expression over them is its maximum over all local models (convexity).
 For ``n`` settings per party there are ``4^n`` strategies; bounds and
-certificates cover all of them, for ``n <= 12``, without visiting them one by
-one: for fixed outcomes of Alice a two-party expression splits over Bob's
-settings, so Bob's best response is chosen setting by setting and only
-Alice's ``2^n`` strategies are enumerated.  Strategies are listed in
+certificates cover all of them without visiting them one by one: for fixed
+outcomes of Alice a two-party expression splits over Bob's settings, so
+Bob's best response is chosen setting by setting.  Everything is read off
+one best-response table of shape ``(2^n, n, 2)`` over Alice's ``2^n``
+strategies, which sets the limit ``n <= 16``.  Strategies are listed in
 enumeration order: lexicographic in the concatenated outcome tuple
 ``(a(1), ..., a(n), b(1), ..., b(n))``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .scenario import BellExpression, Scenario, ValidationError
+from .scenario import BellExpression, ValidationError
 
 if TYPE_CHECKING:
     from .hardy import HardyParadox
 
-#: Largest setting count that bounds and certificates accept.
-MAX_SETTINGS = 12
+#: Largest setting count that bounds and certificates accept: the
+#: best-response table holds ``2^n * n * 2`` scores (about 17 MB at n = 16).
+MAX_SETTINGS = 16
 
 #: Slack when comparing expression values on deterministic strategies; the
 #: exact values are sums of the coefficients, so this only absorbs float
@@ -36,7 +37,7 @@ SATURATION_TOL = 1e-12
 
 
 class CapacityError(ValidationError):
-    """The scenario exceeds the exhaustive-enumeration limit."""
+    """The setting count exceeds the best-response table's limit."""
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,17 @@ class DeterministicStrategy:
     def __post_init__(self) -> None:
         if len(self.a) != len(self.b):
             raise ValidationError("strategy maps must cover the same settings")
-        if not all(v in (0, 1) for v in self.a + self.b):
-            raise ValidationError("strategy outcomes must be 0 or 1")
+        if not all(type(v) is int and v in (0, 1) for v in self.a + self.b):
+            raise ValidationError(f"strategy outcomes must be the ints 0 or 1, got {self!r}")
 
 
-def _check_capacity(scenario: Scenario) -> None:
-    if scenario.n_settings > MAX_SETTINGS:
+def check_capacity(n_settings: int) -> None:
+    """Raise ``CapacityError`` if ``n_settings`` exceeds ``MAX_SETTINGS``."""
+    if n_settings > MAX_SETTINGS:
         raise CapacityError(
             f"exhaustive enumeration is limited to n_settings <= {MAX_SETTINGS} "
-            f"(4^n strategies); got n_settings = {scenario.n_settings}"
+            f"(a best-response table over Alice's 2^n strategies); "
+            f"got n_settings = {n_settings}"
         )
 
 
@@ -104,39 +107,28 @@ def _count(answers: np.ndarray) -> int:
     return int(answers.sum(axis=2).prod(axis=1).sum())
 
 
+@dataclass(frozen=True)
 class ClassicalMax:
-    """Maximum ``value`` of an expression over deterministic strategies.
+    """Maximum ``value`` of an expression over deterministic strategies and
+    the number of strategies attaining it (ties within ``SATURATION_TOL``)."""
 
-    ``maximizer_count`` is read off the best-response table; ``maximizers``
-    lists the maximizing strategies in enumeration order, built on first
-    access.
-    """
-
-    def __init__(self, value: float, alice: np.ndarray, answers: np.ndarray) -> None:
-        self.value = value
-        self.maximizer_count = _count(answers)
-        self._alice = alice
-        self._answers = answers
-
-    @functools.cached_property
-    def maximizers(self) -> tuple[DeterministicStrategy, ...]:
-        return tuple(s for a, ans in zip(self._alice, self._answers) for s in _strategies(a, ans))
+    value: float
+    maximizer_count: int
 
 
 def classical_max(expr: BellExpression) -> ClassicalMax:
-    """Maximum of ``expr`` over all deterministic strategies, with all
-    maximizers (ties within ``SATURATION_TOL``) in enumeration order.
+    """Maximum of ``expr`` over all deterministic strategies and the number
+    of its maximizers.
 
     For fixed Alice outcomes the expression splits over Bob's settings, so the
     maximum is ``max_a sum_y max_j s[a, y, j]`` and the maximizers are, per
     maximizing ``a``, the product of Bob's per-setting best answers.
     """
-    _check_capacity(expr.scenario)
-    alice = _alice_strategies(expr.scenario.n_settings)
-    values, answers = _best_responses(_scores(expr, alice))
+    n = expr.scenario.n_settings
+    check_capacity(n)
+    values, answers = _best_responses(_scores(expr, _alice_strategies(n)))
     best = values.max()
-    top = values >= best - SATURATION_TOL
-    return ClassicalMax(float(best), alice[top], answers[top])
+    return ClassicalMax(float(best), _count(answers[values >= best - SATURATION_TOL]))
 
 
 @dataclass(frozen=True)
@@ -174,9 +166,8 @@ def certify_hardy_soundness(paradox: "HardyParadox") -> SoundnessReport:
     answers; a target outside that range is saturated by no strategy.  A
     target strictly inside the range raises ``ValidationError``.
     """
-    scenario = paradox.scenario
-    _check_capacity(scenario)
-    n = scenario.n_settings
+    n = paradox.scenario.n_settings
+    check_capacity(n)
     tol = SATURATION_TOL
     alice = _alice_strategies(n)
     allowed = np.ones(1 << n, dtype=bool)
@@ -185,7 +176,8 @@ def certify_hardy_soundness(paradox: "HardyParadox") -> SoundnessReport:
         s = _scores(expr, alice)
         top_values, top_answers = _best_responses(s)
         low_values, low_answers = _best_responses(-s)  # values negated
-        top, low = top_values.max(), s.min(axis=2).sum(axis=1).min()
+        # 0.0 - v rather than -v: a low of zero stays +0.0
+        top, low = top_values.max(), 0.0 - low_values.max()
         if abs(target - top) <= tol:
             allowed &= top_values >= top - tol
             answers &= top_answers

@@ -6,8 +6,12 @@ from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realig
 from nonlocality_wb.scenario import Behavior, BellExpression, Scenario
 
 #: The n = 2 qubit maximum, from a 60-digit mpmath solve of its KKT conditions
-#: (0.41398960806666891199847731...); no closed form is known.
+#: (0.41398960806666891199847731...): a root of this sextic, found as an
+#: integer relation, not proven.
 QUBIT_VALUE_2 = 0.41398960806666891
+#: Coefficients, highest degree first, of
+#: 783h^6 - 5436h^5 + 30268h^4 - 69616h^3 + 55392h^2 - 14080h + 448.
+QUBIT_SEXTIC_2 = (783, -5436, 30268, -69616, 55392, -14080, 448)
 
 
 def jet_components(problem, x: np.ndarray):

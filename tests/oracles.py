@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from nonlocality_wb.lhv import DeterministicStrategy, _check_capacity
+from nonlocality_wb.lhv import DeterministicStrategy, check_capacity
 from nonlocality_wb.npa import _check_level, basis_monomials
 from nonlocality_wb.qubit import QubitModel
 from nonlocality_wb.scenario import Behavior, Scenario, ValidationError
@@ -29,8 +29,8 @@ def enumerate_strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:
     Order is lexicographic in the concatenated outcome tuple
     ``(a(1), ..., a(n), b(1), ..., b(n))``.
     """
-    _check_capacity(scenario)
     n = scenario.n_settings
+    check_capacity(n)
     for a_code in range(1 << n):
         a = tuple((a_code >> (n - 1 - k)) & 1 for k in range(n))
         for b_code in range(1 << n):

@@ -70,19 +70,33 @@ class TestClassicalBound:
         assert "classical bound for n=2: 3" in out
 
     def test_at_the_cap(self, capsys):
-        code, report = run_json(capsys, "classical-bound", "12")
+        code, report = run_json(capsys, "classical-bound", "16")
         assert code == 0
         assert report["outputs"] == {
-            "n": 12, "value": 78.0, "maximizer_count": 28672, "strategy_count": 4**12
+            "n": 16, "value": 136.0, "maximizer_count": 589824, "strategy_count": 4**16
         }
 
 
 @pytest.mark.parametrize("command", ["classical-bound", "certify"])
 def test_setting_count_above_the_cap_exits_2(capsys, command):
-    assert main([command, "14", "--json"]) == 2
+    assert main([command, "18", "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "n_settings <= 12" in captured.err
+    assert "n_settings <= 16" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command,builder", [("classical-bound", "as_inequality"), ("certify", "realigned_hardy")]
+)
+def test_cap_is_checked_before_the_expression_is_built(capsys, monkeypatch, command, builder):
+    def fail(n):
+        raise AssertionError(f"{builder}({n}) built above the cap")
+
+    monkeypatch.setattr(cli, builder, fail)
+    assert main([command, "3000", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_settings <= 16" in captured.err
 
 
 class TestCertify:
@@ -98,10 +112,10 @@ class TestCertify:
         assert doc["counterexamples"] == []
 
     def test_at_the_cap(self, capsys):
-        code, report = run_json(capsys, "certify", "12")
+        code, report = run_json(capsys, "certify", "16")
         assert code == 0
         doc = report["outputs"]
-        assert (doc["checked"], doc["saturating"]) == (4**12, 17108)
+        assert (doc["checked"], doc["saturating"]) == (4**16, 346392)
         assert doc["sound"] is True
         assert doc["counterexamples"] == []
 

@@ -9,6 +9,7 @@ from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realig
 from nonlocality_wb.lhv import (
     SATURATION_TOL,
     CapacityError,
+    ClassicalMax,
     DeterministicStrategy,
     certify_hardy_soundness,
     classical_max,
@@ -34,10 +35,22 @@ def count_oracle(expr, strategy):
 
 
 def oracle_max(expr):
-    """Maximum and maximizers, in enumeration order, over all 4^n strategies."""
-    values = [(s, count_oracle(expr, s)) for s in enumerate_strategies(expr.scenario)]
-    best = max(v for _, v in values)
-    return best, tuple(s for s, v in values if v >= best - SATURATION_TOL)
+    """Maximum and number of maximizers over all 4^n strategies."""
+    values = [count_oracle(expr, s) for s in enumerate_strategies(expr.scenario)]
+    best = max(values)
+    return best, sum(v >= best - SATURATION_TOL for v in values)
+
+
+def table_oracle_max(expr):
+    """Maximum and number of maximizers from the dense ``(2^n, 2^n)`` table of
+    every strategy's value, one outer product per term."""
+    n = expr.scenario.n_settings
+    outcomes = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    table = np.zeros((1 << n, 1 << n))
+    for (i, j, x, y), c in expr.items():
+        table += c * np.outer(outcomes[:, x - 1] == i, outcomes[:, y - 1] == j)
+    best = table.max()
+    return best, int((table >= best - SATURATION_TOL).sum())
 
 
 def oracle_soundness(paradox):
@@ -108,24 +121,38 @@ class TestEnumeration:
         assert strategies[-1] == DeterministicStrategy((1, 1), (1, 1))
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError, match="12"):
-            next(enumerate_strategies(Scenario(14)))
+        with pytest.raises(CapacityError, match="16"):
+            next(enumerate_strategies(Scenario(18)))
 
     def test_strategy_validation(self):
         with pytest.raises(ValidationError):
             DeterministicStrategy((0, 2), (0, 0))
         with pytest.raises(ValidationError):
             DeterministicStrategy((0,), (0, 0))
+        # outcomes are plain ints, as in term keys: no bools, floats or numpy ints
+        for a, b in (((True, False), (1, 0)), ((1, 0), (1.0, 0.0)), ((np.int64(1), 0), (0, 1))):
+            with pytest.raises(ValidationError, match="ints 0 or 1"):
+                DeterministicStrategy(a, b)
 
 
 class TestCapacity:
     def test_classical_max_caps_the_setting_count(self):
-        with pytest.raises(CapacityError, match="n_settings <= 12"):
-            classical_max(as_inequality(14))
+        with pytest.raises(CapacityError, match="n_settings <= 16"):
+            classical_max(as_inequality(18))
 
     def test_certificate_caps_the_setting_count(self):
-        with pytest.raises(CapacityError, match="n_settings <= 12"):
-            certify_hardy_soundness(realigned_hardy(14))
+        with pytest.raises(CapacityError, match="n_settings <= 16"):
+            certify_hardy_soundness(realigned_hardy(18))
+
+    @pytest.mark.parametrize("n,maximizers,saturating", [(14, 131072, 77548), (16, 589824, 346392)])
+    def test_largest_setting_counts(self, n, maximizers, saturating):
+        bound = (n * n + n) / 2
+        assert classical_max(as_inequality(n)) == ClassicalMax(bound, maximizers)
+        paradox = realigned_hardy(n)
+        assert classical_max(paradox.conditions[0].expression) == ClassicalMax(bound, saturating)
+        report = certify_hardy_soundness(paradox)
+        assert report.sound
+        assert (report.checked, report.saturating) == (4**n, saturating)
 
 
 class TestBehaviorOf:
@@ -152,20 +179,20 @@ class TestClassicalMax:
     def test_chsh(self):
         result = classical_max(chsh_probability_form())
         assert result.value == pytest.approx(3.0, abs=1e-12)
-        assert len(result.maximizers) == 8
+        assert result.maximizer_count == 8
 
     @pytest.mark.parametrize("n,bound", [(2, 3.0), (4, 10.0), (6, 21.0), (8, 36.0)])
     def test_as_family(self, n, bound):
         expr = as_inequality(n)
         result = classical_max(expr)
         assert result.value == pytest.approx(bound, abs=1e-12)
-        assert (result.value, result.maximizers) == oracle_max(expr)
+        assert (result.value, result.maximizer_count) == oracle_max(expr)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_realigned_condition_matches_oracle(self, n):
         expr = realigned_hardy(n).conditions[0].expression
         result = classical_max(expr)
-        assert (result.value, result.maximizers) == oracle_max(expr)
+        assert (result.value, result.maximizer_count) == oracle_max(expr)
 
     @pytest.mark.parametrize("paradox", RANDOM_PARADOXES, ids=lambda p: p.paradox_id)
     def test_random_expressions_match_oracle(self, paradox):
@@ -173,26 +200,21 @@ class TestClassicalMax:
             for sign in (1.0, -1.0):
                 scaled = BellExpression(expr.scenario, {k: sign * c for k, c in expr.items()})
                 result = classical_max(scaled)
-                assert (result.value, result.maximizers) == oracle_max(scaled)
+                assert (result.value, result.maximizer_count) == oracle_max(scaled)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_count_is_the_number_of_maximizers(self, n):
-        result = classical_max(as_inequality(n))
-        assert result.maximizer_count == len(result.maximizers)
+        expr = as_inequality(n)
+        result = classical_max(expr)
+        assert (result.value, result.maximizer_count) == table_oracle_max(expr)
 
     def test_count_under_ties_within_tolerance(self):
         # P(00|11) = 1 leaves five settings per party free; the second term
         # adds less than the saturation tolerance, so it breaks no tie
         expr = BellExpression(Scenario(6), {(0, 0, 1, 1): 1.0, (1, 1, 2, 2): SATURATION_TOL / 4})
         result = classical_max(expr)
-        assert result.maximizer_count == len(result.maximizers) == 4**5
-        assert (result.value, result.maximizers) == oracle_max(expr)
-
-    def test_maximizers_attain_value(self):
-        expr = as_inequality(4)
-        result = classical_max(expr)
-        for s in result.maximizers:
-            assert count_oracle(expr, s) == pytest.approx(result.value, abs=1e-12)
+        assert result.maximizer_count == 4**5
+        assert (result.value, result.maximizer_count) == oracle_max(expr)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_oracle_equivalence_all_strategies(self, n):

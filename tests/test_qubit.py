@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,7 @@ from nonlocality_wb.qubit import (
 )
 from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality, evaluate
 from conftest import (
+    QUBIT_SEXTIC_2,
     QUBIT_VALUE_2,
     jet_components,
     merged_original_hardy,
@@ -336,6 +338,19 @@ def assert_forced_zero_residuals(paradox, result):
     # sum |coeff| * _KKT_TOL**2
     for (expr, _), residual in zip(paradox.conditions, result.condition_residuals):
         assert abs(residual) <= sum(abs(c) for _, c in expr.items()) * _KKT_TOL**2
+
+
+def test_qubit_value_2_is_within_1e16_of_a_sextic_root():
+    # exact rational arithmetic: the sextic changes sign across the float
+    # literal +/- 1e-16, so a root lies in that interval
+    def sextic(h):
+        value = Fraction(0)
+        for c in QUBIT_SEXTIC_2:
+            value = value * h + c
+        return value
+
+    h, eps = Fraction(QUBIT_VALUE_2), Fraction(1, 10**16)
+    assert sextic(h - eps) < 0 < sextic(h + eps)
 
 
 class TestMaximizeHardy:
