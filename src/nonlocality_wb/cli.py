@@ -34,7 +34,7 @@ import time
 from . import __version__
 from .hardy import HardyParadox, check, original_hardy, realigned_hardy
 from .lhv import certify_hardy_soundness, check_capacity, classical_max
-from .npa import MAX_LEVEL, MomentProgram, build_program, label, solve
+from .npa import MomentProgram, build_program, check_program_size, label, solve
 from .qubit import (
     OptimizerConfig,
     QubitModel,
@@ -66,16 +66,18 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _paradox_from_arg(target: str) -> HardyParadox:
-    if target == "original":
-        return original_hardy()
+def _paradox_from_arg(target: str, level: int | None = None) -> HardyParadox:
+    """The named paradox; with a level, its moment program's size is checked
+    first, before the O(n^2) paradox is built."""
     try:
-        n = int(target)
+        n = 2 if target == "original" else int(target)
     except ValueError as exc:
         raise ValidationError(
             f"paradox must be 'original' or an even setting count, got {target!r}"
         ) from exc
-    return realigned_hardy(n)
+    if level is not None:
+        check_program_size(n, level)
+    return original_hardy() if target == "original" else realigned_hardy(n)
 
 
 def _document(kind: str, fields: dict) -> dict:
@@ -191,7 +193,7 @@ def _cmd_optimize(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_npa(args) -> tuple[dict, int, list[str]]:
-    paradox = _paradox_from_arg(args.paradox)
+    paradox = _paradox_from_arg(args.paradox, args.level)
     program = build_program(paradox, args.level)
     solution = solve(program)
     outputs = {
@@ -245,7 +247,7 @@ def _cmd_table1(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_dump_paradox(args) -> tuple[dict, int, list[str]]:
-    paradox = _paradox_from_arg(args.paradox)
+    paradox = _paradox_from_arg(args.paradox, args.level)
     outputs = {"paradox": _paradox_document(paradox)}
     if args.level is not None:
         outputs["moment_program"] = _program_document(build_program(paradox, args.level))
@@ -269,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "qubit optimization, and moment-matrix upper bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    levels = tuple(range(1, MAX_LEVEL + 1))
 
     def common(p, csv=False):
         p.add_argument("--json", action="store_true", help="emit a machine-readable run report")
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("npa", help="moment-relaxation upper bound")
     p.add_argument("paradox", help="even setting count or 'original'")
-    p.add_argument("--level", type=int, choices=levels, default=2)
+    p.add_argument("--level", type=int, default=2)
     common(p)
     p.set_defaults(handler=_cmd_npa)
 
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-paradox", help="print the paradox JSON document")
     p.add_argument("paradox", help="even setting count or 'original'")
-    p.add_argument("--level", type=int, choices=levels, default=None,
+    p.add_argument("--level", type=int, default=None,
                    help="also dump the moment program at this level")
     common(p)
     p.set_defaults(handler=_cmd_dump_paradox)

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .hardy import HardyParadox, zero_sign
-from .scenario import BellExpression, TermKey, ValidationError
+from .scenario import BellExpression, Scenario, TermKey, ValidationError
 from .sdp import (
     LmiProblem,
     STATUS_INFEASIBLE,
@@ -59,9 +59,10 @@ if TYPE_CHECKING:
 
 MAX_LEVEL = 3
 
-#: Largest memory, in bytes, that the solver's m x m Schur matrix (factored in
-#: place), its one m x m array, may take; a larger program is rejected before
-#: it allocates it.
+#: Largest memory, in bytes, that one square array of a program may take:
+#: the basis's int64 ``cell_class``, checked on ``(n, level)`` alone before the
+#: build (``check_program_size``), and the solver's m x m Schur matrix (factored
+#: in place), checked in ``_affine_map`` as soon as m is known.
 MAX_SCHUR_BYTES = 2 * 2**30
 
 
@@ -115,6 +116,13 @@ def basis_monomials(n: int, level: int) -> tuple[Word, ...]:
                 for bw in _party_words(n, bob_len):
                     out.append((aw, bw))
     return tuple(out)
+
+
+def basis_size(n: int, level: int) -> int:
+    """``len(basis_monomials(n, level))`` without building it: a party has
+    ``w(k) = n (n-1)^(k-1)`` words of length ``k >= 1``."""
+    w = [1] + [n * (n - 1) ** (k - 1) for k in range(1, level + 1)]
+    return sum(w[a] * w[d - a] for d in range(level + 1) for a in range(d + 1))
 
 
 @dataclass(frozen=True)
@@ -192,13 +200,32 @@ def _check_level(level: int) -> None:
         raise ValidationError(f"hierarchy level must be an integer in 1..{MAX_LEVEL}, got {level!r}")
 
 
+def _check_square(count: int, what: str) -> None:
+    """Raise ``ValidationError`` if ``what``, ``count x count`` 8-byte entries, exceeds the cap."""
+    if (need := 8 * count * count) > MAX_SCHUR_BYTES:
+        raise ValidationError(
+            f"{what} would need {need / 2**30:.1f} GiB, more than the {MAX_SCHUR_BYTES / 2**30:g} GiB cap"
+        )
+
+
+def check_program_size(n: int, level: int) -> None:
+    """Raise ``ValidationError`` unless ``n`` is a setting count, ``level`` a
+    hierarchy level and the level's ``cell_class`` for ``n`` settings fits
+    ``MAX_SCHUR_BYTES``; reads ``(n, level)`` alone, so it runs before
+    anything is built."""
+    Scenario(n)  # validates n
+    _check_level(level)
+    size = basis_size(n, level)
+    _check_square(size, f"the level-{level} basis for n = {n} has {size} words; its cell_class")
+
+
 def _program(
     objective: BellExpression, conditions, level: int, description: str
 ) -> MomentProgram:
     """Maximize ``objective`` with the identity moment pinned to 1 and each
     ``(expression, target)`` condition pinned to its target."""
-    _check_level(level)
     n = objective.scenario.n_settings
+    check_program_size(n, level)
     basis, class_index, cell_class = _moment_structure(n, level)
     n_classes = len(class_index)
     vec, offset = _expression_to_moments(objective, class_index, n_classes)
@@ -357,7 +384,9 @@ class _AffineMap:
 
 def _affine_map(program: MomentProgram) -> _AffineMap | None:
     """Map from the free solver variables to the LMI blocks; None if the
-    equalities are inconsistent.
+    equalities are inconsistent.  Raises ``ValidationError`` once the count m
+    of free variables shows that the solver's m x m array would exceed
+    ``MAX_SCHUR_BYTES``, before the blocks are built.
 
     Swapped classes share a column, and the row-reduced equalities, with
     ``M(y) c = 0`` for each kernel row ``c``, express each pivot column
@@ -388,9 +417,11 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
     if solved is None:
         return None
     free = np.setdiff1d(np.arange(n_orbits), [p for p, _, _ in solved])
+    m = len(free)
+    _check_square(m, f"the level-{program.level} program has m = {m} free variables; its m x m solver array")
     # orbit moments w0 + P z: free orbits are the variables, pivots follow
     w0 = np.zeros(n_orbits)
-    rows, cols, vals = [free], [np.arange(len(free))], [np.ones(len(free))]
+    rows, cols, vals = [free], [np.arange(m)], [np.ones(m)]
     for p, pvec, prhs in solved:
         w0[p] = prhs
         c = np.flatnonzero(pvec[free])
@@ -399,7 +430,7 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
         vals.append(-pvec[free[c]])
     p_map = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_orbits, len(free)),
+        shape=(n_orbits, m),
     )
     y0 = orbits @ w0
     n_map = (orbits @ p_map).tocsr()
@@ -465,14 +496,6 @@ def solve(program: MomentProgram) -> SdpSolution:
                 min_eigenvalue=0.0,
                 residuals=np.full(len(program.equalities), np.inf),
                 diagnostics={"reason": "inconsistent equality constraints", "blas_threads": threads},
-            )
-        m = amap.problem.m
-        need = 8 * m * m
-        if need > MAX_SCHUR_BYTES:
-            raise ValidationError(
-                f"the level-{program.level} program has m = {m} free variables; its "
-                f"m x m solver array would need {need / 2**30:.1f} GiB, more than "
-                f"the {MAX_SCHUR_BYTES / 2**30:g} GiB cap"
             )
         raw = solve_lmi(amap.problem)
 

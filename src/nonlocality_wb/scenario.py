@@ -6,22 +6,16 @@ outcomes each.  A behavior is the full table of conditional probabilities
 ``x`` (Alice) and ``y`` (Bob).  A Bell expression is a sparse real linear
 functional over those entries.
 
-Two expression families are provided:
-
-``chsh_probability_form()``
-    The eight-term CHSH functional written purely in probabilities, with
-    deterministic bound 3 and quantum bound ``2 + sqrt(2)``.
-
-``as_inequality(n)``
-    The n-setting two-outcome family (even ``n``) built from three sums:
-    correlated terms ``P(A_i = B_j)`` for ``j <= n - i + 1``, anti-correlated
-    terms with weight ``i - 1`` on the anti-diagonal pairs
-    ``(A_i, B_{n-i+2})`` and ``(A_{n+2-i}, B_i)``, and weight ``n/2`` on
-    ``(A_{n/2+1}, B_{n/2+1})``.  Its deterministic bound
-    ``(n^2 + n) / 2`` is :func:`as_classical_bound` and its quantum bound
-    ``((n+1) sqrt(n(n+2)) / 3 + (3 n^2 + 2 n) / 4) / 2`` is
-    :func:`as_quantum_bound`; an expression itself carries no bounds.
-    At ``n = 2`` the family reduces term-for-term to the CHSH form.
+The one expression family, ``as_inequality(n)``, is the n-setting
+two-outcome family (even ``n``) built from three sums: correlated terms
+``P(A_i = B_j)`` for ``j <= n - i + 1``, anti-correlated terms with weight
+``i - 1`` on the anti-diagonal pairs ``(A_i, B_{n-i+2})`` and
+``(A_{n+2-i}, B_i)``, and weight ``n/2`` on ``(A_{n/2+1}, B_{n/2+1})``.  Its
+deterministic bound ``(n^2 + n) / 2`` is :func:`as_classical_bound` and its
+quantum bound ``((n+1) sqrt(n(n+2)) / 3 + (3 n^2 + 2 n) / 4) / 2`` is
+:func:`as_quantum_bound`; an expression itself carries no bounds.  At
+``n = 2`` it is the eight-term CHSH functional in probability form, with
+deterministic bound 3 and quantum bound ``2 + sqrt(2)``.
 
 Index conventions: setting labels are 1-based, outcomes are ``{0, 1}``, term
 keys are canonically ordered by ``(x, y, i, j)`` (also in the ``--json``
@@ -218,30 +212,6 @@ def evaluate(expr: BellExpression, behavior: Behavior) -> float:
     return total
 
 
-def chsh_probability_form() -> BellExpression:
-    """The CHSH functional in probability form.
-
-    Eight unit-coefficient terms::
-
-        P(11|A1B1) + P(10|A2B2) + P(00|A1B2) + P(11|A2B1)
-        + P(11|A1B2) + P(00|A2B1) + P(01|A2B2) + P(00|A1B1)
-
-    Deterministic bound 3; quantum bound ``2 + sqrt(2)``.
-    """
-    scenario = Scenario(2)
-    terms = {
-        (1, 1, 1, 1): 1.0,
-        (1, 0, 2, 2): 1.0,
-        (0, 0, 1, 2): 1.0,
-        (1, 1, 2, 1): 1.0,
-        (1, 1, 1, 2): 1.0,
-        (0, 0, 2, 1): 1.0,
-        (0, 1, 2, 2): 1.0,
-        (0, 0, 1, 1): 1.0,
-    }
-    return BellExpression(scenario, terms)
-
-
 def as_classical_bound(n: int) -> float:
     """Deterministic maximum ``(n^2 + n) / 2`` of :func:`as_inequality`."""
     Scenario(n)  # validates n
@@ -266,7 +236,7 @@ def as_inequality(n: int) -> BellExpression:
       and ``(A_{n+2-i}, B_i)`` for ``i = 2..n/2``;
     - weight ``n/2`` anti-correlation at ``(A_{n/2+1}, B_{n/2+1})``.
 
-    For ``n = 2`` this is exactly :func:`chsh_probability_form`.
+    For ``n = 2`` this is the eight-term CHSH functional in probability form.
     """
     scenario = Scenario(n)
     terms: dict[TermKey, float] = {}

@@ -67,6 +67,8 @@ STATUS_INFEASIBLE = "infeasible"
 
 # optimal: relative duality gap, scaled primal and dual infeasibility at most
 GAP_TOL = FEAS_TOL = 1e-7
+# iterations before solve_lmi stops and returns its best iterate
+MAX_ITERATIONS = 150
 # LmiSolution.log's columns, one entry per iterate
 LOG_KEYS = ("rel_gap", "primal_infeasibility", "dual_infeasibility", "mu")
 
@@ -326,15 +328,16 @@ def _step(blocks, chol, direction, gamma: float):
     return None
 
 
-def solve_lmi(problem: LmiProblem, max_iterations: int = 150) -> LmiSolution:
+def solve_lmi(problem: LmiProblem) -> LmiSolution:
     """Run the predictor-corrector iteration from ``scale * I``, factored once.
 
     Each iteration factors ``H`` once; the predictor and the corrector
     direction are one solve with that factor each.
 
     Ends ``optimal`` within ``GAP_TOL`` and ``FEAS_TOL``, or ``infeasible``
-    on divergence; on the iteration cap, a stall or a step with no trial that
-    factors, it returns the best iterate kept, as ``max_iterations``.
+    on divergence; on the iteration cap ``MAX_ITERATIONS``, a stall or a step
+    with no trial that factors, it returns the best iterate kept, as
+    ``max_iterations``.
     """
     import scipy.linalg
 
@@ -360,7 +363,7 @@ def solve_lmi(problem: LmiProblem, max_iterations: int = 150) -> LmiSolution:
     best_score = np.inf
     best_it = 0
     best = (y, x_blocks, rel_gap, pinf, dinf)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         rd = [mb - zb for mb, zb in zip(problem.mat(y), z_blocks)]  # dual residual matrices
         rp = -b - problem.inner(x_blocks)  # primal residuals <F_k, X> = -b_k
         gap = sum(float(np.tensordot(xb, zb)) for xb, zb in zip(x_blocks, z_blocks))

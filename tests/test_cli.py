@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -18,8 +17,8 @@ from pathlib import Path
 import pytest
 
 import nonlocality_wb
-from nonlocality_wb import cli, npa
-from nonlocality_wb.cli import TABLE1_COLUMNS, build_parser, main
+from nonlocality_wb import cli, npa, sdp
+from nonlocality_wb.cli import TABLE1_COLUMNS, main
 from nonlocality_wb.hardy import ORIGINAL_HARDY_VALUE, original_hardy, realigned_hardy
 from nonlocality_wb.npa import MAX_LEVEL
 from nonlocality_wb.qubit import OptimizerConfig, maximize_hardy
@@ -274,7 +273,7 @@ class TestNpa:
         assert abs(report["outputs"]["upper_bound"] - (5 * math.sqrt(5) - 11) / 2) <= 1e-7
 
     def test_capped_solve_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(npa, "solve_lmi", functools.partial(npa.solve_lmi, max_iterations=2))
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
         code, report = run_json(capsys, "npa", "2", "--level", "2")
         assert code == 1
         assert report["outputs"]["status"] == "max_iterations"
@@ -282,11 +281,37 @@ class TestNpa:
 
     @pytest.mark.parametrize("command", ["npa", "dump-paradox"])
     def test_level_choices_follow_max_level(self, capsys, command):
-        parser = build_parser()
-        assert parser.parse_args([command, "2", "--level", str(MAX_LEVEL)]).level == MAX_LEVEL
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args([command, "2", "--level", str(MAX_LEVEL + 1)])
-        assert exc.value.code == 2
+        code, report = run_json(capsys, command, "2", "--level", str(MAX_LEVEL))
+        assert code == 0
+        assert report["inputs"]["level"] == MAX_LEVEL
+        for level in (MAX_LEVEL + 1, 0):
+            assert main([command, "2", "--level", str(level), "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "hierarchy level" in captured.err
+
+    def test_oversize_program_is_refused_before_its_lmi_is_built(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("LmiProblem built above the cap")
+
+        monkeypatch.setattr(npa, "LmiProblem", fail)
+        assert main(["npa", "6", "--level", "3", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "m = 46076" in captured.err and "15.8 GiB" in captured.err
+
+
+@pytest.mark.parametrize("command", ["npa", "dump-paradox"])
+def test_program_size_is_checked_before_the_paradox_is_built(capsys, monkeypatch, command):
+    # the level-2 basis for n = 100 has 3 n^2 + 1 = 30001 words: a 6.7 GiB cell_class
+    def fail(n):
+        raise AssertionError(f"realigned_hardy({n}) built above the cap")
+
+    monkeypatch.setattr(cli, "realigned_hardy", fail)
+    assert main([command, "100", "--level", "2", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "30001 words" in captured.err and "6.7 GiB" in captured.err
 
 
 class TestTable1:

@@ -19,7 +19,6 @@ from nonlocality_wb.scenario import (
     Scenario,
     ValidationError,
     as_inequality,
-    chsh_probability_form,
     evaluate,
 )
 from oracles import behavior_of, enumerate_strategies
@@ -177,7 +176,7 @@ class TestBehaviorOf:
 
 class TestClassicalMax:
     def test_chsh(self):
-        result = classical_max(chsh_probability_form())
+        result = classical_max(as_inequality(2))
         assert result.value == pytest.approx(3.0, abs=1e-12)
         assert result.maximizer_count == 8
 

@@ -17,6 +17,7 @@ from nonlocality_wb.npa import (
     _swap_permutations,
     adjoint,
     basis_monomials,
+    basis_size,
     build_expression_program,
     build_program,
     label,
@@ -25,7 +26,7 @@ from nonlocality_wb.npa import (
     solve,
 )
 from nonlocality_wb.qubit import OptimizerConfig, QubitModel, behavior_of_model, maximize_hardy
-from nonlocality_wb.scenario import BellExpression, ValidationError, chsh_probability_form
+from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality
 from conftest import merged_original_hardy
 from oracles import moment_matrix_of_model
 
@@ -106,10 +107,12 @@ class TestBasis:
 
     @pytest.mark.parametrize(
         "n,level,size",
-        [(2, 1, 5), (4, 1, 9), (2, 2, 13), (4, 2, 49), (2, 3, 25), (4, 3, 217)],
+        [(2, 1, 5), (4, 1, 9), (2, 2, 13), (4, 2, 49), (2, 3, 25), (4, 3, 217), (6, 3, 769),
+         (100, 2, 30001)],
     )
     def test_sizes(self, n, level, size):
         assert len(basis_monomials(n, level)) == size
+        assert basis_size(n, level) == size
 
     def test_no_duplicates(self):
         basis = basis_monomials(4, 3)
@@ -126,6 +129,14 @@ class TestBuildProgram:
         for level in (True, False, 2.0):
             with pytest.raises(ValidationError):
                 build_program(realigned_hardy(2), level)
+
+    def test_basis_over_the_memory_cap_is_rejected(self, monkeypatch):
+        # the level-1 basis for n = 2 has 5 words: a 200-byte int64 cell_class
+        monkeypatch.setattr(npa, "MAX_SCHUR_BYTES", 8 * 5 * 5 - 1)
+        with pytest.raises(ValidationError, match="has 5 words"):
+            build_program(realigned_hardy(2), 1)
+        monkeypatch.setattr(npa, "MAX_SCHUR_BYTES", 8 * 5 * 5)
+        assert build_program(realigned_hardy(2), 1).size == 5
 
     def test_objective_is_single_moment(self):
         prog = build_program(realigned_hardy(2), 1)
@@ -180,7 +191,7 @@ class TestBuildProgram:
 
 class TestSolve:
     def test_chsh_level1_quantum_bound(self):
-        sol = solve(build_expression_program(chsh_probability_form(), 1))
+        sol = solve(build_expression_program(as_inequality(2), 1))
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-5)
 
@@ -209,7 +220,7 @@ class TestSolve:
 
     def test_symmetry_reduction_matches_full_solver(self):
         cases = [
-            build_expression_program(chsh_probability_form(), 1),
+            build_expression_program(as_inequality(2), 1),
             build_program(realigned_hardy(2), 2),
             build_program(realigned_hardy(2), 3),
             build_program(realigned_hardy(4), 1),
@@ -274,8 +285,8 @@ class TestSolve:
         solve_lmi = npa.solve_lmi
         rng = np.random.default_rng(0)
 
-        def sloppy(problem, **kwargs):
-            raw = solve_lmi(problem, **kwargs)
+        def sloppy(problem):
+            raw = solve_lmi(problem)
             assert raw.status == "optimal"
             direction = rng.standard_normal(problem.m)
             for scale in 10.0 ** np.arange(-8, 1):
@@ -367,7 +378,7 @@ MAP_CASES = [
 
 def map_case_program(name, level):
     if name == "chsh":
-        return build_expression_program(chsh_probability_form(), level)
+        return build_expression_program(as_inequality(2), level)
     if name == "original":
         return build_program(original_hardy(), level)
     return build_program(realigned_hardy(int(name.split("-")[1])), level)

@@ -13,7 +13,6 @@ from nonlocality_wb.scenario import (
     as_classical_bound,
     as_inequality,
     as_quantum_bound,
-    chsh_probability_form,
     evaluate,
 )
 
@@ -124,19 +123,19 @@ class TestBellExpression:
 
 class TestEvaluate:
     def test_chsh_on_uniform(self):
-        assert evaluate(chsh_probability_form(), uniform_behavior(Scenario(2))) == pytest.approx(
+        assert evaluate(as_inequality(2), uniform_behavior(Scenario(2))) == pytest.approx(
             2.0, abs=1e-12
         )
 
     def test_chsh_on_all_zero(self):
         # only the three P(00|..) terms fire
-        assert evaluate(chsh_probability_form(), all_zero_behavior(Scenario(2))) == pytest.approx(
+        assert evaluate(as_inequality(2), all_zero_behavior(Scenario(2))) == pytest.approx(
             3.0, abs=1e-12
         )
 
     def test_scenario_mismatch(self):
         with pytest.raises(ScenarioMismatchError):
-            evaluate(chsh_probability_form(), uniform_behavior(Scenario(4)))
+            evaluate(as_inequality(2), uniform_behavior(Scenario(4)))
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
@@ -155,30 +154,35 @@ class TestEvaluate:
 
 
 class TestChshProbabilityForm:
+    """``as_inequality(2)``: the CHSH functional in probability form."""
+
     def test_bounds(self):
-        assert classical_max(chsh_probability_form()).value == 3
+        assert classical_max(as_inequality(2)).value == 3
         assert as_quantum_bound(2) == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
 
     def test_term_listing(self):
-        e = chsh_probability_form()
-        assert len(e) == 8
-        assert all(c == 1.0 for _, c in e.items())
-        expected = {
-            (1, 1, 1, 1),
-            (1, 0, 2, 2),
-            (0, 0, 1, 2),
-            (1, 1, 2, 1),
-            (1, 1, 1, 2),
-            (0, 0, 2, 1),
-            (0, 1, 2, 2),
-            (0, 0, 1, 1),
-        }
-        assert {key for key, _ in e.items()} == expected
+        # eight unit terms, in canonical (x, y, i, j) order
+        assert list(as_inequality(2).items()) == [
+            ((0, 0, 1, 1), 1.0),
+            ((1, 1, 1, 1), 1.0),
+            ((0, 0, 1, 2), 1.0),
+            ((1, 1, 1, 2), 1.0),
+            ((0, 0, 2, 1), 1.0),
+            ((1, 1, 2, 1), 1.0),
+            ((0, 1, 2, 2), 1.0),
+            ((1, 0, 2, 2), 1.0),
+        ]
 
 
 class TestAsInequality:
     def test_n2_equals_chsh(self):
-        assert dict(as_inequality(2).items()) == dict(chsh_probability_form().items())
+        # P(A1 = B1) + P(A1 = B2) + P(A2 = B1) + P(A2 != B2)
+        terms = {
+            (i, j, x, y): 1.0
+            for x in (1, 2) for y in (1, 2) for i in (0, 1) for j in (0, 1)
+            if (i != j) == (x == y == 2)
+        }
+        assert as_inequality(2) == BellExpression(Scenario(2), terms)
 
     def test_n4_exact_listing(self):
         e = as_inequality(4)

@@ -100,25 +100,27 @@ def test_kkt_certificates_on_random_feasible_problem():
     assert abs(sol.primal_objective - sol.objective) <= 1e-6 * (1 + abs(sol.objective))
 
 
-def test_infeasible_lmi_detected():
+def test_infeasible_lmi_detected(monkeypatch):
     # y >= 1 and -y >= 1 cannot both hold
     problem = LmiProblem(
         f0_blocks=[np.array([[-1.0]]), np.array([[-1.0]])],
         f_blocks=[block(1, 1, [(0, 0, 0, 1.0)]), block(1, 1, [(0, 0, 0, -1.0)])],
         b=np.array([1.0]),
     )
-    sol = solve_lmi(problem, max_iterations=200)
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 200)
+    sol = solve_lmi(problem)
     assert sol.status in (STATUS_INFEASIBLE, STATUS_MAX_ITERATIONS)
     assert sol.status != STATUS_OPTIMAL
 
 
-def test_iteration_cap():
+def test_iteration_cap(monkeypatch):
     problem = LmiProblem(
         f0_blocks=[np.eye(2)],
         f_blocks=[block(2, 1, [(0, 0, 1, 1.0)])],
         b=np.array([1.0]),
     )
-    sol = solve_lmi(problem, max_iterations=2)
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    sol = solve_lmi(problem)
     assert sol.status == STATUS_MAX_ITERATIONS
 
 
