@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 
 from . import __version__
 from .hardy import HardyParadox, check, original_hardy, realigned_hardy
@@ -246,12 +247,13 @@ def _cmd_table1(args) -> tuple[dict, int, list[str]]:
     return _report("table1", {"tolerance": args.tol}, outputs), 0 if ok else 1, lines
 
 
-def _cmd_dump_paradox(args) -> tuple[dict, int, list[str]]:
+def _cmd_dump_paradox(args) -> tuple[dict, int, Iterable[str]]:
     paradox = _paradox_from_arg(args.paradox, args.level)
     outputs = {"paradox": _paradox_document(paradox)}
     if args.level is not None:
         outputs["moment_program"] = _program_document(build_program(paradox, args.level))
-    lines = [json.dumps(outputs, indent=2, sort_keys=True)]
+    # the text dump is built only if it is printed, not under --json
+    lines = (json.dumps(doc, indent=2, sort_keys=True) for doc in [outputs])
     inputs = {"paradox": args.paradox, "level": args.level}
     return _report("dump-paradox", inputs, outputs), 0, lines
 

@@ -390,7 +390,8 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
 
     Swapped classes share a column, and the row-reduced equalities, with
     ``M(y) c = 0`` for each kernel row ``c``, express each pivot column
-    through the free ones.
+    through the free ones.  The maps are index arrays: class to column is
+    ``orbit``, cell to class is ``program.cell_class``.
     """
     import scipy.linalg
     import scipy.sparse
@@ -400,20 +401,14 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
     swap = _swap_permutations(program)
     class_perm, basis_perm = swap or (np.arange(n_classes), np.arange(size))
 
-    classes = np.arange(n_classes)
-    reps, orbit = np.unique(np.minimum(classes, class_perm), return_inverse=True)
+    reps, orbit = np.unique(np.minimum(np.arange(n_classes), class_perm), return_inverse=True)
     n_orbits = len(reps)
-    orbits = scipy.sparse.csr_matrix(
-        (np.ones(n_classes), (classes, orbit)), shape=(n_classes, n_orbits)
-    )
-    # cells: one-hot map from the row-major cells of M to their classes
-    cells = scipy.sparse.csr_matrix(
-        (np.ones(size * size), (np.arange(size * size), program.cell_class.ravel())),
-        shape=(size * size, n_classes),
-    )
-    pins = [(orbits.T @ vec, rhs) for vec, rhs in program.equalities]
-    null = scipy.sparse.kron(scipy.sparse.eye(size), kernel) @ cells @ orbits  # M(y) c = 0
-    solved = _row_reduce(pins + [(row, 0.0) for row in null.toarray()])
+    pins = [(np.bincount(orbit, vec, n_orbits), rhs) for vec, rhs in program.equalities]
+    # M(y) c = 0: row (p, j) sums kernel row j's entries over the orbits of M's row p
+    j, q = np.nonzero(kernel)
+    at = (np.arange(size)[:, None] * len(kernel) + j) * n_orbits + orbit[program.cell_class[:, q]]
+    null = np.bincount(at.ravel(), np.tile(kernel[j, q], size), size * len(kernel) * n_orbits)
+    solved = _row_reduce(pins + [(row, 0.0) for row in null.reshape(-1, n_orbits)])
     if solved is None:
         return None
     free = np.setdiff1d(np.arange(n_orbits), [p for p, _, _ in solved])
@@ -432,40 +427,28 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_orbits, m),
     )
-    y0 = orbits @ w0
-    n_map = (orbits @ p_map).tocsr()
+    y0 = w0[orbit]
+    n_map = p_map[orbit]
 
-    fixed = np.flatnonzero(basis_perm == np.arange(size))
-    lo = np.flatnonzero(basis_perm > np.arange(size))
-    hi = basis_perm[lo]
-    d, k = len(fixed), len(lo)
+    # the identity's fixed columns and the (I +- Pi)/sqrt(2) columns of the swap Pi
+    eye = scipy.sparse.identity(size, format="csc")
+    swapped = eye[:, basis_perm]
+    fixed = basis_perm == np.arange(size)
+    lo = basis_perm > np.arange(size)
     root = 1.0 / math.sqrt(2.0)
-    plus = scipy.sparse.csr_matrix(
-        (
-            np.concatenate([np.ones(d), np.full(2 * k, root)]),
-            (
-                np.concatenate([fixed, lo, hi]),
-                np.concatenate([np.arange(d), d + np.arange(k), d + np.arange(k)]),
-            ),
-        ),
-        shape=(size, d + k),
-    )
-    minus = scipy.sparse.csr_matrix(
-        (
-            np.concatenate([np.full(k, root), np.full(k, -root)]),
-            (np.concatenate([lo, hi]), np.tile(np.arange(k), 2)),
-        ),
-        shape=(size, k),
-    )
-    bases = (plus, minus) if k else (plus,)
+    plus = scipy.sparse.hstack([eye[:, fixed], root * (eye + swapped)[:, lo]], format="csr")
+    bases = (plus, (root * (eye - swapped)[:, lo]).tocsr()) if lo.any() else (plus,)
     if len(kernel):  # each swap sector's complement of the kernel
         faces = [v @ scipy.linalg.null_space(kernel @ v) for v in bases]
         bases = tuple(scipy.sparse.csr_matrix(v) for v in faces if v.shape[1])
 
     f0_blocks, f_blocks = [], []
+    cells = program.cell_class.ravel()
     for v in bases:
         dim = v.shape[1]
-        to_block = (scipy.sparse.kron(v, v, format="csr").T @ cells).tocsr()
+        # kron(V, V)^T with each cell of M read as its class
+        k = scipy.sparse.kron(v, v, format="coo")
+        to_block = scipy.sparse.csr_matrix((k.data, (k.col, cells[k.row])), shape=(dim * dim, n_classes))
         f0_blocks.append((to_block @ y0).reshape(dim, dim))
         f_blocks.append(to_block @ n_map)
     return _AffineMap(

@@ -279,6 +279,15 @@ class TestNpa:
         assert report["outputs"]["status"] == "max_iterations"
         assert report["outputs"]["diagnostics"]["iterations"] == 2
 
+    def test_stalled_solve_exits_1(self, capsys, monkeypatch):
+        # no moment matrix meets the unattainable condition: the solver stops
+        # on its stall rule, before the iteration cap
+        monkeypatch.setattr(cli, "realigned_hardy", unattainable_hardy)
+        code, report = run_json(capsys, "npa", "2", "--level", "2")
+        assert code == 1
+        assert report["outputs"]["status"] == "max_iterations"
+        assert report["outputs"]["diagnostics"]["iterations"] < sdp.MAX_ITERATIONS
+
     @pytest.mark.parametrize("command", ["npa", "dump-paradox"])
     def test_level_choices_follow_max_level(self, capsys, command):
         code, report = run_json(capsys, command, "2", "--level", str(MAX_LEVEL))
@@ -359,6 +368,26 @@ class TestDumpParadox:
         assert doc["basis"] == ["1", "E1", "E2", "F1", "F2"]
         assert len(doc["cell_class"]) == 25
         assert len(doc["equalities"]) == 2
+
+    def test_json_builds_no_text_dump(self, capsys, monkeypatch):
+        # under --json the indented text dump is never built; without it the
+        # text is the same indented dump of the outputs
+        dumps = json.dumps
+        indented = []
+
+        def spy(obj, *args, **kwargs):
+            if kwargs.get("indent") is not None:
+                indented.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        code, report = run_json(capsys, "dump-paradox", "2", "--level", "1")
+        assert code == 0
+        assert indented == []
+        code, text = run_cli(capsys, "dump-paradox", "2", "--level", "1")
+        assert code == 0
+        assert len(indented) == 1
+        assert text == dumps(report["outputs"], indent=2, sort_keys=True) + "\n"
 
     def test_original(self, capsys):
         code, report = run_json(capsys, "dump-paradox", "original")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from nonlocality_wb import npa
+from nonlocality_wb import npa, sdp
 from nonlocality_wb.cli import REFERENCE_MODELS, _program_document
 from nonlocality_wb.hardy import Condition, HardyParadox, original_hardy, realigned_hardy
 from nonlocality_wb.npa import (
@@ -27,7 +28,7 @@ from nonlocality_wb.npa import (
 )
 from nonlocality_wb.qubit import OptimizerConfig, QubitModel, behavior_of_model, maximize_hardy
 from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality
-from conftest import merged_original_hardy
+from conftest import merged_original_hardy, unattainable_hardy
 from oracles import moment_matrix_of_model
 
 ORIGINAL_VALUE = (5 * math.sqrt(5) - 11) / 2
@@ -308,6 +309,30 @@ class TestSolve:
             solve(prog)
         monkeypatch.setattr(npa, "MAX_SCHUR_BYTES", 8 * m * m)
         assert solve(prog).status == "optimal"
+
+    def test_refusal_allocates_little(self):
+        # npa 6 --level 3 is refused at m = 46076 from index arrays over its
+        # 769-word basis, before any map with a row per cell of M is built
+        prog = build_program(realigned_hardy(6), 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="m = 46076 free variables"):
+                solve(prog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+
+    def test_stalled_solve_stops_before_the_iteration_cap(self):
+        # no moment matrix meets the unattainable condition: the best residual
+        # score stops improving, and 12 iterations later the stall rule stops
+        sol = solve(build_program(unattainable_hardy(2), 2))
+        assert sol.status == "max_iterations"
+        assert sol.diagnostics["iterations"] < sdp.MAX_ITERATIONS
+        log = sol.diagnostics["iteration_log"]
+        scores = np.maximum.reduce([log["rel_gap"], log["primal_infeasibility"], log["dual_infeasibility"]])
+        best = min(scores[:-12])
+        assert all(score >= 0.98 * best for score in scores[-12:])
 
     def test_asymmetric_program_skips_reduction(self):
         # perturbing a single Alice-side coefficient breaks the party swap;
