@@ -45,9 +45,11 @@ costs more CPU in hand-offs than it saves, and the thread count would change
 the result bits.
 
 scipy is imported inside the functions that use it, so importing this module,
-``npa`` or ``cli`` loads no scipy, whose import costs more than the rest of
-the package's; only a solve does.  scipy brings its own OpenBLAS, so
-``_blas_setters`` imports it before it looks the libraries up.
+``npa`` or ``cli`` loads no scipy; only a solve does.  The block kernels call
+LAPACK's ``dpotrf``, ``dpotrs``, ``dtrtrs`` and ``dsyevr`` (at ``eigh``'s
+workspace) as ``scipy.linalg``'s wrappers do, bit for bit, minus checks that
+cost more than LAPACK on small blocks; H keeps ``cho_factor`` and
+``cho_solve``, whose checks are nothing next to its factorization.
 """
 
 from __future__ import annotations
@@ -293,23 +295,37 @@ def _single_blas_thread():
 
 def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
     """Largest alpha with ``A + alpha * D`` PSD, given ``A = L L^T``."""
-    import scipy.linalg
+    from scipy.linalg import lapack
 
-    w = scipy.linalg.solve_triangular(chol_lower, direction, lower=True, check_finite=False)
-    w = scipy.linalg.solve_triangular(chol_lower, w.T, lower=True, check_finite=False)
-    lam = scipy.linalg.eigvalsh(0.5 * (w + w.T), check_finite=False)[0]
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+    w = lapack.dtrtrs(chol_lower, direction, lower=1)[0]
+    w = lapack.dtrtrs(chol_lower, w.T, lower=1)[0]
+    lwork, liwork, _ = lapack.dsyevr_lwork(len(w), lower=1)
+    lam, _, _, _, info = lapack.dsyevr(0.5 * (w + w.T), compute_v=0, lower=1, lwork=int(lwork), liwork=liwork)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+    return np.inf if lam[0] >= -1e-14 else -1.0 / lam[0]
 
 
 def _chol_blocks(blocks: Sequence[np.ndarray]):
-    import scipy.linalg
+    from scipy.linalg import lapack
 
-    try:
-        return [scipy.linalg.cholesky(a, lower=True, check_finite=False) for a in blocks]
-    except scipy.linalg.LinAlgError:
-        return None
+    factors = []
+    for a in blocks:
+        l, info = lapack.dpotrf(a, lower=1, clean=1)
+        if info:
+            if info < 0:
+                raise ValueError(f"dpotrf: illegal value in argument {-info}")
+            return None
+        factors.append(l)
+    return factors
+
+
+def _inverse(chol_lower: np.ndarray) -> np.ndarray:
+    """``A^-1``, symmetrized, given ``A = L L^T``."""
+    from scipy.linalg import lapack
+
+    inv = lapack.dpotrs(chol_lower, np.eye(len(chol_lower)), lower=1)[0]
+    return 0.5 * (inv + inv.T)
 
 
 def _step(blocks, chol, direction, gamma: float):
@@ -366,10 +382,10 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
     for it in range(1, MAX_ITERATIONS + 1):
         rd = [mb - zb for mb, zb in zip(problem.mat(y), z_blocks)]  # dual residual matrices
         rp = -b - problem.inner(x_blocks)  # primal residuals <F_k, X> = -b_k
-        gap = sum(float(np.tensordot(xb, zb)) for xb, zb in zip(x_blocks, z_blocks))
+        gap = sum(float(np.vdot(xb, zb)) for xb, zb in zip(x_blocks, z_blocks))
         mu = gap / n_total
 
-        pobj = sum(float(np.tensordot(f, xb)) for f, xb in zip(problem.f0, x_blocks))
+        pobj = sum(float(np.vdot(f, xb)) for f, xb in zip(problem.f0, x_blocks))
         dobj = float(b @ y)
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pinf = float(np.linalg.norm(rp)) / b_norm
@@ -392,8 +408,7 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
         if it - best_it >= 12 or (score > 1e4 * max(best_score, 1e-12) and it > 10):
             break
 
-        zinv = [scipy.linalg.cho_solve((l, True), np.eye(nb), check_finite=False) for l, nb in zip(lz, dims)]
-        zinv = [0.5 * (zi + zi.T) for zi in zinv]
+        zinv = [_inverse(l) for l in lz]
 
         h = cho = None  # release last iteration's factor before the next H
         h = problem.schur(x_blocks, zinv)
@@ -433,7 +448,7 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
         ap = min(1.0, *(_max_step(l, d) for l, d in zip(lx, dx_aff)))
         ad = min(1.0, *(_max_step(l, d) for l, d in zip(lz, dz_aff)))
         gap_aff = sum(
-            float(np.tensordot(xb + ap * dxb, zb + ad * dzb))
+            float(np.vdot(xb + ap * dxb, zb + ad * dzb))
             for xb, dxb, zb, dzb in zip(x_blocks, dx_aff, z_blocks, dz_aff)
         )
         sigma = min(1.0, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
@@ -457,7 +472,7 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
         y=y,
         primal_blocks=x_blocks,
         objective=float(b @ y),
-        primal_objective=sum(float(np.tensordot(f, xb)) for f, xb in zip(problem.f0, x_blocks)),
+        primal_objective=sum(float(np.vdot(f, xb)) for f, xb in zip(problem.f0, x_blocks)),
         status=status,
         iterations=it,
         rel_gap=float(rel_gap),

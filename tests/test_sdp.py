@@ -549,6 +549,86 @@ def test_failed_factorization_retries_on_a_reassembled_schur_matrix(monkeypatch)
     assert len(assembled) == len(factored) == sol.iterations
 
 
+def scipy_max_step(chol_lower, direction):
+    """The step length through scipy.linalg's wrappers, as the solver computed
+    it before it called LAPACK directly; a bitwise oracle for ``_max_step``."""
+    w = scipy.linalg.solve_triangular(chol_lower, direction, lower=True, check_finite=False)
+    w = scipy.linalg.solve_triangular(chol_lower, w.T, lower=True, check_finite=False)
+    lam = scipy.linalg.eigvalsh(0.5 * (w + w.T), check_finite=False)[0]
+    if lam >= -1e-14:
+        return np.inf
+    return -1.0 / lam
+
+
+def scipy_chol_blocks(blocks):
+    """The block factors through ``scipy.linalg.cholesky``; an oracle for ``_chol_blocks``."""
+    try:
+        return [scipy.linalg.cholesky(a, lower=True, check_finite=False) for a in blocks]
+    except scipy.linalg.LinAlgError:
+        return None
+
+
+def scipy_inverse(chol_lower):
+    """The symmetrized ``Z^-1`` through ``scipy.linalg.cho_solve``; an oracle for ``_inverse``."""
+    zi = scipy.linalg.cho_solve((chol_lower, True), np.eye(len(chol_lower)), check_finite=False)
+    return 0.5 * (zi + zi.T)
+
+
+def tensordot_vdot(a, b):
+    """The inner product as ``np.tensordot`` forms it; an oracle for ``np.vdot``."""
+    return np.tensordot(a, b, axes=a.ndim)
+
+
+@pytest.mark.parametrize("dim", [1, 6, 27, 111])
+def test_block_kernels_are_bitwise_the_scipy_wrappers(dim):
+    rng = np.random.default_rng(dim)
+    a, b = random_spd(rng, dim), random_spd(rng, dim)
+    factors = sdp._chol_blocks([a, b])
+    oracle = scipy_chol_blocks([a, b])
+    assert all(np.array_equal(l, o) for l, o in zip(factors, oracle, strict=True))
+    l = factors[0]
+    assert np.array_equal(sdp._inverse(l), scipy_inverse(l))
+    d = rng.normal(size=(dim, dim))
+    d = d + d.T - dim * np.eye(dim)
+    assert math.isfinite(sdp._max_step(l, d))
+    assert sdp._max_step(l, d) == scipy_max_step(l, d)
+    assert float(np.vdot(a, d)) == float(tensordot_vdot(a, d))
+    # D >= 0: the whole ray stays in the cone
+    assert sdp._max_step(l, b) == scipy_max_step(l, b) == np.inf
+    # a block that is not positive definite, after one that is
+    indefinite = a - 2.0 * np.linalg.eigvalsh(a)[-1] * np.eye(dim)
+    assert sdp._chol_blocks([a, indefinite]) is None
+    assert scipy_chol_blocks([a, indefinite]) is None
+
+
+@pytest.mark.parametrize("n,level", [(2, 3), ("original", 3), (4, 2)])
+def test_solve_is_bitwise_the_solve_on_scipy_wrappers(monkeypatch, n, level):
+    paradox = original_hardy() if n == "original" else realigned_hardy(n)
+    problem = npa._affine_map(npa.build_program(paradox, level)).problem
+    direct = solve_lmi(problem)
+    monkeypatch.setattr(sdp, "_max_step", scipy_max_step)
+    monkeypatch.setattr(sdp, "_chol_blocks", scipy_chol_blocks)
+    monkeypatch.setattr(sdp, "_inverse", scipy_inverse)
+    monkeypatch.setattr(np, "vdot", tensordot_vdot)
+    wrapped = solve_lmi(problem)
+    assert direct.status == wrapped.status == STATUS_OPTIMAL
+    assert np.array_equal(direct.y, wrapped.y)
+    assert all(np.array_equal(x, w) for x, w in zip(direct.primal_blocks, wrapped.primal_blocks, strict=True))
+    assert direct.log == wrapped.log
+
+
+def test_block_kernels_bypass_the_scipy_wrappers(monkeypatch):
+    problem = npa._affine_map(npa.build_program(realigned_hardy(2), 3)).problem
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver's block kernels call LAPACK directly")
+
+    for name in ("cholesky", "solve_triangular", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    monkeypatch.setattr(np, "tensordot", refuse)
+    assert solve_lmi(problem).status == STATUS_OPTIMAL
+
+
 @functools.cache
 def blas_thread_getters():
     """The thread-count getter of every loaded OpenBLAS."""
