@@ -5,8 +5,8 @@ itself re-exports nothing, so importing it loads no submodule.
 
 Library layout:
 
-- :mod:`nonlocality_wb.scenario` - scenarios, behaviors, Bell expressions,
-  the CHSH probability form and the n-setting expression family;
+- :mod:`nonlocality_wb.scenario` - scenarios, behaviors, Bell expressions
+  and the n-setting expression family;
 - :mod:`nonlocality_wb.lhv` - deterministic strategies, best-response
   classical bounds and Hardy soundness certificates;
 - :mod:`nonlocality_wb.hardy` - paradox construction and evaluation;

@@ -272,12 +272,18 @@ class _PenaltyProblem:
         # its value minus its target.  Dependent constraints would make every
         # row's KKT matrix singular, so each forced term is kept once, and any
         # other condition only if its coefficients raise the rank of those of
-        # the conditions kept before it (a repeat or a scaled copy does not).
-        forced, plain, kept = set(), [], []
+        # the forced terms and of the conditions kept before it (a repeat, a
+        # scaled copy or a combination of forced terms does not).
+        forced = sorted({
+            key
+            for (expr, _), sign in zip(paradox.conditions, self.signs)
+            if sign
+            for key, _ in expr.items()
+        })
         column = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+        plain, kept = [], [np.eye(len(column))[column[key]] for key in forced]
         for k, ((expr, _), sign) in enumerate(zip(paradox.conditions, self.signs), start=1):
             if sign:
-                forced.update(key for key, _ in expr.items())
                 continue
             coefficients = np.zeros(len(column))
             for key, c in expr.items():
@@ -286,7 +292,6 @@ class _PenaltyProblem:
                 kept.append(coefficients)
                 plain.append(k)
         self.plain = np.array(plain, dtype=np.intp)
-        forced = sorted(forced)
         # each forced term's amplitude is read at its first position in terms
         self.forced = np.array([keys.index(key) for key in forced], dtype=np.intp)
         self.forced_u = u[self.forced]

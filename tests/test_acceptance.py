@@ -182,6 +182,15 @@ def test_criterion_6_npa_cross_checks(npa_solutions, optimization_results):
         level3.status == "optimal" and abs(level3.objective_value - 0.7804) <= 5e-3,
         f"got {level3.objective_value:.6f}",
     )
+    diagnostics = level3.diagnostics
+    ok &= record(
+        "criterion 6c: n=4 level 3 keeps blocks 111 + 106, 26 iterations, bound 0.7804654075463022 +/- 1e-9",
+        diagnostics["block_dims"] == [111, 106]
+        and diagnostics["iterations"] == 26
+        and abs(level3.objective_value - 0.7804654075463022) <= 1e-9,
+        f"blocks {diagnostics['block_dims']}, {diagnostics['iterations']} iterations, "
+        f"got {level3.objective_value!r}",
+    )
     qubit4 = optimization_results[4].hardy_value
     ok &= record(
         "criterion 6c: bracket [0.7734, 0.7804] reproduced",

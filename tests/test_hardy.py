@@ -135,6 +135,18 @@ class TestRealignedHardy:
             with pytest.raises(ValidationError, match="out of range"):
                 HardyParadox("bad", base.scenario, base.conditions, key)
 
+    def test_rejects_a_condition_from_another_scenario(self):
+        base = realigned_hardy(2)
+        with pytest.raises(ScenarioMismatchError, match="condition expression scenario differs"):
+            HardyParadox("bad", base.scenario, realigned_hardy(4).conditions, base.hardy_term)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_condition_target(self, target):
+        base = realigned_hardy(2)
+        (expr, _), = base.conditions
+        with pytest.raises(ValidationError, match="condition target must be finite"):
+            HardyParadox("bad", base.scenario, ((expr, target),), base.hardy_term)
+
 
 class TestCheck:
     def test_uniform_hardy_value(self):

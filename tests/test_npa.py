@@ -27,7 +27,7 @@ from nonlocality_wb.npa import (
     solve,
 )
 from nonlocality_wb.qubit import OptimizerConfig, QubitModel, behavior_of_model, maximize_hardy
-from nonlocality_wb.scenario import BellExpression, ValidationError, as_inequality
+from nonlocality_wb.scenario import BellExpression, Scenario, ValidationError, as_inequality
 from conftest import merged_original_hardy, unattainable_hardy
 from oracles import moment_matrix_of_model
 
@@ -504,6 +504,20 @@ def test_swap_needs_swap_invariant_zero_terms():
     prog = build_program(original_hardy(), 2)
     assert sorted(prog.zero_terms) == [(0, 0, 2, 2), (0, 1, 1, 2), (1, 0, 2, 1)]
     assert _swap_permutations(replace(prog, zero_terms=prog.zero_terms[:2])) is None
+
+
+@pytest.mark.parametrize("level,block_dims", [(1, [5]), (2, [13])])
+def test_objective_the_swap_moves_is_solved_unreduced(level, block_dims):
+    # P(00|A1B1) + P(00|A1B2): the swap maps the second term to P(00|A2B1),
+    # which the objective lacks; both terms reach 1 together
+    expr = BellExpression(Scenario(2), {(0, 0, 1, 1): 1.0, (0, 0, 1, 2): 1.0})
+    prog = build_expression_program(expr, level)
+    assert _swap_permutations(prog) is None
+    sol = solve(prog)
+    assert sol.status == "optimal"
+    assert not sol.diagnostics["symmetry_reduced"]
+    assert sol.diagnostics["block_dims"] == block_dims
+    assert abs(sol.objective_value - 2.0) <= 1e-6
 
 
 class TestModelMomentMatrix:

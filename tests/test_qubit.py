@@ -717,6 +717,20 @@ class TestKktFinish:
             assert result.converged
             assert abs(result.hardy_value - QUBIT_VALUE_2) <= 1e-12
 
+    def test_a_condition_the_forced_terms_imply_is_left_out(self):
+        # P(00|A2B2) - P(01|A1B2) = 0 follows from the first two zero
+        # conditions; its gradient vanishes at every feasible point, so
+        # keeping it would make every row's system singular
+        base = original_hardy()
+        implied = BellExpression(base.scenario, {(0, 0, 2, 2): 1.0, (0, 1, 1, 2): -1.0})
+        paradox = replace(base, conditions=base.conditions + (Condition(implied, 0.0),))
+        problem = _PenaltyProblem(paradox)
+        assert (len(problem.plain), len(problem.forced)) == (0, 3)
+        result = maximize_hardy(paradox, OptimizerConfig(restarts=40))
+        assert result.converged and result.feasible_restarts == 40
+        assert abs(result.hardy_value - ORIGINAL_HARDY_VALUE) <= 1e-12
+        assert_forced_zero_residuals(paradox, result)
+
     def test_solve_rows_flags_singular_and_non_finite_rows(self):
         rng = np.random.default_rng(20)
         A = rng.normal(size=(5, 4, 4))

@@ -83,6 +83,13 @@ class TestBehavior:
         with pytest.raises(ValidationError):
             Behavior(Scenario(2), p)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite(self, entry):
+        p = np.full((2, 2, 2, 2), 0.25)
+        p[0, 0, 0, 0] = entry
+        with pytest.raises(ValidationError, match="behavior entries must be finite"):
+            Behavior(Scenario(2), p)
+
     def test_immutable(self):
         b = uniform_behavior(Scenario(2))
         with pytest.raises((AttributeError, ValueError)):
@@ -119,6 +126,12 @@ class TestBellExpression:
         for key in ((0, 0, 1.5, 1), (True, 0, 1, 1), (0, 0, 1, np.int64(1)), (0, 0, 1)):
             with pytest.raises(ValidationError, match="four ints"):
                 BellExpression(s, {key: 1.0})
+
+    def test_drop_term(self):
+        e = BellExpression(Scenario(2), {(0, 0, 1, 1): 1.0, (1, 1, 2, 2): 2.0})
+        assert dict(e.drop_term((0, 0, 1, 1)).items()) == {(1, 1, 2, 2): 2.0}
+        with pytest.raises(ValidationError, match=r"term \(0, 1, 1, 1\) not present in expression"):
+            e.drop_term((0, 1, 1, 1))
 
 
 class TestEvaluate:
