@@ -39,10 +39,21 @@ failed factorization assembles ``H`` again for its retry.  Problem sizes up
 to a few hundred rows per block and ~10^4 variables stay within desk-scale
 memory; no sparsity is assumed in ``H`` itself.
 
+Programs of at least ``_THREADED_M`` variables assemble ``H`` on two threads,
+the caller and one worker, when the process may run on two CPUs.  Each thread
+has its own piece buffers and takes the next piece under a lock; for every
+block in block order it adds the piece's rows of ``H``.  So every row is
+written by one thread, each entry is summed in the order one thread sums it,
+and ``H`` is bitwise the same whichever thread takes a piece.  The threads
+overlap because ``np.matmul``, the sparse products and the strided copies
+release the GIL.  scipy's LAPACK wrappers hold it, so the Cholesky of ``H``
+stays one call on the caller's thread.
+
 ``npa.solve`` is the one place that pins every BLAS and LAPACK call to one
 thread (``_single_blas_thread``): at these sizes a second OpenBLAS thread
 costs more CPU in hand-offs than it saves, and the thread count would change
-the result bits.
+the result bits.  OpenBLAS's pthreads build applies the pin process-wide, so
+the assembly's worker runs its products on one BLAS thread too.
 
 scipy is imported inside the functions that use it, so importing this module,
 ``npa`` or ``cli`` loads no scipy; only a solve does.  The block kernels call
@@ -79,6 +90,11 @@ LOG_KEYS = ("rel_gap", "primal_infeasibility", "dual_infeasibility", "mu")
 # the tail of the row gather that starts there; of 4, 8, 16 and 32, 16
 # assembled npa 4 --level 3 fastest, and a piece's buffers grow with it
 _PIECE = 16
+# programs with at least this many variables assemble H on two threads.  The
+# mean schur call inside solve_lmi on 2 vCPUs, two threads against one: 1.32
+# against 0.72 ms at npa 4 --level 2 (m = 259); 4.2 against 4.3 ms and 4.5
+# against 5.0 ms on the first 700 and 800 variables of npa 6 --level 2
+_THREADED_M = 800
 
 
 @dataclass
@@ -202,30 +218,62 @@ class LmiProblem:
         triangle is left unused; within each piece it picks up zeros and
         stray gathered entries.  Each piece forms ``U F_j V`` on the trailing
         square ``[lo, dim)^2`` that its tail reads, and nothing outside it.
+        From ``_THREADED_M`` variables on, the pieces are shared out between
+        the caller and one worker thread, one piece at a time.
         """
         m = self.m
         h = np.zeros((m, m))
-        # a piece's products and their copy with j running fastest, which the
-        # sparse product reads, in two buffers sized for the largest block and
-        # reused by every piece: fresh arrays of this size fault their pages in
-        # again for every piece.  Cells outside a piece's square keep whatever an
-        # earlier piece or block left there; its tail never reads them
         width = min(_PIECE, m)
-        t_buf = np.empty(width * max(self.dims, default=0) ** 2)
-        x_buf = np.empty_like(t_buf)
-        for pieces, tails, los, u, v in zip(self.pieces, self.tails, self.lo, u_blocks, v_blocks):
-            dim = len(u)
-            x = x_buf[: dim * dim * width].reshape(dim * dim, width)
-            for (r, c, w), tail, lo in zip(pieces, tails, los):
-                start, n, side = m - tail.shape[0], len(r), dim - lo
-                # t[k] = U F_j V on [lo, dim)^2 for variable j = start + k; padded
-                # entries add zeros
-                t = t_buf[: n * side * side].reshape(n, side, side)
-                np.matmul((u[lo:, r] * w).transpose(1, 0, 2), v[:, lo:][c], out=t)
-                x.reshape(dim, dim, width)[lo:, lo:, :n] = t.transpose(1, 2, 0)
-                # tr(F_i U F_j V) for every i >= start
-                h[start : start + n, start:] += (tail @ x[:, :n]).T
+        size = width * max(self.dims, default=0) ** 2
+        blocks = list(zip(self.dims, self.pieces, self.tails, self.lo, u_blocks, v_blocks))
+        # piece indices, each taken by whichever thread asks for one next
+        handout = iter(range(-(-m // _PIECE)))
+        lock = threading.Lock()
+
+        def assemble():
+            # a piece's products and their copy with j running fastest, which the
+            # sparse product reads, in two buffers sized for the largest block and
+            # reused by every piece this thread takes: fresh arrays of this size
+            # fault their pages in again for every piece.  Cells outside a piece's
+            # square keep whatever an earlier piece or block left there; its tail
+            # never reads them
+            t_buf = np.empty(size)
+            x_buf = np.empty_like(t_buf)
+            xs = [x_buf[: dim * dim * width].reshape(dim * dim, width) for dim in self.dims]
+            while True:
+                with lock:
+                    p = next(handout, None)
+                if p is None:
+                    return
+                for (dim, pieces, tails, los, u, v), x in zip(blocks, xs):
+                    (r, c, w), tail, lo = pieces[p], tails[p], los[p]
+                    start, n, side = m - tail.shape[0], len(r), dim - lo
+                    # t[k] = U F_j V on [lo, dim)^2 for variable j = start + k; padded
+                    # entries add zeros
+                    t = t_buf[: n * side * side].reshape(n, side, side)
+                    np.matmul((u[lo:, r] * w).transpose(1, 0, 2), v[:, lo:][c], out=t)
+                    x.reshape(dim, dim, width)[lo:, lo:, :n] = t.transpose(1, 2, 0)
+                    # tr(F_i U F_j V) for every i >= start, into rows that no
+                    # other thread writes
+                    h[start : start + n, start:] += (tail @ x[:, :n]).T
+
+        if m < _THREADED_M or _usable_cpus() < 2:
+            assemble()
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1) as pool:
+                worker = pool.submit(assemble)
+                assemble()
+                worker.result()
         return h
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    import os
+
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @functools.cache

@@ -588,7 +588,7 @@ class TestEntryPoint:
         assert payloads[0] == payloads[1]
 
     def test_npa_payload_does_not_depend_on_blas_threads(self):
-        for paradox, level in (("4", "2"), ("original", "2"), ("original", "3")):
+        for paradox, level in (("4", "2"), ("original", "2"), ("original", "3"), ("6", "2")):
             payloads = [
                 payload_bytes("npa", paradox, "--level", level, OPENBLAS_NUM_THREADS=threads)
                 for threads in (None, "1", "2")

@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import functools
 import math
@@ -372,11 +373,12 @@ def test_piece_square_starts_at_the_smallest_index_its_tail_reads(n):
         assert max(los) > 0
 
 
-def test_schur_reads_no_stale_cells_outside_a_piece_square(monkeypatch):
-    # two variables per piece; in the first block variables 0-3 touch row 0 and
-    # fill the piece buffers, then the pieces of variables 4-7 read only rows 3-5
-    # and 4-5, each from its second variable on; in the smaller second block
-    # variables 6 and 7 have no entry at all
+def piece_problem(monkeypatch):
+    """Two random blocks, m = 8 at two variables per piece, with a random SPD
+    ``U`` and ``V`` per block.  In the first block variables 0-3 touch row 0
+    and fill the piece buffers, then the pieces of variables 4-7 read only
+    rows 3-5 and 4-5, each from its second variable on; in the smaller second
+    block variables 6 and 7 have no entry at all."""
     monkeypatch.setattr(sdp, "_PIECE", 2)
     rng = np.random.default_rng(7)
     m = 8
@@ -390,7 +392,84 @@ def test_schur_reads_no_stale_cells_outside_a_piece_square(monkeypatch):
     assert problem.lo[0] == [0, 0, 3, 4] and problem.lo[1][3] == 4
     u = [random_spd(rng, d) for d in dims]
     v = [random_spd(rng, d) for d in dims]
-    assert np.array_equal(np.triu(problem.schur(u, v)), np.triu(bincount_schur(m, blocks, u, v).T))
+    return problem, blocks, u, v
+
+
+def test_schur_reads_no_stale_cells_outside_a_piece_square(monkeypatch):
+    problem, blocks, u, v = piece_problem(monkeypatch)
+    assert np.array_equal(np.triu(problem.schur(u, v)), np.triu(bincount_schur(problem.m, blocks, u, v).T))
+
+
+def use_schur_threads(monkeypatch, threads):
+    """Assemble every Schur matrix on ``threads`` threads, 1 or 2, whatever
+    the program's size and the CPUs this process may run on."""
+    monkeypatch.setattr(sdp, "_THREADED_M", 0 if threads == 2 else math.inf)
+    monkeypatch.setattr(sdp, "_usable_cpus", lambda: 2)
+
+
+def test_schur_triangle_does_not_depend_on_the_thread_count(monkeypatch):
+    problem, blocks = recorded_npa_problem(monkeypatch, 6, 2)
+    assert problem.m == 1376 >= sdp._THREADED_M
+    u, v = schur_inputs(problem, 8)
+    use_schur_threads(monkeypatch, 1)
+    serial = np.triu(problem.schur(u, v))
+    use_schur_threads(monkeypatch, 2)
+    # thread switches at every chance: a piece taken twice or not at all
+    # would change H
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [np.triu(problem.schur(u, v)) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(t, serial) for t in threaded)
+    assert np.array_equal(serial, np.triu(bincount_schur(problem.m, blocks, u, v).T))
+
+
+def test_neighbouring_pieces_on_two_threads_give_the_one_thread_triangle(monkeypatch):
+    problem, blocks, u, v = piece_problem(monkeypatch)
+    use_schur_threads(monkeypatch, 1)
+    serial = np.triu(problem.schur(u, v))
+    # each piece forms one product per block, and each product waits for one
+    # from the other thread: pieces 0 and 1 go to different threads, and so do
+    # pieces 2 and 3.  Both products are formed before either is read, so
+    # threads that shared a buffer would read each other's
+    use_schur_threads(monkeypatch, 2)
+    barrier = threading.Barrier(2, timeout=30)
+    matmul, callers = np.matmul, []
+
+    def paired(*args, **kwargs):
+        callers.append(threading.get_ident())
+        product = matmul(*args, **kwargs)
+        barrier.wait()
+        return product
+
+    monkeypatch.setattr(np, "matmul", paired)
+    threaded = np.triu(problem.schur(u, v))
+    assert sorted(collections.Counter(callers).values()) == [4, 4]
+    assert np.array_equal(threaded, serial)
+    assert np.array_equal(serial, np.triu(bincount_schur(problem.m, blocks, u, v).T))
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_piece_leaves_schur_and_no_thread_behind(monkeypatch, failing):
+    problem, _, u, v = piece_problem(monkeypatch)
+    use_schur_threads(monkeypatch, 2)
+    caller, matmul, failed = threading.get_ident(), np.matmul, threading.Event()
+
+    def fails_on_one_thread(*args, **kwargs):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            failed.set()
+            raise RuntimeError(f"piece failed on the {failing}")
+        # the other thread's pieces wait until the failing thread has taken one
+        assert failed.wait(timeout=30)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", fails_on_one_thread)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match=f"piece failed on the {failing}"):
+        problem.schur(u, v)
+    assert threading.enumerate() == before
 
 
 def solve_peak_bytes(problem):
@@ -425,12 +504,11 @@ def test_dense_path_holds_two_schur_sized_and_three_block_arrays_at_most():
     assert peak < 2.5 * m**2 * 8
 
 
-def test_schur_holds_one_pair_of_piece_buffers_beside_h():
-    # npa 6 --level 2 (blocks 58 + 51): beyond H, one call holds the two piece
-    # buffers of the largest block and a piece's (m - start, _PIECE) product;
-    # a second pair of buffers would break the bound
+def schur_bytes_beside_h(monkeypatch, threads):
+    """npa 6 --level 2's problem and the peak bytes one ``schur`` call holds
+    beyond the H it returns, assembled on ``threads`` threads."""
     problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
-    m = problem.m
+    use_schur_threads(monkeypatch, threads)
     u, v = schur_inputs(problem, 6)
     tracemalloc.start()
     try:
@@ -438,8 +516,22 @@ def test_schur_holds_one_pair_of_piece_buffers_beside_h():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert h.nbytes == 8 * m * m
-    assert peak - h.nbytes <= 8 * 2.5 * sdp._PIECE * (max(problem.dims) ** 2 + m)
+    assert h.nbytes == 8 * problem.m**2
+    return problem, peak - h.nbytes
+
+
+def test_schur_holds_one_pair_of_piece_buffers_beside_h(monkeypatch):
+    # npa 6 --level 2 (blocks 58 + 51) on one thread: beyond H, one call holds
+    # the two piece buffers of the largest block and a piece's (m - start,
+    # _PIECE) product; a second pair of buffers would break the bound
+    problem, extra = schur_bytes_beside_h(monkeypatch, 1)
+    assert extra <= 8 * 2.5 * sdp._PIECE * (max(problem.dims) ** 2 + problem.m)
+
+
+def test_schur_holds_one_pair_of_piece_buffers_per_thread(monkeypatch):
+    # the same on two threads, each with its own pair; a third pair would break it
+    problem, extra = schur_bytes_beside_h(monkeypatch, 2)
+    assert extra <= 2 * 8 * 2.5 * sdp._PIECE * (max(problem.dims) ** 2 + problem.m)
 
 
 def test_iterates_keep_the_factors_that_accepted_them(monkeypatch):
@@ -516,6 +608,15 @@ def test_each_direction_is_one_solve_with_the_schur_factor(monkeypatch):
 
 
 def test_failed_factorization_retries_on_a_reassembled_schur_matrix(monkeypatch):
+    check_retry_on_a_reassembled_schur_matrix(monkeypatch)
+
+
+def test_failed_factorization_retries_on_two_threads(monkeypatch):
+    use_schur_threads(monkeypatch, 2)
+    check_retry_on_a_reassembled_schur_matrix(monkeypatch)
+
+
+def check_retry_on_a_reassembled_schur_matrix(monkeypatch):
     problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
     m = problem.m
     schur = LmiProblem.schur
