@@ -33,9 +33,10 @@ through the gather cut into tails that start at each piece, so it fills one
 triangle of ``H`` only, the one LAPACK's Cholesky reads.  A piece's tail
 reads only cells of a trailing square ``[lo, dim)^2`` of its block, so the
 products are formed and copied on that square alone.  The Cholesky factor
-overwrites ``H`` in its own array, so ``H`` is the only ``m x m`` array the
-solver holds; each search direction is one solve with that factor, and a
-failed factorization assembles ``H`` again for its retry.  Problem sizes up
+overwrites ``H`` in its own array, and each iteration assembles the next
+``H`` into that same array, so it is the only ``m x m`` array the solver
+holds; each search direction is one solve with that factor, and a failed
+factorization assembles ``H`` again into it for its retry.  Problem sizes up
 to a few hundred rows per block and ~10^4 variables stay within desk-scale
 memory; no sparsity is assumed in ``H`` itself.
 
@@ -46,21 +47,34 @@ block in block order it adds the piece's rows of ``H``.  So every row is
 written by one thread, each entry is summed in the order one thread sums it,
 and ``H`` is bitwise the same whichever thread takes a piece.  The threads
 overlap because ``np.matmul``, the sparse products and the strided copies
-release the GIL.  scipy's LAPACK wrappers hold it, so the Cholesky of ``H``
-stays one call on the caller's thread.
+release the GIL.
+
+The same programs factor ``H`` by ``_NB``-wide panels on the same two threads
+(``_factor_schur``): a right-looking blocked Cholesky with one panel of
+lookahead, whose ``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm`` calls are
+made through the function pointers that ``scipy.linalg.cython_lapack`` and
+``cython_blas`` export, through ctypes, which releases the GIL for each call
+(scipy's f2py wrappers hold it).  Which calls run, with which arguments, is
+fixed by ``m`` alone (``_panel_plan``), the two threads write disjoint
+columns, and each call runs on one BLAS thread, so the factor is bitwise the
+same on two threads and, where the process may use one CPU, with the same
+calls run in turn.  Smaller programs keep one ``cho_factor`` call and its
+bits.
 
 ``npa.solve`` is the one place that pins every BLAS and LAPACK call to one
 thread (``_single_blas_thread``): at these sizes a second OpenBLAS thread
 costs more CPU in hand-offs than it saves, and the thread count would change
 the result bits.  OpenBLAS's pthreads build applies the pin process-wide, so
-the assembly's worker runs its products on one BLAS thread too.
+the worker of the assembly and of the factorization runs on one BLAS thread
+too.
 
 scipy is imported inside the functions that use it, so importing this module,
 ``npa`` or ``cli`` loads no scipy; only a solve does.  The block kernels call
 LAPACK's ``dpotrf``, ``dpotrs``, ``dtrtrs`` and ``dsyevr`` (at ``eigh``'s
 workspace) as ``scipy.linalg``'s wrappers do, bit for bit, minus checks that
-cost more than LAPACK on small blocks; H keeps ``cho_factor`` and
-``cho_solve``, whose checks are nothing next to its factorization.
+cost more than LAPACK on small blocks; H keeps ``cho_solve``, and below
+``_THREADED_M`` variables ``cho_factor``, whose checks are nothing next to
+its factorization.
 """
 
 from __future__ import annotations
@@ -95,6 +109,10 @@ _PIECE = 16
 # against 0.72 ms at npa 4 --level 2 (m = 259); 4.2 against 4.3 ms and 4.5
 # against 5.0 ms on the first 700 and 800 variables of npa 6 --level 2
 _THREADED_M = 800
+# panel width of the factorization that programs of _THREADED_M variables or
+# more run (_factor_schur): at m = 3103 on 2 vCPUs, 128 and 192 factored
+# fastest and 256 was 5% slower
+_NB = 192
 
 
 @dataclass
@@ -209,7 +227,9 @@ class LmiProblem:
             total += g @ a.ravel()
         return total
 
-    def schur(self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray]) -> np.ndarray:
+    def schur(
+        self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray], out: np.ndarray | None = None
+    ) -> np.ndarray:
         """One triangle of ``H_ij = sum_blocks tr(F_i U F_j V)`` for symmetric U, V.
 
         Row ``j`` holds ``H_ij`` for ``i >= j`` in its columns ``>= j``: the
@@ -220,9 +240,14 @@ class LmiProblem:
         square ``[lo, dim)^2`` that its tail reads, and nothing outside it.
         From ``_THREADED_M`` variables on, the pieces are shared out between
         the caller and one worker thread, one piece at a time.
+
+        ``out``, an ``(m, m)`` C-order array such as the previous iteration's
+        H, is overwritten and returned instead of a fresh array: each piece
+        zeroes its own rows from its start on before it adds to them, so the
+        triangle does not depend on what ``out`` held.
         """
         m = self.m
-        h = np.zeros((m, m))
+        h = np.zeros((m, m)) if out is None else out
         width = min(_PIECE, m)
         size = width * max(self.dims, default=0) ** 2
         blocks = list(zip(self.dims, self.pieces, self.tails, self.lo, u_blocks, v_blocks))
@@ -245,9 +270,11 @@ class LmiProblem:
                     p = next(handout, None)
                 if p is None:
                     return
+                start = p * _PIECE
+                h[start : start + _PIECE, start:] = 0.0
                 for (dim, pieces, tails, los, u, v), x in zip(blocks, xs):
                     (r, c, w), tail, lo = pieces[p], tails[p], los[p]
-                    start, n, side = m - tail.shape[0], len(r), dim - lo
+                    n, side = len(r), dim - lo
                     # t[k] = U F_j V on [lo, dim)^2 for variable j = start + k; padded
                     # entries add zeros
                     t = t_buf[: n * side * side].reshape(n, side, side)
@@ -392,6 +419,135 @@ def _step(blocks, chol, direction, gamma: float):
     return None
 
 
+@functools.cache
+def _kernels() -> dict:
+    """``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm`` of scipy's LAPACK and BLAS as ctypes functions.
+
+    ``scipy.linalg.cython_lapack`` and ``cython_blas`` export each routine's
+    address in a capsule of ``__pyx_capi__``.  ctypes releases the GIL for
+    the length of each call, which scipy's f2py wrappers do not.  Looked up
+    once, on first use.
+    """
+    from scipy.linalg import cython_blas, cython_lapack
+
+    # prototypes of their own, so that ctypes.pythonapi's shared ones keep theirs
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    # Fortran arguments: a flag is a char *, a size an int *, and each array
+    # and scalar a double *, passed as its address
+    flag, size, ref = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    signatures = {
+        "dpotrf": (cython_lapack, [flag, size, ref, size, size]),
+        "dtrsm": (cython_blas, [flag, flag, flag, flag, size, size, ref, ref, size, ref, size]),
+        "dsyrk": (cython_blas, [flag, flag, size, size, ref, ref, size, ref, ref, size]),
+        "dgemm": (cython_blas, [flag, flag, size, size, size, ref, ref, size, ref, size, ref, ref, size]),
+    }
+    kernels = {}
+    for name, (module, argtypes) in signatures.items():
+        capsule = module.__pyx_capi__[name]
+        address = get_pointer(capsule, get_name(capsule))
+        kernels[name] = ctypes.CFUNCTYPE(None, *argtypes)(address)
+    return kernels
+
+
+def _panel_plan(m: int) -> list[tuple[int, int, int, int]]:
+    """``(k0, k1, k2, s)`` for each panel ``[k0, k1)`` of ``_factor_schur`` but the last.
+
+    ``[k1, k2)`` is the next panel.  The worker's share of the panel's
+    trailing update, columns ``[s, m)``, is a triangle of ``(m - s)^2 / 2``
+    cells; the caller's is the trapezoid of columns ``[k1, s)`` plus the next
+    panel's ``dpotrf`` and ``dtrsm``, counted at their multiply-adds per
+    panel column.  ``s`` splits the two about evenly and depends on ``m``
+    alone.
+    """
+    import math
+
+    edges = [*range(0, m, _NB), m]
+    plan = []
+    for k0, k1, k2 in zip(edges, edges[1:], edges[2:]):
+        w = k2 - k1
+        cells = (m - k1) * (m - k1 + 1) / 2 + (w**3 / 3 + (m - k2) * w * w / 2) / _NB
+        side = round((math.sqrt(1 + 4 * cells) - 1) / 2)
+        plan.append((k0, k1, k2, min(m, max(k2, m - side))))
+    return plan
+
+
+def _factor_schur(h: np.ndarray):
+    """Cholesky factor of ``H`` in place, as ``cho_factor(h.T, lower=True)`` returns it.
+
+    ``h`` holds ``H`` in its upper triangle in C order, the lower triangle of
+    ``h.T`` in Fortran order, which the factor overwrites.  Programs below
+    ``_THREADED_M`` variables make one ``cho_factor`` call.  Larger ones run a
+    right-looking blocked factorization of ``_NB``-wide panels, with one panel
+    of lookahead: while the caller brings the next panel up to date with the
+    current one, factors it and updates the columns ``[k2, s)``, the worker
+    updates the columns ``[s, m)``.  Which BLAS and LAPACK calls run, with
+    which arguments, depends on ``m`` alone (``_panel_plan``), so the factor
+    is bitwise the same whether they run on two threads or, when the process
+    may use one CPU, in turn on the caller's.  A panel that is not positive
+    definite raises ``scipy.linalg.LinAlgError`` once the worker has finished
+    its share.
+    """
+    import scipy.linalg
+
+    m = len(h)
+    if m < _THREADED_M:
+        return scipy.linalg.cho_factor(h.T, lower=True, overwrite_a=True, check_finite=False)
+    kernels = _kernels()
+    dpotrf, dtrsm, dsyrk, dgemm = (kernels[name] for name in ("dpotrf", "dtrsm", "dsyrk", "dgemm"))
+    base = h.ctypes.data
+    ld = ctypes.byref(ctypes.c_int(m))
+    one, minus_one = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0))
+
+    def at(i: int, j: int) -> int:
+        # the address of row i, column j of h.T
+        return base + 8 * (i + j * m)
+
+    def n(value: int):
+        return ctypes.byref(ctypes.c_int(value))
+
+    def factor(k1: int, k2: int):
+        # the panel [k1, k2): its diagonal tile, then the rows below it
+        info = ctypes.c_int()
+        dpotrf(b"L", n(k2 - k1), at(k1, k1), ld, ctypes.byref(info))
+        if info.value < 0:
+            raise ValueError(f"dpotrf: illegal value in argument {-info.value}")
+        if info.value:
+            raise scipy.linalg.LinAlgError(f"{k1 + info.value}-th leading minor of H not positive definite")
+        if k2 < m:
+            dtrsm(b"R", b"L", b"T", b"N", n(m - k2), n(k2 - k1), one, at(k1, k1), ld, at(k2, k1), ld)
+
+    def update(k0: int, k1: int, a: int, b: int):
+        # columns [a, b) minus the factored panel [k0, k1)'s contribution
+        if a >= b:
+            return
+        w = n(k1 - k0)
+        dsyrk(b"L", b"N", n(b - a), w, minus_one, at(a, k0), ld, one, at(a, a), ld)
+        if b < m:
+            dgemm(b"N", b"T", n(m - b), n(b - a), w, minus_one, at(b, k0), ld, at(a, k0), ld, one, at(b, a), ld)
+
+    def run(aside):
+        factor(0, min(_NB, m))
+        for k0, k1, k2, s in _panel_plan(m):
+            job = aside(update, k0, k1, s, m)
+            update(k0, k1, k1, k2)
+            factor(k1, k2)
+            update(k0, k1, k2, s)
+            if job is not None:
+                job.result()
+
+    if _usable_cpus() < 2:
+        run(lambda fn, *args: fn(*args))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1) as pool:
+            run(pool.submit)
+    return h.T, True
+
+
 def solve_lmi(problem: LmiProblem) -> LmiSolution:
     """Run the predictor-corrector iteration from ``scale * I``, factored once.
 
@@ -427,6 +583,7 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
     best_score = np.inf
     best_it = 0
     best = (y, x_blocks, rel_gap, pinf, dinf)
+    h = None  # H, assembled into one array for the whole solve
     for it in range(1, MAX_ITERATIONS + 1):
         rd = [mb - zb for mb, zb in zip(problem.mat(y), z_blocks)]  # dual residual matrices
         rp = -b - problem.inner(x_blocks)  # primal residuals <F_k, X> = -b_k
@@ -458,19 +615,19 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
 
         zinv = [_inverse(l) for l in lz]
 
-        h = cho = None  # release last iteration's factor before the next H
-        h = problem.schur(x_blocks, zinv)
+        # last iteration's factor is dead once the next H is assembled into its array
+        cho = None
+        h = problem.schur(x_blocks, zinv, out=h)
         jitter = 1e-13 * max(1.0, float(np.trace(h)) / max(m, 1))
         for attempt in range(8):
             if attempt:
-                # the failed factorization overwrote H: release it, assemble it again
-                h = None
-                h = problem.schur(x_blocks, zinv)
+                # the failed factorization overwrote H: assemble it again
+                h = problem.schur(x_blocks, zinv, out=h)
                 jitter *= 100.0
             h.flat[:: m + 1] += jitter
             try:
-                # h.T is H + jitter*I in Fortran order, so LAPACK factors it in place
-                cho = scipy.linalg.cho_factor(h.T, lower=True, overwrite_a=True, check_finite=False)
+                # h.T is H + jitter*I in Fortran order, factored in place
+                cho = _factor_schur(h)
                 break
             except scipy.linalg.LinAlgError:
                 pass

@@ -1,10 +1,15 @@
 import collections
 import ctypes
 import functools
+import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,8 +335,8 @@ def test_solver_reads_only_the_schur_triangle(monkeypatch):
     plain = solve_lmi(problem)
     schur = LmiProblem.schur
 
-    def nan_below(self, u_blocks, v_blocks):
-        h = schur(self, u_blocks, v_blocks)
+    def nan_below(self, u_blocks, v_blocks, **kwargs):
+        h = schur(self, u_blocks, v_blocks, **kwargs)
         h[np.tril_indices(self.m, -1)] = np.nan
         return h
 
@@ -557,9 +562,9 @@ def test_no_trial_that_factors_ends_on_the_last_accepted_iterate(monkeypatch, k)
     chol_blocks = sdp._chol_blocks
     assembled = []
 
-    def counted(self, u_blocks, v_blocks):
+    def counted(self, u_blocks, v_blocks, **kwargs):
         assembled.append(1)
-        return schur(self, u_blocks, v_blocks)
+        return schur(self, u_blocks, v_blocks, **kwargs)
 
     def fails_from_iteration_k(blocks):
         # one Schur assembly per iteration; the start point is factored before any
@@ -608,36 +613,67 @@ def test_each_direction_is_one_solve_with_the_schur_factor(monkeypatch):
 
 
 def test_failed_factorization_retries_on_a_reassembled_schur_matrix(monkeypatch):
-    check_retry_on_a_reassembled_schur_matrix(monkeypatch)
-
-
-def test_failed_factorization_retries_on_two_threads(monkeypatch):
-    use_schur_threads(monkeypatch, 2)
-    check_retry_on_a_reassembled_schur_matrix(monkeypatch)
-
-
-def check_retry_on_a_reassembled_schur_matrix(monkeypatch):
-    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
-    m = problem.m
-    schur = LmiProblem.schur
     cho_factor = scipy.linalg.cho_factor
-    assembled, factored = [], []
-
-    def recorded(self, u_blocks, v_blocks):
-        h = schur(self, u_blocks, v_blocks)
-        assembled.append(h.copy())
-        return h
+    factored = []
 
     def fail_once(a, *args, **kwargs):
         factored.append(np.array(a))
         if len(factored) == 1:
             # a failed potrf leaves the triangle it read overwritten
-            a[np.tril_indices(m)] = np.nan
+            a[np.tril_indices(len(a))] = np.nan
             raise scipy.linalg.LinAlgError("not positive definite")
         return cho_factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(LmiProblem, "schur", recorded)
     monkeypatch.setattr(scipy.linalg, "cho_factor", fail_once)
+    check_retry_on_a_reassembled_schur_matrix(monkeypatch, factored)
+
+
+def test_failed_factorization_retries_on_two_threads(monkeypatch):
+    # with the gate lowered, m = 259 factors in five panels of 64; in the
+    # first factorization the third panel's dpotrf reports a minor that is
+    # not positive definite, while the worker updates the columns past it and
+    # after the first two panels have overwritten part of H
+    use_schur_threads(monkeypatch, 2)
+    monkeypatch.setattr(sdp, "_NB", 64)
+    factor_schur = sdp._factor_schur
+    kernels = dict(sdp._kernels())
+    dpotrf = kernels["dpotrf"]
+    factored, arrays, panels, overwritten = [], [], [], []
+
+    def recorded(h):
+        factored.append(h.T.copy())
+        arrays.append(h)
+        panels.clear()
+        return factor_schur(h)
+
+    def fails_on_the_third_panel(uplo, n, a, lda, info):
+        dpotrf(uplo, n, a, lda, info)
+        panels.append(a)
+        if len(factored) == 1 and len(panels) == 3:
+            overwritten.append(not np.array_equal(arrays[0].T, factored[0]))
+            info[0] = 1
+
+    monkeypatch.setattr(sdp, "_factor_schur", recorded)
+    kernels["dpotrf"] = type(dpotrf)(fails_on_the_third_panel)
+    monkeypatch.setattr(sdp, "_kernels", lambda: kernels)
+    check_retry_on_a_reassembled_schur_matrix(monkeypatch, factored)
+    assert overwritten == [True]
+
+
+def check_retry_on_a_reassembled_schur_matrix(monkeypatch, factored):
+    """Solve npa 4 --level 2 with its first factorization of H failing;
+    ``factored`` collects the input of every factorization."""
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
+    m = problem.m
+    schur = LmiProblem.schur
+    assembled = []
+
+    def recorded(self, u_blocks, v_blocks, **kwargs):
+        h = schur(self, u_blocks, v_blocks, **kwargs)
+        assembled.append(h.copy())
+        return h
+
+    monkeypatch.setattr(LmiProblem, "schur", recorded)
     sol = solve_lmi(problem)
     assert sol.status == STATUS_OPTIMAL
     jitter = 1e-13 * max(1.0, float(np.trace(assembled[0])) / m)
@@ -648,6 +684,145 @@ def check_retry_on_a_reassembled_schur_matrix(monkeypatch):
     assert np.array_equal(factored[1], second.T)
     # one retry, then one assembly and one factorization per iteration
     assert len(assembled) == len(factored) == sol.iterations
+
+
+def plan_factor(monkeypatch, h, cpus):
+    """The lower triangle of ``sdp._factor_schur``'s factor of a copy of
+    ``h``, with the panel plan at every size and ``cpus`` usable CPUs."""
+    monkeypatch.setattr(sdp, "_THREADED_M", 0)
+    monkeypatch.setattr(sdp, "_usable_cpus", lambda: cpus)
+    c, lower = sdp._factor_schur(h.copy())
+    assert lower is True
+    return np.tril(c)
+
+
+def cho_factor_lower(h):
+    """The lower triangle of ``cho_factor``'s factor of ``h.T``, as the solver called it."""
+    return np.tril(scipy.linalg.cho_factor(h.T.copy(order="F"), lower=True, check_finite=False)[0])
+
+
+def npa_schur_matrix(monkeypatch):
+    """npa 6 --level 2's Schur matrix (m = 1376) at random SPD inputs, plus
+    the solver's diagonal jitter."""
+    problem, _ = recorded_npa_problem(monkeypatch, 6, 2)
+    h = problem.schur(*schur_inputs(problem, 8))
+    h.flat[:: problem.m + 1] += 1e-13 * float(np.trace(h)) / problem.m
+    return h
+
+
+def random_schur_matrix(m):
+    """A random SPD ``m x m`` matrix in the layout ``schur`` returns: H in the
+    upper triangle, arbitrary values below it."""
+    rng = np.random.default_rng(m)
+    h = np.triu(random_spd(rng, m)) + np.tril(rng.normal(size=(m, m)), -1)
+    return h
+
+
+@pytest.mark.parametrize("m", ["below one panel", "not a multiple of the panel", "npa 6 --level 2"])
+def test_schur_factor_does_not_depend_on_the_thread_count(monkeypatch, m):
+    if m == "npa 6 --level 2":
+        h = npa_schur_matrix(monkeypatch)
+    else:
+        h = random_schur_matrix(sdp._NB - 5 if m == "below one panel" else 3 * sdp._NB + 37)
+    with sdp._single_blas_thread():
+        one, two = plan_factor(monkeypatch, h, 1), plan_factor(monkeypatch, h, 2)
+        oracle = cho_factor_lower(h)
+    assert np.array_equal(one, two)
+    assert np.abs(one - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("m", [1, 7, sdp._NB])
+def test_schur_factor_of_one_panel_is_one_dpotrf_and_cho_factors(monkeypatch, m):
+    kernels = sdp._kernels()
+    calls = []
+
+    def counted(name):
+        def kernel(*args):
+            calls.append(name)
+            return kernels[name](*args)
+
+        return kernel
+
+    monkeypatch.setattr(sdp, "_kernels", lambda: {name: counted(name) for name in kernels})
+    h = random_schur_matrix(m)
+    with sdp._single_blas_thread():
+        factor = plan_factor(monkeypatch, h, 2)
+        oracle = cho_factor_lower(h)
+    assert calls == ["dpotrf"]
+    assert np.array_equal(factor, oracle)
+
+
+def test_schur_factor_on_another_openblas_kernel_does_not_depend_on_the_thread_count():
+    # OpenBLAS picks its CPU kernel per process, so OPENBLAS_CORETYPE is set
+    # for a child interpreter only
+    child = textwrap.dedent(
+        """
+        import ctypes, json
+        import numpy as np
+        from nonlocality_wb import sdp
+
+        sdp._THREADED_M = 0
+        m = 3 * sdp._NB + 37
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(m, m))
+        h = a @ a.T + m * np.eye(m)
+        factors = []
+        with sdp._single_blas_thread():
+            for cpus in (1, 2):
+                sdp._usable_cpus = lambda: cpus
+                factors.append(np.tril(sdp._factor_schur(h.copy())[0]))
+        cores = []
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()}
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+                getter = getattr(lib, name, None)
+                if getter is not None:
+                    getter.restype = ctypes.c_char_p
+                    cores.append(getter().decode())
+                    break
+        print(json.dumps({"equal": bool(np.array_equal(*factors)), "cores": cores}))
+        """
+    )
+    package_root = str(Path(sdp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Haswell"}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    if not result["cores"]:
+        pytest.skip("needs scipy's OpenBLAS with a core-name getter")
+    assert all(core == "Haswell" for core in result["cores"])
+    assert result["equal"]
+
+
+def test_schur_factor_raises_on_a_matrix_that_is_not_positive_definite(monkeypatch):
+    m = 3 * sdp._NB + 37
+    h = random_schur_matrix(m)
+    # a trailing minor that is not positive definite fails a later panel
+    h[m - 10, m - 10] = -1.0
+    for cpus in (1, 2):
+        with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
+            plan_factor(monkeypatch, h, cpus)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_kernel_leaves_the_schur_factor_and_no_thread_behind(monkeypatch, failing):
+    kernels = dict(sdp._kernels())
+    caller, dsyrk = threading.get_ident(), kernels["dsyrk"]
+
+    def fails_on_one_thread(*args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise RuntimeError(f"kernel failed on the {failing}")
+        return dsyrk(*args)
+
+    kernels["dsyrk"] = fails_on_one_thread
+    monkeypatch.setattr(sdp, "_kernels", lambda: kernels)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match=f"kernel failed on the {failing}"):
+        plan_factor(monkeypatch, random_schur_matrix(3 * sdp._NB + 37), 2)
+    assert threading.enumerate() == before
 
 
 def scipy_max_step(chol_lower, direction):
@@ -833,3 +1008,28 @@ class TestSingleBlasThread:
         assert sol.diagnostics["blas_threads"] is None
         assert sol.objective_value == pytest.approx(0.41398958, abs=1e-7)
         assert blas_thread_counts() == counts
+
+    def test_the_factor_worker_runs_its_kernels_on_one_blas_thread(self, monkeypatch):
+        # npa 6 --level 2 (m = 1376) factors H on two threads; every kernel
+        # call the worker makes inside the solve sees each OpenBLAS pinned to
+        # one thread.  The counts are read as the process found them, so a
+        # solve that no longer pins reads the default, 2 under
+        # OPENBLAS_NUM_THREADS=2
+        if len(blas_thread_getters()) != 2:
+            pytest.skip("needs numpy's and scipy's OpenBLAS with thread getters")
+        monkeypatch.setattr(sdp, "_usable_cpus", lambda: 2)
+        caller, kernels = threading.get_ident(), sdp._kernels()
+        seen = []
+
+        def reading(name):
+            def kernel(*args):
+                if threading.get_ident() != caller:
+                    seen.append(blas_thread_counts())
+                return kernels[name](*args)
+
+            return kernel
+
+        monkeypatch.setattr(sdp, "_kernels", lambda: {name: reading(name) for name in kernels})
+        program = npa.build_program(realigned_hardy(6), 2)
+        assert npa.solve(program).status == STATUS_OPTIMAL
+        assert seen and all(counts == [1, 1] for counts in seen)
