@@ -35,14 +35,9 @@ from collections.abc import Iterable
 from . import __version__
 from .hardy import HardyParadox, check, original_hardy, realigned_hardy
 from .lhv import certify_hardy_soundness, check_capacity, classical_max
-from .npa import MomentProgram, build_program, check_program_size, label, solve
-from .qubit import (
-    OptimizerConfig,
-    QubitModel,
-    behavior_of_model,
-    maximize_hardy,
-)
-from .scenario import ValidationError, as_inequality
+from .npa import MomentProgram, build_program, check_bytes, check_program_size, label, solve
+from .qubit import OptimizerConfig, QubitModel, behavior_of_model, maximize_hardy, screen_bytes
+from .scenario import Scenario, ValidationError, as_inequality
 
 #: Version of the run reports and of the JSON documents inside them.
 SCHEMA_VERSION = "1"
@@ -67,9 +62,10 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _paradox_from_arg(target: str, level: int | None = None) -> HardyParadox:
+def _paradox_from_arg(target: str, level: int | None = None, screen: bool = False) -> HardyParadox:
     """The named paradox; with a level, its moment program's size is checked
-    first, before the O(n^2) paradox is built."""
+    first, and with ``screen``, that of ``optimize``'s screen at its default
+    restarts; both before the O(n^2) paradox is built."""
     try:
         n = 2 if target == "original" else int(target)
     except ValueError as exc:
@@ -78,6 +74,9 @@ def _paradox_from_arg(target: str, level: int | None = None) -> HardyParadox:
         ) from exc
     if level is not None:
         check_program_size(n, level)
+    if screen:
+        restarts = OptimizerConfig.for_settings(Scenario(n).n_settings).restarts
+        check_bytes(screen_bytes(n, restarts), f"the screen of {restarts} restarts for n = {n}; its largest array")
     return original_hardy() if target == "original" else realigned_hardy(n)
 
 
@@ -167,7 +166,7 @@ def _cmd_certify(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_optimize(args) -> tuple[dict, int, list[str]]:
-    paradox = _paradox_from_arg(args.paradox)
+    paradox = _paradox_from_arg(args.paradox, screen=True)
     cfg = dataclasses.replace(
         OptimizerConfig.default_for(paradox), seed=args.seed, constraint_tol=args.tol
     )

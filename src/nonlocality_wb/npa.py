@@ -62,7 +62,8 @@ MAX_LEVEL = 3
 #: Largest memory, in bytes, that one square array of a program may take:
 #: the basis's int64 ``cell_class``, checked on ``(n, level)`` alone before the
 #: build (``check_program_size``), and the solver's m x m Schur matrix (factored
-#: in place), checked in ``_affine_map`` as soon as m is known.
+#: in place), checked in ``_affine_map`` as soon as m is known.  ``optimize``
+#: checks its screen's largest array against it too (``qubit.screen_bytes``).
 MAX_SCHUR_BYTES = 2 * 2**30
 
 
@@ -200,9 +201,9 @@ def _check_level(level: int) -> None:
         raise ValidationError(f"hierarchy level must be an integer in 1..{MAX_LEVEL}, got {level!r}")
 
 
-def _check_square(count: int, what: str) -> None:
-    """Raise ``ValidationError`` if ``what``, ``count x count`` 8-byte entries, exceeds the cap."""
-    if (need := 8 * count * count) > MAX_SCHUR_BYTES:
+def check_bytes(need: int, what: str) -> None:
+    """Raise ``ValidationError`` if ``what``, ``need`` bytes, exceeds ``MAX_SCHUR_BYTES``."""
+    if need > MAX_SCHUR_BYTES:
         raise ValidationError(
             f"{what} would need {need / 2**30:.1f} GiB, more than the {MAX_SCHUR_BYTES / 2**30:g} GiB cap"
         )
@@ -216,7 +217,7 @@ def check_program_size(n: int, level: int) -> None:
     Scenario(n)  # validates n
     _check_level(level)
     size = basis_size(n, level)
-    _check_square(size, f"the level-{level} basis for n = {n} has {size} words; its cell_class")
+    check_bytes(8 * size * size, f"the level-{level} basis for n = {n} has {size} words; its cell_class")
 
 
 def _program(
@@ -413,7 +414,7 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
         return None
     free = np.setdiff1d(np.arange(n_orbits), [p for p, _, _ in solved])
     m = len(free)
-    _check_square(m, f"the level-{program.level} program has m = {m} free variables; its m x m solver array")
+    check_bytes(8 * m * m, f"the level-{program.level} program has m = {m} free variables; its m x m solver array")
     # orbit moments w0 + P z: free orbits are the variables, pivots follow
     w0 = np.zeros(n_orbits)
     rows, cols, vals = [free], [np.arange(m)], [np.ones(m)]

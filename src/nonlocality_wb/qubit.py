@@ -218,9 +218,12 @@ class OptimizerConfig:
 
     @staticmethod
     def default_for(paradox: HardyParadox) -> "OptimizerConfig":
+        return OptimizerConfig.for_settings(paradox.scenario.n_settings)
+
+    @staticmethod
+    def for_settings(n: int) -> "OptimizerConfig":
         # restart budget grows with the number of free angles
-        restarts = 200 if paradox.scenario.n_settings <= 2 else 500
-        return OptimizerConfig(restarts=restarts)
+        return OptimizerConfig(restarts=200 if n <= 2 else 500)
 
 
 @dataclass(frozen=True)
@@ -378,6 +381,14 @@ _MAX_STEP = 1.0
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
 _HALVINGS = (range(1), range(1, 4), range(4, _BACKTRACKS))
+
+
+def screen_bytes(n: int, restarts: int) -> int:
+    """Bytes of the largest array that screening ``restarts`` restarts on
+    ``realigned_hardy(n)`` holds: one value per term, of the ``n^2 + 3n - 2``
+    it touches, for each of the 26 trial rows per restart of ``_HALVINGS[-1]``."""
+    return 8 * restarts * len(_HALVINGS[-1]) * (n * n + 3 * n - 2)
+
 
 # The KKT finish.  Each row takes up to _KKT_ITERS full Newton steps on its
 # first-order conditions and is finished once every entry of their residual

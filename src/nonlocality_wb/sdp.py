@@ -40,33 +40,25 @@ factorization assembles ``H`` again into it for its retry.  Problem sizes up
 to a few hundred rows per block and ~10^4 variables stay within desk-scale
 memory; no sparsity is assumed in ``H`` itself.
 
-Programs of at least ``_THREADED_M`` variables assemble ``H`` on two threads,
-the caller and one worker, when the process may run on two CPUs.  Each thread
-has its own piece buffers and takes the next piece under a lock; for every
-block in block order it adds the piece's rows of ``H``.  So every row is
-written by one thread, each entry is summed in the order one thread sums it,
-and ``H`` is bitwise the same whichever thread takes a piece.  The threads
-overlap because ``np.matmul``, the sparse products and the strided copies
-release the GIL.
-
-The same programs factor ``H`` by ``_NB``-wide panels on the same two threads
-(``_factor_schur``): a right-looking blocked Cholesky with one panel of
-lookahead, whose ``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm`` calls are
-made through the function pointers that ``scipy.linalg.cython_lapack`` and
-``cython_blas`` export, through ctypes, which releases the GIL for each call
-(scipy's f2py wrappers hold it).  Which calls run, with which arguments, is
-fixed by ``m`` alone (``_panel_plan``), the two threads write disjoint
-columns, and each call runs on one BLAS thread, so the factor is bitwise the
-same on two threads and, where the process may use one CPU, with the same
-calls run in turn.  Smaller programs keep one ``cho_factor`` call and its
-bits.
+A solve of at least ``_THREADED_M`` variables, in a process that may run on
+two CPUs, runs one worker thread beside the caller for the whole solve.  The
+Schur assembly (``LmiProblem.schur``) gives it the odd pieces, and the
+factorization of ``H`` by ``_NB``-wide panels (``_factor_schur``) each
+panel's trailing columns ``[s, m)``.  Every row of ``H`` and every column of
+its factor is written by one thread, in one order, so both are bitwise the
+same with the worker or without it.  The threads overlap because
+``np.matmul``, the sparse products and the strided copies release the GIL,
+and the factorization calls ``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm``
+through the function pointers that ``scipy.linalg.cython_lapack`` and
+``cython_blas`` export, by ctypes, which releases it for each call (scipy's
+f2py wrappers hold it).  Smaller programs keep one ``cho_factor`` call and
+its bits.
 
 ``npa.solve`` is the one place that pins every BLAS and LAPACK call to one
 thread (``_single_blas_thread``): at these sizes a second OpenBLAS thread
 costs more CPU in hand-offs than it saves, and the thread count would change
 the result bits.  OpenBLAS's pthreads build applies the pin process-wide, so
-the worker of the assembly and of the factorization runs on one BLAS thread
-too.
+the worker runs on one BLAS thread too.
 
 scipy is imported inside the functions that use it, so importing this module,
 ``npa`` or ``cli`` loads no scipy; only a solve does.  The block kernels call
@@ -104,7 +96,7 @@ LOG_KEYS = ("rel_gap", "primal_infeasibility", "dual_infeasibility", "mu")
 # the tail of the row gather that starts there; of 4, 8, 16 and 32, 16
 # assembled npa 4 --level 3 fastest, and a piece's buffers grow with it
 _PIECE = 16
-# programs with at least this many variables assemble H on two threads.  The
+# solves of at least this many variables run a worker thread.  The
 # mean schur call inside solve_lmi on 2 vCPUs, two threads against one: 1.32
 # against 0.72 ms at npa 4 --level 2 (m = 259); 4.2 against 4.3 ms and 4.5
 # against 5.0 ms on the first 700 and 800 variables of npa 6 --level 2
@@ -228,7 +220,7 @@ class LmiProblem:
         return total
 
     def schur(
-        self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray], out: np.ndarray | None = None
+        self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray], out: np.ndarray | None = None, worker=None
     ) -> np.ndarray:
         """One triangle of ``H_ij = sum_blocks tr(F_i U F_j V)`` for symmetric U, V.
 
@@ -238,8 +230,8 @@ class LmiProblem:
         triangle is left unused; within each piece it picks up zeros and
         stray gathered entries.  Each piece forms ``U F_j V`` on the trailing
         square ``[lo, dim)^2`` that its tail reads, and nothing outside it.
-        From ``_THREADED_M`` variables on, the pieces are shared out between
-        the caller and one worker thread, one piece at a time.
+        With a ``worker``, a one-thread executor, the caller assembles the
+        even pieces and the worker the odd ones, joined on every exit.
 
         ``out``, an ``(m, m)`` C-order array such as the previous iteration's
         H, is overwritten and returned instead of a fresh array: each piece
@@ -251,11 +243,9 @@ class LmiProblem:
         width = min(_PIECE, m)
         size = width * max(self.dims, default=0) ** 2
         blocks = list(zip(self.dims, self.pieces, self.tails, self.lo, u_blocks, v_blocks))
-        # piece indices, each taken by whichever thread asks for one next
-        handout = iter(range(-(-m // _PIECE)))
-        lock = threading.Lock()
+        count = -(-m // _PIECE)
 
-        def assemble():
+        def assemble(share: range):
             # a piece's products and their copy with j running fastest, which the
             # sparse product reads, in two buffers sized for the largest block and
             # reused by every piece this thread takes: fresh arrays of this size
@@ -265,11 +255,7 @@ class LmiProblem:
             t_buf = np.empty(size)
             x_buf = np.empty_like(t_buf)
             xs = [x_buf[: dim * dim * width].reshape(dim * dim, width) for dim in self.dims]
-            while True:
-                with lock:
-                    p = next(handout, None)
-                if p is None:
-                    return
+            for p in share:
                 start = p * _PIECE
                 h[start : start + _PIECE, start:] = 0.0
                 for (dim, pieces, tails, los, u, v), x in zip(blocks, xs):
@@ -284,15 +270,14 @@ class LmiProblem:
                     # other thread writes
                     h[start : start + n, start:] += (tail @ x[:, :n]).T
 
-        if m < _THREADED_M or _usable_cpus() < 2:
-            assemble()
+        if worker is None:
+            assemble(range(count))
         else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(1) as pool:
-                worker = pool.submit(assemble)
-                assemble()
-                worker.result()
+            job = worker.submit(assemble, range(1, count, 2))
+            try:
+                assemble(range(0, count, 2))
+            finally:
+                job.result()
         return h
 
 
@@ -474,7 +459,7 @@ def _panel_plan(m: int) -> list[tuple[int, int, int, int]]:
     return plan
 
 
-def _factor_schur(h: np.ndarray):
+def _factor_schur(h: np.ndarray, worker):
     """Cholesky factor of ``H`` in place, as ``cho_factor(h.T, lower=True)`` returns it.
 
     ``h`` holds ``H`` in its upper triangle in C order, the lower triangle of
@@ -482,13 +467,13 @@ def _factor_schur(h: np.ndarray):
     ``_THREADED_M`` variables make one ``cho_factor`` call.  Larger ones run a
     right-looking blocked factorization of ``_NB``-wide panels, with one panel
     of lookahead: while the caller brings the next panel up to date with the
-    current one, factors it and updates the columns ``[k2, s)``, the worker
-    updates the columns ``[s, m)``.  Which BLAS and LAPACK calls run, with
+    current one, factors it and updates the columns ``[k2, s)``, the
+    ``worker`` (a one-thread executor) updates the columns ``[s, m)``, or
+    without one the caller does first.  Which BLAS and LAPACK calls run, with
     which arguments, depends on ``m`` alone (``_panel_plan``), so the factor
-    is bitwise the same whether they run on two threads or, when the process
-    may use one CPU, in turn on the caller's.  A panel that is not positive
-    definite raises ``scipy.linalg.LinAlgError`` once the worker has finished
-    its share.
+    is bitwise the same either way.  Each panel's job is joined before the
+    next panel starts, and before a panel that is not positive definite
+    raises ``scipy.linalg.LinAlgError``.
     """
     import scipy.linalg
 
@@ -528,23 +513,16 @@ def _factor_schur(h: np.ndarray):
         if b < m:
             dgemm(b"N", b"T", n(m - b), n(b - a), w, minus_one, at(b, k0), ld, at(a, k0), ld, one, at(b, a), ld)
 
-    def run(aside):
-        factor(0, min(_NB, m))
-        for k0, k1, k2, s in _panel_plan(m):
-            job = aside(update, k0, k1, s, m)
+    factor(0, min(_NB, m))
+    for k0, k1, k2, s in _panel_plan(m):
+        job = update(k0, k1, s, m) if worker is None else worker.submit(update, k0, k1, s, m)
+        try:
             update(k0, k1, k1, k2)
             factor(k1, k2)
             update(k0, k1, k2, s)
+        finally:
             if job is not None:
                 job.result()
-
-    if _usable_cpus() < 2:
-        run(lambda fn, *args: fn(*args))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(1) as pool:
-            run(pool.submit)
     return h.T, True
 
 
@@ -584,92 +562,99 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
     best_it = 0
     best = (y, x_blocks, rel_gap, pinf, dinf)
     h = None  # H, assembled into one array for the whole solve
-    for it in range(1, MAX_ITERATIONS + 1):
-        rd = [mb - zb for mb, zb in zip(problem.mat(y), z_blocks)]  # dual residual matrices
-        rp = -b - problem.inner(x_blocks)  # primal residuals <F_k, X> = -b_k
-        gap = sum(float(np.vdot(xb, zb)) for xb, zb in zip(x_blocks, z_blocks))
-        mu = gap / n_total
+    worker = None
+    if m >= _THREADED_M and _usable_cpus() >= 2:
+        from concurrent.futures import ThreadPoolExecutor
 
-        pobj = sum(float(np.vdot(f, xb)) for f, xb in zip(problem.f0, x_blocks))
-        dobj = float(b @ y)
-        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        pinf = float(np.linalg.norm(rp)) / b_norm
-        dinf = np.sqrt(sum(float((r * r).sum()) for r in rd)) / f0_norm
-        score = max(rel_gap, pinf, dinf)
-        for key, value in zip(LOG_KEYS, (rel_gap, pinf, dinf, mu)):
-            log[key].append(float(value))
-        if score < 0.98 * best_score:
-            best_score = score
-            best_it = it
-            best = (y, x_blocks, rel_gap, pinf, dinf)
-        if rel_gap <= GAP_TOL and pinf <= FEAS_TOL and dinf <= FEAS_TOL:
-            status = STATUS_OPTIMAL
-            break
-        # a diverging dual iterate / unbounded primal certifies the LMI empty
-        if np.abs(y).max(initial=0.0) > 1e10 or pobj < -1e12:
-            status = STATUS_INFEASIBLE
-            break
-        # numerical floor reached: no meaningful progress for a while
-        if it - best_it >= 12 or (score > 1e4 * max(best_score, 1e-12) and it > 10):
-            break
+        worker = ThreadPoolExecutor(1)
+    # one worker thread for the whole solve, or None; shut down on every exit
+    with worker or contextlib.nullcontext():
+        for it in range(1, MAX_ITERATIONS + 1):
+            rd = [mb - zb for mb, zb in zip(problem.mat(y), z_blocks)]  # dual residual matrices
+            rp = -b - problem.inner(x_blocks)  # primal residuals <F_k, X> = -b_k
+            gap = sum(float(np.vdot(xb, zb)) for xb, zb in zip(x_blocks, z_blocks))
+            mu = gap / n_total
 
-        zinv = [_inverse(l) for l in lz]
-
-        # last iteration's factor is dead once the next H is assembled into its array
-        cho = None
-        h = problem.schur(x_blocks, zinv, out=h)
-        jitter = 1e-13 * max(1.0, float(np.trace(h)) / max(m, 1))
-        for attempt in range(8):
-            if attempt:
-                # the failed factorization overwrote H: assemble it again
-                h = problem.schur(x_blocks, zinv, out=h)
-                jitter *= 100.0
-            h.flat[:: m + 1] += jitter
-            try:
-                # h.T is H + jitter*I in Fortran order, factored in place
-                cho = _factor_schur(h)
+            pobj = sum(float(np.vdot(f, xb)) for f, xb in zip(problem.f0, x_blocks))
+            dobj = float(b @ y)
+            rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+            pinf = float(np.linalg.norm(rp)) / b_norm
+            dinf = np.sqrt(sum(float((r * r).sum()) for r in rd)) / f0_norm
+            score = max(rel_gap, pinf, dinf)
+            for key, value in zip(LOG_KEYS, (rel_gap, pinf, dinf, mu)):
+                log[key].append(float(value))
+            if score < 0.98 * best_score:
+                best_score = score
+                best_it = it
+                best = (y, x_blocks, rel_gap, pinf, dinf)
+            if rel_gap <= GAP_TOL and pinf <= FEAS_TOL and dinf <= FEAS_TOL:
+                status = STATUS_OPTIMAL
                 break
-            except scipy.linalg.LinAlgError:
-                pass
-        if cho is None:
-            break
+            # a diverging dual iterate / unbounded primal certifies the LMI empty
+            if np.abs(y).max(initial=0.0) > 1e10 or pobj < -1e12:
+                status = STATUS_INFEASIBLE
+                break
+            # numerical floor reached: no meaningful progress for a while
+            if it - best_it >= 12 or (score > 1e4 * max(best_score, 1e-12) and it > 10):
+                break
 
-        a_vec = problem.inner(zinv)
-        g_vec = problem.inner([xb @ rb @ zi for xb, rb, zi in zip(x_blocks, rd, zinv)])
+            zinv = [_inverse(l) for l in lz]
 
-        def directions(sigma_mu: float, corr_blocks=None):
-            rhs = sigma_mu * a_vec + b - g_vec
-            if corr_blocks is not None:
-                rhs = rhs - problem.inner(corr_blocks)
-            dy = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-            dz = [rb + sb for rb, sb in zip(rd, problem.mat(dy, include_f0=False))]
-            dx = [sigma_mu * zi - xb - xb @ dzb @ zi for xb, dzb, zi in zip(x_blocks, dz, zinv)]
-            if corr_blocks is not None:
-                dx = [t - c for t, c in zip(dx, corr_blocks)]
-            return dy, [0.5 * (t + t.T) for t in dx], dz
+            # last iteration's factor is dead once the next H is assembled into its array
+            cho = None
+            h = problem.schur(x_blocks, zinv, out=h, worker=worker)
+            jitter = 1e-13 * max(1.0, float(np.trace(h)) / max(m, 1))
+            for attempt in range(8):
+                if attempt:
+                    # the failed factorization overwrote H: assemble it again
+                    h = problem.schur(x_blocks, zinv, out=h, worker=worker)
+                    jitter *= 100.0
+                h.flat[:: m + 1] += jitter
+                try:
+                    # h.T is H + jitter*I in Fortran order, factored in place
+                    cho = _factor_schur(h, worker)
+                    break
+                except scipy.linalg.LinAlgError:
+                    pass
+            if cho is None:
+                break
 
-        # predictor (affine scaling)
-        dy_aff, dx_aff, dz_aff = directions(0.0)
-        ap = min(1.0, *(_max_step(l, d) for l, d in zip(lx, dx_aff)))
-        ad = min(1.0, *(_max_step(l, d) for l, d in zip(lz, dz_aff)))
-        gap_aff = sum(
-            float(np.vdot(xb + ap * dxb, zb + ad * dzb))
-            for xb, dxb, zb, dzb in zip(x_blocks, dx_aff, z_blocks, dz_aff)
-        )
-        sigma = min(1.0, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
+            a_vec = problem.inner(zinv)
+            g_vec = problem.inner([xb @ rb @ zi for xb, rb, zi in zip(x_blocks, rd, zinv)])
 
-        # corrector with second-order term dX_aff dZ_aff Z^-1
-        corr = [dxa @ dza @ zi for dxa, dza, zi in zip(dx_aff, dz_aff, zinv)]
-        dy, dx, dz = directions(sigma * mu, corr)
+            def directions(sigma_mu: float, corr_blocks=None):
+                rhs = sigma_mu * a_vec + b - g_vec
+                if corr_blocks is not None:
+                    rhs = rhs - problem.inner(corr_blocks)
+                dy = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+                dz = [rb + sb for rb, sb in zip(rd, problem.mat(dy, include_f0=False))]
+                dx = [sigma_mu * zi - xb - xb @ dzb @ zi for xb, dzb, zi in zip(x_blocks, dz, zinv)]
+                if corr_blocks is not None:
+                    dx = [t - c for t, c in zip(dx, corr_blocks)]
+                return dy, [0.5 * (t + t.T) for t in dx], dz
 
-        gamma = 0.9 if it <= 2 else 0.99 if best_score < 1e-4 else 0.98
-        x_step = _step(x_blocks, lx, dx, gamma)
-        z_step = _step(z_blocks, lz, dz, gamma) if x_step else None
-        if z_step is None:
-            break  # no trial factors: end on the last accepted iterate
-        _, x_blocks, lx = x_step
-        ad, z_blocks, lz = z_step
-        y = y + ad * dy
+            # predictor (affine scaling)
+            dy_aff, dx_aff, dz_aff = directions(0.0)
+            ap = min(1.0, *(_max_step(l, d) for l, d in zip(lx, dx_aff)))
+            ad = min(1.0, *(_max_step(l, d) for l, d in zip(lz, dz_aff)))
+            gap_aff = sum(
+                float(np.vdot(xb + ap * dxb, zb + ad * dzb))
+                for xb, dxb, zb, dzb in zip(x_blocks, dx_aff, z_blocks, dz_aff)
+            )
+            sigma = min(1.0, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
+
+            # corrector with second-order term dX_aff dZ_aff Z^-1
+            corr = [dxa @ dza @ zi for dxa, dza, zi in zip(dx_aff, dz_aff, zinv)]
+            dy, dx, dz = directions(sigma * mu, corr)
+
+            gamma = 0.9 if it <= 2 else 0.99 if best_score < 1e-4 else 0.98
+            x_step = _step(x_blocks, lx, dx, gamma)
+            z_step = _step(z_blocks, lz, dz, gamma) if x_step else None
+            if z_step is None:
+                break  # no trial factors: end on the last accepted iterate
+            _, x_blocks, lx = x_step
+            ad, z_blocks, lz = z_step
+            y = y + ad * dy
 
     if status != STATUS_OPTIMAL:
         y, x_blocks, rel_gap, pinf, dinf = best

@@ -12,13 +12,14 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import nonlocality_wb
-from nonlocality_wb import cli, npa, sdp
+from nonlocality_wb import cli, npa, qubit, sdp
 from nonlocality_wb.cli import TABLE1_COLUMNS, main
 from nonlocality_wb.hardy import ORIGINAL_HARDY_VALUE, original_hardy, realigned_hardy
 from nonlocality_wb.npa import MAX_LEVEL
@@ -322,6 +323,22 @@ class TestNpa:
         assert "m = 46076" in captured.err and "15.8 GiB" in captured.err
 
 
+def test_oversize_optimize_is_refused_before_it_allocates(capsys, monkeypatch):
+    # 500 restarts of n = 144 would screen 26 trial rows of 21166 terms each
+    # per restart at once: a 2.1 GiB array
+    def fail(*args):
+        raise AssertionError("built above the cap")
+
+    monkeypatch.setattr(cli, "realigned_hardy", fail)
+    monkeypatch.setattr(qubit, "_screen", fail)
+    start = time.perf_counter()
+    assert main(["optimize", "144", "--json"]) == 2
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "500 restarts for n = 144" in captured.err and "2.1 GiB" in captured.err
+
+
 @pytest.mark.parametrize("command", ["npa", "dump-paradox"])
 def test_program_size_is_checked_before_the_paradox_is_built(capsys, monkeypatch, command):
     # the level-2 basis for n = 100 has 3 n^2 + 1 = 30001 words: a 6.7 GiB cell_class
@@ -594,6 +611,26 @@ class TestEntryPoint:
                 for threads in (None, "1", "2")
             ]
             assert payloads[0] == payloads[1] == payloads[2], (paradox, level)
+
+    def test_npa_payload_on_one_cpu_is_the_two_cpu_payload(self, capsys):
+        # npa 6 --level 2 (m = 1376) solves with a worker thread here and, in a
+        # child whose affinity leaves it one CPU, on the caller alone
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs sched_setaffinity and two usable CPUs")
+        code = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from nonlocality_wb import cli, sdp\n"
+            "assert sdp._usable_cpus() == 1\n"
+            "sys.exit(cli.main(['npa', '6', '--level', '2', '--json']))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert sdp._usable_cpus() >= 2
+        exit_code, out = run_cli(capsys, "npa", "6", "--level", "2", "--json")
+        assert exit_code == 0
+        payloads = [re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', p) for p in (proc.stdout, out)]
+        assert payloads[0] == payloads[1]
 
     def test_output_to_a_closed_pipe_exits_cleanly(self):
         # the reader leaves before the first line is written, as `| head -1`

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nonlocality_wb import cli, qubit
+from nonlocality_wb import cli, npa, qubit
 from nonlocality_wb.cli import REFERENCE_MODELS
 from nonlocality_wb.hardy import (
     ORIGINAL_HARDY_VALUE,
@@ -308,6 +308,28 @@ class TestOptimizerConfig:
         assert OptimizerConfig.default_for(realigned_hardy(2)).restarts == 200
         assert OptimizerConfig.default_for(original_hardy()).restarts == 200
         assert OptimizerConfig.default_for(realigned_hardy(4)).restarts == 500
+
+    def test_screen_bytes_bound_the_largest_screened_array(self, monkeypatch):
+        # the paradox touches n^2 + 3n - 2 terms, and every array the screen
+        # batches holds at most one value per term for 26 trial rows per restart
+        for n in range(2, 33, 2):
+            assert len(_PenaltyProblem(realigned_hardy(n)).c) == n * n + 3 * n - 2
+        values, jets, sizes = _PenaltyProblem.values, _PenaltyProblem.jets, []
+
+        def recorded(method, width):
+            def call(problem, X):
+                sizes.append(8 * len(X) * len(problem.c) * width)
+                return method(problem, X)
+
+            return call
+
+        # jets hold 13 parts per term and row, values one
+        monkeypatch.setattr(_PenaltyProblem, "values", recorded(values, 1))
+        monkeypatch.setattr(_PenaltyProblem, "jets", recorded(jets, 13))
+        maximize_hardy(realigned_hardy(6), OptimizerConfig(restarts=40))
+        assert max(sizes) <= qubit.screen_bytes(6, 40)
+        # optimize 32 runs (about 440 MB peak); optimize 144 is refused
+        assert qubit.screen_bytes(32, 500) <= npa.MAX_SCHUR_BYTES < qubit.screen_bytes(144, 500)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValidationError):

@@ -9,6 +9,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -405,10 +406,29 @@ def test_schur_reads_no_stale_cells_outside_a_piece_square(monkeypatch):
     assert np.array_equal(np.triu(problem.schur(u, v)), np.triu(bincount_schur(problem.m, blocks, u, v).T))
 
 
-def use_schur_threads(monkeypatch, threads):
-    """Assemble every Schur matrix on ``threads`` threads, 1 or 2, whatever
-    the program's size and the CPUs this process may run on."""
-    monkeypatch.setattr(sdp, "_THREADED_M", 0 if threads == 2 else math.inf)
+class Worker(ThreadPoolExecutor):
+    """The one-thread executor that ``solve_lmi`` passes as ``worker``, keeping
+    every job submitted to it.  Leaving its block checks that each of them is
+    done: the call that submitted a job joins it before it returns or raises."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.jobs = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.jobs.append(super().submit(fn, *args, **kwargs))
+        return self.jobs[-1]
+
+    def __exit__(self, *exc):
+        done = all(job.done() for job in self.jobs)
+        super().__exit__(*exc)
+        assert done, "a job was still running when the call that submitted it ended"
+
+
+def use_solve_worker(monkeypatch):
+    """Give every solve its worker, whatever the program's size and the CPUs
+    this process may run on; a lowered gate also factors H by panels."""
+    monkeypatch.setattr(sdp, "_THREADED_M", 0)
     monkeypatch.setattr(sdp, "_usable_cpus", lambda: 2)
 
 
@@ -416,30 +436,28 @@ def test_schur_triangle_does_not_depend_on_the_thread_count(monkeypatch):
     problem, blocks = recorded_npa_problem(monkeypatch, 6, 2)
     assert problem.m == 1376 >= sdp._THREADED_M
     u, v = schur_inputs(problem, 8)
-    use_schur_threads(monkeypatch, 1)
     serial = np.triu(problem.schur(u, v))
-    use_schur_threads(monkeypatch, 2)
     # thread switches at every chance: a piece taken twice or not at all
     # would change H
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = [np.triu(problem.schur(u, v)) for _ in range(3)]
+        with Worker() as worker:
+            threaded = [np.triu(problem.schur(u, v, worker=worker)) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
+    assert len(worker.jobs) == 3
     assert all(np.array_equal(t, serial) for t in threaded)
     assert np.array_equal(serial, np.triu(bincount_schur(problem.m, blocks, u, v).T))
 
 
 def test_neighbouring_pieces_on_two_threads_give_the_one_thread_triangle(monkeypatch):
     problem, blocks, u, v = piece_problem(monkeypatch)
-    use_schur_threads(monkeypatch, 1)
     serial = np.triu(problem.schur(u, v))
     # each piece forms one product per block, and each product waits for one
     # from the other thread: pieces 0 and 1 go to different threads, and so do
     # pieces 2 and 3.  Both products are formed before either is read, so
     # threads that shared a buffer would read each other's
-    use_schur_threads(monkeypatch, 2)
     barrier = threading.Barrier(2, timeout=30)
     matmul, callers = np.matmul, []
 
@@ -450,7 +468,8 @@ def test_neighbouring_pieces_on_two_threads_give_the_one_thread_triangle(monkeyp
         return product
 
     monkeypatch.setattr(np, "matmul", paired)
-    threaded = np.triu(problem.schur(u, v))
+    with Worker() as worker:
+        threaded = np.triu(problem.schur(u, v, worker=worker))
     assert sorted(collections.Counter(callers).values()) == [4, 4]
     assert np.array_equal(threaded, serial)
     assert np.array_equal(serial, np.triu(bincount_schur(problem.m, blocks, u, v).T))
@@ -459,7 +478,6 @@ def test_neighbouring_pieces_on_two_threads_give_the_one_thread_triangle(monkeyp
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_a_failing_piece_leaves_schur_and_no_thread_behind(monkeypatch, failing):
     problem, _, u, v = piece_problem(monkeypatch)
-    use_schur_threads(monkeypatch, 2)
     caller, matmul, failed = threading.get_ident(), np.matmul, threading.Event()
 
     def fails_on_one_thread(*args, **kwargs):
@@ -472,8 +490,8 @@ def test_a_failing_piece_leaves_schur_and_no_thread_behind(monkeypatch, failing)
 
     monkeypatch.setattr(np, "matmul", fails_on_one_thread)
     before = threading.enumerate()
-    with pytest.raises(RuntimeError, match=f"piece failed on the {failing}"):
-        problem.schur(u, v)
+    with Worker() as worker, pytest.raises(RuntimeError, match=f"piece failed on the {failing}"):
+        problem.schur(u, v, worker=worker)
     assert threading.enumerate() == before
 
 
@@ -513,14 +531,14 @@ def schur_bytes_beside_h(monkeypatch, threads):
     """npa 6 --level 2's problem and the peak bytes one ``schur`` call holds
     beyond the H it returns, assembled on ``threads`` threads."""
     problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
-    use_schur_threads(monkeypatch, threads)
     u, v = schur_inputs(problem, 6)
-    tracemalloc.start()
-    try:
-        h = problem.schur(u, v)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with Worker() as worker:
+        tracemalloc.start()
+        try:
+            h = problem.schur(u, v, worker=worker if threads == 2 else None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert h.nbytes == 8 * problem.m**2
     return problem, peak - h.nbytes
 
@@ -633,18 +651,19 @@ def test_failed_factorization_retries_on_two_threads(monkeypatch):
     # first factorization the third panel's dpotrf reports a minor that is
     # not positive definite, while the worker updates the columns past it and
     # after the first two panels have overwritten part of H
-    use_schur_threads(monkeypatch, 2)
+    use_solve_worker(monkeypatch)
     monkeypatch.setattr(sdp, "_NB", 64)
     factor_schur = sdp._factor_schur
     kernels = dict(sdp._kernels())
     dpotrf = kernels["dpotrf"]
-    factored, arrays, panels, overwritten = [], [], [], []
+    factored, arrays, panels, overwritten, workers = [], [], [], [], set()
 
-    def recorded(h):
+    def recorded(h, worker):
         factored.append(h.T.copy())
         arrays.append(h)
         panels.clear()
-        return factor_schur(h)
+        workers.add(worker)
+        return factor_schur(h, worker)
 
     def fails_on_the_third_panel(uplo, n, a, lda, info):
         dpotrf(uplo, n, a, lda, info)
@@ -658,6 +677,88 @@ def test_failed_factorization_retries_on_two_threads(monkeypatch):
     monkeypatch.setattr(sdp, "_kernels", lambda: kernels)
     check_retry_on_a_reassembled_schur_matrix(monkeypatch, factored)
     assert overwritten == [True]
+    # one worker factors every H of the solve
+    assert len(workers) == 1 and None not in workers
+
+
+def count_worker_threads(monkeypatch):
+    """Patch ``threading`` and the executor to record, in the returned lists,
+    each thread started and the name of each function submitted to a worker;
+    every solve is given two usable CPUs."""
+    monkeypatch.setattr(sdp, "_usable_cpus", lambda: 2)
+    start, submit = threading.Thread.start, ThreadPoolExecutor.submit
+    started, submitted = [], []
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    def counted_submit(pool, fn, /, *args, **kwargs):
+        submitted.append(fn.__name__)
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
+    return started, submitted
+
+
+def test_a_solve_starts_one_worker_from_the_gate_on(monkeypatch):
+    # npa 6 --level 2 (m = 1376) shares one worker among the Schur assemblies
+    # and factorizations of all its iterations; npa 4 --level 2 (m = 259),
+    # below the gate, starts none
+    started, submitted = count_worker_threads(monkeypatch)
+    before = threading.enumerate()
+    for n, m, workers in ((6, 1376, 1), (4, 259, 0)):
+        problem = npa._affine_map(npa.build_program(realigned_hardy(n), 2)).problem
+        assert problem.m == m
+        started.clear()
+        submitted.clear()
+        sol = solve_lmi(problem)
+        assert sol.status == STATUS_OPTIMAL
+        assert len(started) == workers
+        assert set(submitted) == ({"assemble", "update"} if workers else set())
+        assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("failure", ["dsyrk raises", "a factorization fails once"])
+def test_a_solve_leaves_no_thread_behind(monkeypatch, failure):
+    # npa 6 --level 2 (m = 1376) factors H in eight panels on the caller and
+    # its worker.  Either the worker's 30th dsyrk, a few iterations in,
+    # raises and ends the solve, or the first factorization's third panel
+    # reports a minor that is not positive definite and the solve retries it
+    started, _ = count_worker_threads(monkeypatch)
+    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
+    kernels = dict(sdp._kernels())
+    dsyrk, dpotrf = kernels["dsyrk"], kernels["dpotrf"]
+    caller, worker_calls, panels = threading.get_ident(), [], []
+
+    def fails_on_the_30th_worker_call(*args):
+        if threading.get_ident() != caller:
+            worker_calls.append(1)
+            if len(worker_calls) == 30:
+                raise RuntimeError("dsyrk failed")
+        return dsyrk(*args)
+
+    def fails_on_the_first_third_panel(uplo, n, a, lda, info):
+        dpotrf(uplo, n, a, lda, info)
+        panels.append(a)
+        if len(panels) == 3:
+            info[0] = 1
+
+    if failure == "dsyrk raises":
+        kernels["dsyrk"] = fails_on_the_30th_worker_call
+    else:
+        kernels["dpotrf"] = type(dpotrf)(fails_on_the_first_third_panel)
+    monkeypatch.setattr(sdp, "_kernels", lambda: kernels)
+    before = threading.enumerate()
+    if failure == "dsyrk raises":
+        with pytest.raises(RuntimeError, match="dsyrk failed"):
+            solve_lmi(problem)
+    else:
+        assert solve_lmi(problem).status == STATUS_OPTIMAL
+        assert len(panels) > 8
+    assert len(started) == 1
+    assert threading.enumerate() == before
 
 
 def check_retry_on_a_reassembled_schur_matrix(monkeypatch, factored):
@@ -686,12 +787,13 @@ def check_retry_on_a_reassembled_schur_matrix(monkeypatch, factored):
     assert len(assembled) == len(factored) == sol.iterations
 
 
-def plan_factor(monkeypatch, h, cpus):
+def plan_factor(monkeypatch, h, threads):
     """The lower triangle of ``sdp._factor_schur``'s factor of a copy of
-    ``h``, with the panel plan at every size and ``cpus`` usable CPUs."""
+    ``h``, with the panel plan at every size, on ``threads`` threads: with a
+    worker for 2, the same calls in turn for 1."""
     monkeypatch.setattr(sdp, "_THREADED_M", 0)
-    monkeypatch.setattr(sdp, "_usable_cpus", lambda: cpus)
-    c, lower = sdp._factor_schur(h.copy())
+    with Worker() as worker:
+        c, lower = sdp._factor_schur(h.copy(), worker if threads == 2 else None)
     assert lower is True
     return np.tril(c)
 
@@ -752,25 +854,37 @@ def test_schur_factor_of_one_panel_is_one_dpotrf_and_cho_factors(monkeypatch, m)
     assert np.array_equal(factor, oracle)
 
 
-def test_schur_factor_on_another_openblas_kernel_does_not_depend_on_the_thread_count():
-    # OpenBLAS picks its CPU kernel per process, so OPENBLAS_CORETYPE is set
-    # for a child interpreter only
+@functools.cache
+def haswell_thread_claims():
+    """Run in a child interpreter on OpenBLAS's Haswell (AVX2) kernel, which
+    picks its CPU kernel per process: whether the panel factor and npa 6
+    --level 2's Schur triangle are bitwise the same with a worker and without
+    one, and the kernel name of every loaded scipy OpenBLAS."""
     child = textwrap.dedent(
         """
         import ctypes, json
+        from concurrent.futures import ThreadPoolExecutor
         import numpy as np
-        from nonlocality_wb import sdp
+        from nonlocality_wb import npa, sdp
+        from nonlocality_wb.hardy import realigned_hardy
 
+        problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
+        rng = np.random.default_rng(8)
+        u, v = [], []
+        for d in problem.dims:
+            a, b = rng.normal(size=(2, d, d))
+            u.append(a @ a.T + d * np.eye(d))
+            v.append(b @ b.T + d * np.eye(d))
         sdp._THREADED_M = 0
         m = 3 * sdp._NB + 37
         rng = np.random.default_rng(m)
         a = rng.normal(size=(m, m))
         h = a @ a.T + m * np.eye(m)
-        factors = []
-        with sdp._single_blas_thread():
-            for cpus in (1, 2):
-                sdp._usable_cpus = lambda: cpus
-                factors.append(np.tril(sdp._factor_schur(h.copy())[0]))
+        factors, triangles = [], []
+        with sdp._single_blas_thread(), ThreadPoolExecutor(1) as pool:
+            for worker in (None, pool):
+                factors.append(np.tril(sdp._factor_schur(h.copy(), worker)[0]))
+                triangles.append(np.triu(problem.schur(u, v, worker=worker)))
         cores, paths = [], set()
         try:
             with open("/proc/self/maps", encoding="utf-8") as maps:
@@ -785,7 +899,11 @@ def test_schur_factor_on_another_openblas_kernel_does_not_depend_on_the_thread_c
                     getter.restype = ctypes.c_char_p
                     cores.append(getter().decode())
                     break
-        print(json.dumps({"equal": bool(np.array_equal(*factors)), "cores": cores}))
+        print(json.dumps({
+            "factor": bool(np.array_equal(*factors)),
+            "schur": bool(np.array_equal(*triangles)),
+            "cores": cores,
+        }))
         """
     )
     package_root = str(Path(sdp.__file__).resolve().parent.parent)
@@ -793,11 +911,26 @@ def test_schur_factor_on_another_openblas_kernel_does_not_depend_on_the_thread_c
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Haswell"}
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def haswell_claim(claim):
+    """One of ``haswell_thread_claims``, skipped where no kernel name can be read."""
+    result = haswell_thread_claims()
     if not result["cores"]:
         pytest.skip("needs scipy's OpenBLAS with a core-name getter")
     assert all(core == "Haswell" for core in result["cores"])
-    assert result["equal"]
+    return result[claim]
+
+
+def test_schur_factor_on_another_openblas_kernel_does_not_depend_on_the_thread_count():
+    assert haswell_claim("factor")
+
+
+def test_schur_triangle_on_another_openblas_kernel_does_not_depend_on_the_thread_count():
+    # only this thread claim: the comparison with bincount_schur fails on this
+    # kernel (ROADMAP item 20)
+    assert haswell_claim("schur")
 
 
 def test_schur_factor_raises_on_a_matrix_that_is_not_positive_definite(monkeypatch):
@@ -805,9 +938,9 @@ def test_schur_factor_raises_on_a_matrix_that_is_not_positive_definite(monkeypat
     h = random_schur_matrix(m)
     # a trailing minor that is not positive definite fails a later panel
     h[m - 10, m - 10] = -1.0
-    for cpus in (1, 2):
+    for threads in (1, 2):
         with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
-            plan_factor(monkeypatch, h, cpus)
+            plan_factor(monkeypatch, h, threads)
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
