@@ -76,7 +76,7 @@ def _paradox_from_arg(target: str, level: int | None = None, screen: bool = Fals
         check_program_size(n, level)
     if screen:
         restarts = OptimizerConfig.for_settings(Scenario(n).n_settings).restarts
-        check_bytes(screen_bytes(n, restarts), f"the screen of {restarts} restarts for n = {n}; its largest array")
+        check_bytes(screen_bytes(n, restarts), f"the screen of {restarts} restarts for n = {n}")
     return original_hardy() if target == "original" else realigned_hardy(n)
 
 

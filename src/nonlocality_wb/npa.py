@@ -51,6 +51,7 @@ from .sdp import (
     STATUS_MAX_ITERATIONS,
     STATUS_OPTIMAL,
     _single_blas_thread,
+    schur_bytes,
     solve_lmi,
 )
 
@@ -59,11 +60,13 @@ if TYPE_CHECKING:
 
 MAX_LEVEL = 3
 
-#: Largest memory, in bytes, that one square array of a program may take:
-#: the basis's int64 ``cell_class``, checked on ``(n, level)`` alone before the
-#: build (``check_program_size``), and the solver's m x m Schur matrix (factored
-#: in place), checked in ``_affine_map`` as soon as m is known.  ``optimize``
-#: checks its screen's largest array against it too (``qubit.screen_bytes``).
+#: Largest memory, in bytes, that one array of a program may take: the basis's
+#: int64 ``cell_class``, checked on ``(n, level)`` alone before the build
+#: (``check_program_size``), and the buffer of the solver's Schur matrix
+#: (``sdp.schur_bytes``: m x m below 800 variables, packed panels of its
+#: triangle from there on, factored in place), checked in ``_affine_map`` as
+#: soon as m is known.  ``optimize`` checks its screen against it too
+#: (``qubit.screen_bytes``).
 MAX_SCHUR_BYTES = 2 * 2**30
 
 
@@ -386,8 +389,8 @@ class _AffineMap:
 def _affine_map(program: MomentProgram) -> _AffineMap | None:
     """Map from the free solver variables to the LMI blocks; None if the
     equalities are inconsistent.  Raises ``ValidationError`` once the count m
-    of free variables shows that the solver's m x m array would exceed
-    ``MAX_SCHUR_BYTES``, before the blocks are built.
+    of free variables shows that the solver's Schur matrix (``schur_bytes``)
+    would exceed ``MAX_SCHUR_BYTES``, before the blocks are built.
 
     Swapped classes share a column, and the row-reduced equalities, with
     ``M(y) c = 0`` for each kernel row ``c``, express each pivot column
@@ -414,7 +417,7 @@ def _affine_map(program: MomentProgram) -> _AffineMap | None:
         return None
     free = np.setdiff1d(np.arange(n_orbits), [p for p, _, _ in solved])
     m = len(free)
-    check_bytes(8 * m * m, f"the level-{program.level} program has m = {m} free variables; its m x m solver array")
+    check_bytes(schur_bytes(m), f"the level-{program.level} program has m = {m} free variables; its Schur matrix")
     # orbit moments w0 + P z: free orbits are the variables, pivots follow
     w0 = np.zeros(n_orbits)
     rows, cols, vals = [free], [np.arange(m)], [np.ones(m)]

@@ -322,13 +322,20 @@ class _PenaltyProblem:
 
         Bitwise equal to ``jets(X)[0]``: the same terms, weighted by the same
         coefficients, are added into each expression in the same term order.
+        The rows are taken ``_VALUE_ROWS`` at a time, so the about ten
+        ``(rows, terms)`` temporaries of a call do not grow past that.
         """
-        p = self.terms.probabilities(X)
-        rows, width = len(X), 1 + len(self.targets)
-        index = np.arange(rows)[:, None] * width + self.segment
-        return np.bincount(
-            index.ravel(), weights=(p * self.c).ravel(), minlength=rows * width
-        ).reshape(rows, width)
+        width = 1 + len(self.targets)
+        out = np.empty((len(X), width))
+        for start in range(0, len(X), _VALUE_ROWS):
+            chunk = X[start : start + _VALUE_ROWS]
+            rows = len(chunk)
+            p = self.terms.probabilities(chunk)
+            index = np.arange(rows)[:, None] * width + self.segment
+            out[start : start + rows] = np.bincount(
+                index.ravel(), weights=(p * self.c).ravel(), minlength=rows * width
+            ).reshape(rows, width)
+        return out
 
     def constraints(self, X: np.ndarray, jets):
         """Values, gradients and Hessians of the KKT finish's constraints at
@@ -381,13 +388,25 @@ _MAX_STEP = 1.0
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
 _HALVINGS = (range(1), range(1, 4), range(4, _BACKTRACKS))
+# rows per chunk of _PenaltyProblem.values.  The values-only group of the line
+# search evaluates 26 trial rows per restart still searching; in one call, with
+# every row pending, its temporaries would hold about 260 doubles per restart
+# and term, far above the jets calls' peak that screen_bytes counts.  No call
+# of optimize original|2|4|6 saw more than 744 rows
+_VALUE_ROWS = 1024
+# doubles per restart and term that the screen holds at its peak: a jets call
+# on every restart's row holds about 62 (its Born terms, their 13 parts, the
+# weighted copy and int64 bins of those, and the bincount), next to about 24
+# that the KKT finish keeps; tracemalloc peaks of maximize_hardy read 93, 85,
+# 86 and 85 at n = 4, 8, 16 and 32
+_SCREEN_DOUBLES = 96
 
 
 def screen_bytes(n: int, restarts: int) -> int:
-    """Bytes of the largest array that screening ``restarts`` restarts on
-    ``realigned_hardy(n)`` holds: one value per term, of the ``n^2 + 3n - 2``
-    it touches, for each of the 26 trial rows per restart of ``_HALVINGS[-1]``."""
-    return 8 * restarts * len(_HALVINGS[-1]) * (n * n + 3 * n - 2)
+    """Bytes that screening ``restarts`` restarts on ``realigned_hardy(n)``
+    holds at its peak: ``_SCREEN_DOUBLES`` per restart and term, of the
+    ``n^2 + 3n - 2`` terms it touches."""
+    return 8 * _SCREEN_DOUBLES * restarts * (n * n + 3 * n - 2)
 
 
 # The KKT finish.  Each row takes up to _KKT_ITERS full Newton steps on its

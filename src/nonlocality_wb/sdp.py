@@ -32,10 +32,17 @@ the piece's longest, and reads ``H_ij`` for ``i >= j`` off those products
 through the gather cut into tails that start at each piece, so it fills one
 triangle of ``H`` only, the one LAPACK's Cholesky reads.  A piece's tail
 reads only cells of a trailing square ``[lo, dim)^2`` of its block, so the
-products are formed and copied on that square alone.  The Cholesky factor
-overwrites ``H`` in its own array, and each iteration assembles the next
-``H`` into that same array, so it is the only ``m x m`` array the solver
-holds; each search direction is one solve with that factor, and a failed
+products are formed and copied on that square alone.
+
+``H`` lives in one buffer of column panels of the lower triangle of its
+Fortran view (``_panel_edges``): panel ``[k0, k1)`` is a C-order
+``(k1 - k0, m - k0)`` array that holds ``H_ij`` for ``j`` in the panel and
+``i >= k0``.  Below ``_THREADED_M`` variables there is one panel of width
+``m``, a plain ``m x m`` array; from it on the panels are ``_NB`` wide, so
+``H`` takes about half of ``m^2`` doubles (``schur_bytes``).  The Cholesky
+factor overwrites ``H`` in its panels, and each iteration assembles the next
+``H`` into them, so they are the only Schur-sized buffer the solver holds;
+each search direction is one solve with that factor, and a failed
 factorization assembles ``H`` again into it for its retry.  Problem sizes up
 to a few hundred rows per block and ~10^4 variables stay within desk-scale
 memory; no sparsity is assumed in ``H`` itself.
@@ -64,13 +71,15 @@ scipy is imported inside the functions that use it, so importing this module,
 ``npa`` or ``cli`` loads no scipy; only a solve does.  The block kernels call
 LAPACK's ``dpotrf``, ``dpotrs``, ``dtrtrs`` and ``dsyevr`` (at ``eigh``'s
 workspace) as ``scipy.linalg``'s wrappers do, bit for bit, minus checks that
-cost more than LAPACK on small blocks; H keeps ``cho_solve``, and below
-``_THREADED_M`` variables ``cho_factor``, whose checks are nothing next to
-its factorization.
+cost more than LAPACK on small blocks.  Below ``_THREADED_M`` variables H
+keeps ``cho_factor`` and ``cho_solve``, whose checks are nothing next to
+their work; from it on each solve with its factor is a forward and a back
+substitution by panels (``_solve_schur``).
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import ctypes
 import functools
@@ -101,10 +110,39 @@ _PIECE = 16
 # against 0.72 ms at npa 4 --level 2 (m = 259); 4.2 against 4.3 ms and 4.5
 # against 5.0 ms on the first 700 and 800 variables of npa 6 --level 2
 _THREADED_M = 800
-# panel width of the factorization that programs of _THREADED_M variables or
-# more run (_factor_schur): at m = 3103 on 2 vCPUs, 128 and 192 factored
-# fastest and 256 was 5% slower
+# panel width of H and of its factorization for programs of _THREADED_M
+# variables or more (_panel_edges, _factor_schur): at m = 3103 on 2 vCPUs, 128
+# and 192 factored fastest and 256 was 5% slower.  A multiple of _PIECE, so no
+# Schur piece straddles two panels
 _NB = 192
+
+
+def _panel_edges(m: int) -> list[int]:
+    """Column edges of the panels that hold ``H``: one panel of width ``m``
+    below ``_THREADED_M`` variables, ``_NB``-wide ones from it on."""
+    return [0, m] if m < _THREADED_M else [*range(0, m, _NB), m]
+
+
+def schur_bytes(m: int) -> int:
+    """Bytes of the buffer that holds ``H`` for ``m`` variables: ``8 m^2``
+    below ``_THREADED_M``, about half of that in ``_NB``-wide panels from it on."""
+    edges = _panel_edges(m)
+    return 8 * sum((k1 - k0) * (m - k0) for k0, k1 in zip(edges, edges[1:]))
+
+
+def _schur_panels(m: int) -> list[np.ndarray]:
+    """Zeroed panels of ``H`` in one buffer: panel ``[k0, k1)`` of
+    ``_panel_edges(m)`` is a C-order ``(k1 - k0, m - k0)`` view whose row
+    ``j - k0`` holds ``H_ij`` at column ``i - k0``; as a Fortran array it is
+    the columns ``[k0, k1)`` of ``H``'s lower triangle from row ``k0`` on."""
+    edges = _panel_edges(m)
+    buffer = np.zeros(schur_bytes(m) // 8)
+    panels, at = [], 0
+    for k0, k1 in zip(edges, edges[1:]):
+        size = (k1 - k0) * (m - k0)
+        panels.append(buffer[at : at + size].reshape(k1 - k0, m - k0))
+        at += size
+    return panels
 
 
 @dataclass
@@ -220,26 +258,28 @@ class LmiProblem:
         return total
 
     def schur(
-        self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray], out: np.ndarray | None = None, worker=None
-    ) -> np.ndarray:
+        self, u_blocks: Sequence[np.ndarray], v_blocks: Sequence[np.ndarray], out: list | None = None, worker=None
+    ) -> list[np.ndarray]:
         """One triangle of ``H_ij = sum_blocks tr(F_i U F_j V)`` for symmetric U, V.
 
-        Row ``j`` holds ``H_ij`` for ``i >= j`` in its columns ``>= j``: the
-        upper triangle in C order, which is the lower triangle of ``h.T`` that
-        LAPACK reads and ``solve_lmi`` factors in place.  The strict lower
-        triangle is left unused; within each piece it picks up zeros and
-        stray gathered entries.  Each piece forms ``U F_j V`` on the trailing
-        square ``[lo, dim)^2`` that its tail reads, and nothing outside it.
-        With a ``worker``, a one-thread executor, the caller assembles the
-        even pieces and the worker the odd ones, joined on every exit.
+        Returns the panels of ``_schur_panels``: the row of variable ``j``
+        in its panel holds ``H_ij`` for ``i >= j``, which is the lower
+        triangle of ``H``'s Fortran view that LAPACK reads and ``solve_lmi``
+        factors in place.  The cells of a row before ``j`` are left unused;
+        within each piece they pick up zeros and stray gathered entries.
+        Each piece forms ``U F_j V`` on the trailing square ``[lo, dim)^2``
+        that its tail reads, and nothing outside it.  With a ``worker``, a
+        one-thread executor, the caller assembles the even pieces and the
+        worker the odd ones, joined on every exit.
 
-        ``out``, an ``(m, m)`` C-order array such as the previous iteration's
-        H, is overwritten and returned instead of a fresh array: each piece
-        zeroes its own rows from its start on before it adds to them, so the
-        triangle does not depend on what ``out`` held.
+        ``out``, the panels of an earlier ``H`` of this problem such as the
+        previous iteration's, is overwritten and returned instead of fresh
+        panels: each piece zeroes its own rows from its start on before it
+        adds to them, so the triangle does not depend on what ``out`` held.
         """
         m = self.m
-        h = np.zeros((m, m)) if out is None else out
+        panels = _schur_panels(m) if out is None else out
+        edges = _panel_edges(m)
         width = min(_PIECE, m)
         size = width * max(self.dims, default=0) ** 2
         blocks = list(zip(self.dims, self.pieces, self.tails, self.lo, u_blocks, v_blocks))
@@ -257,7 +297,11 @@ class LmiProblem:
             xs = [x_buf[: dim * dim * width].reshape(dim * dim, width) for dim in self.dims]
             for p in share:
                 start = p * _PIECE
-                h[start : start + _PIECE, start:] = 0.0
+                # the piece's rows of H from its start on, in the one panel that holds them
+                q = bisect.bisect_right(edges, start) - 1
+                k0 = edges[q]
+                rows = panels[q][start - k0 : start - k0 + _PIECE, start - k0 :]
+                rows[...] = 0.0
                 for (dim, pieces, tails, los, u, v), x in zip(blocks, xs):
                     (r, c, w), tail, lo = pieces[p], tails[p], los[p]
                     n, side = len(r), dim - lo
@@ -268,7 +312,7 @@ class LmiProblem:
                     x.reshape(dim, dim, width)[lo:, lo:, :n] = t.transpose(1, 2, 0)
                     # tr(F_i U F_j V) for every i >= start, into rows that no
                     # other thread writes
-                    h[start : start + n, start:] += (tail @ x[:, :n]).T
+                    rows += (tail @ x[:, :n]).T
 
         if worker is None:
             assemble(range(count))
@@ -278,7 +322,7 @@ class LmiProblem:
                 assemble(range(0, count, 2))
             finally:
                 job.result()
-        return h
+        return panels
 
 
 def _usable_cpus() -> int:
@@ -406,7 +450,7 @@ def _step(blocks, chol, direction, gamma: float):
 
 @functools.cache
 def _kernels() -> dict:
-    """``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm`` of scipy's LAPACK and BLAS as ctypes functions.
+    """LAPACK's ``dpotrf`` and BLAS's ``dtrsm``, ``dsyrk``, ``dgemm``, ``dtrsv`` and ``dgemv`` as ctypes functions.
 
     ``scipy.linalg.cython_lapack`` and ``cython_blas`` export each routine's
     address in a capsule of ``__pyx_capi__``.  ctypes releases the GIL for
@@ -428,6 +472,8 @@ def _kernels() -> dict:
         "dtrsm": (cython_blas, [flag, flag, flag, flag, size, size, ref, ref, size, ref, size]),
         "dsyrk": (cython_blas, [flag, flag, size, size, ref, ref, size, ref, ref, size]),
         "dgemm": (cython_blas, [flag, flag, size, size, size, ref, ref, size, ref, size, ref, ref, size]),
+        "dtrsv": (cython_blas, [flag, flag, flag, size, ref, size, ref, size]),
+        "dgemv": (cython_blas, [flag, size, size, ref, ref, size, ref, size, ref, ref, size]),
     }
     kernels = {}
     for name, (module, argtypes) in signatures.items():
@@ -449,7 +495,7 @@ def _panel_plan(m: int) -> list[tuple[int, int, int, int]]:
     """
     import math
 
-    edges = [*range(0, m, _NB), m]
+    edges = _panel_edges(m)
     plan = []
     for k0, k1, k2 in zip(edges, edges[1:], edges[2:]):
         w = k2 - k1
@@ -459,59 +505,55 @@ def _panel_plan(m: int) -> list[tuple[int, int, int, int]]:
     return plan
 
 
-def _factor_schur(h: np.ndarray, worker):
-    """Cholesky factor of ``H`` in place, as ``cho_factor(h.T, lower=True)`` returns it.
+def _factor_schur(h: list[np.ndarray], worker) -> list[np.ndarray]:
+    """Cholesky factor of ``H`` in the panels of ``_schur_panels``, in place.
 
-    ``h`` holds ``H`` in its upper triangle in C order, the lower triangle of
-    ``h.T`` in Fortran order, which the factor overwrites.  Programs below
-    ``_THREADED_M`` variables make one ``cho_factor`` call.  Larger ones run a
-    right-looking blocked factorization of ``_NB``-wide panels, with one panel
-    of lookahead: while the caller brings the next panel up to date with the
-    current one, factors it and updates the columns ``[k2, s)``, the
-    ``worker`` (a one-thread executor) updates the columns ``[s, m)``, or
-    without one the caller does first.  Which BLAS and LAPACK calls run, with
-    which arguments, depends on ``m`` alone (``_panel_plan``), so the factor
-    is bitwise the same either way.  Each panel's job is joined before the
-    next panel starts, and before a panel that is not positive definite
-    raises ``scipy.linalg.LinAlgError``.
+    Each panel, as a Fortran array, holds its columns of ``H``'s lower
+    triangle, which the factor's columns overwrite.  Programs below
+    ``_THREADED_M`` variables, one ``m x m`` panel, make one ``cho_factor``
+    call.  Larger ones run a right-looking blocked factorization of their
+    ``_NB``-wide panels, with one panel of lookahead: while the caller brings
+    the next panel up to date with the current one, factors it and updates
+    the columns ``[k2, s)``, the ``worker`` (a one-thread executor) updates
+    the columns ``[s, m)``, or without one the caller does first.  Each
+    update is one ``dsyrk`` and one ``dgemm`` per panel it reaches, at that
+    panel's leading dimension.  Which BLAS and LAPACK calls run, with which
+    arguments, depends on ``m`` alone (``_panel_plan``), so the factor is
+    bitwise the same either way.  Each panel's job is joined before the next
+    panel starts, and before a panel that is not positive definite raises
+    ``scipy.linalg.LinAlgError``.
     """
     import scipy.linalg
 
-    m = len(h)
+    m = h[0].shape[1]
     if m < _THREADED_M:
-        return scipy.linalg.cho_factor(h.T, lower=True, overwrite_a=True, check_finite=False)
+        return [scipy.linalg.cho_factor(h[0].T, lower=True, overwrite_a=True, check_finite=False)[0].T]
     kernels = _kernels()
     dpotrf, dtrsm, dsyrk, dgemm = (kernels[name] for name in ("dpotrf", "dtrsm", "dsyrk", "dgemm"))
-    base = h.ctypes.data
-    ld = ctypes.byref(ctypes.c_int(m))
+    at, ld = _panel_cells(h, m)
     one, minus_one = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0))
-
-    def at(i: int, j: int) -> int:
-        # the address of row i, column j of h.T
-        return base + 8 * (i + j * m)
-
-    def n(value: int):
-        return ctypes.byref(ctypes.c_int(value))
 
     def factor(k1: int, k2: int):
         # the panel [k1, k2): its diagonal tile, then the rows below it
         info = ctypes.c_int()
-        dpotrf(b"L", n(k2 - k1), at(k1, k1), ld, ctypes.byref(info))
+        dpotrf(b"L", _int(k2 - k1), at(k1, k1), ld(k1), ctypes.byref(info))
         if info.value < 0:
             raise ValueError(f"dpotrf: illegal value in argument {-info.value}")
         if info.value:
             raise scipy.linalg.LinAlgError(f"{k1 + info.value}-th leading minor of H not positive definite")
         if k2 < m:
-            dtrsm(b"R", b"L", b"T", b"N", n(m - k2), n(k2 - k1), one, at(k1, k1), ld, at(k2, k1), ld)
+            dtrsm(b"R", b"L", b"T", b"N", _int(m - k2), _int(k2 - k1), one, at(k1, k1), ld(k1), at(k2, k1), ld(k1))
 
     def update(k0: int, k1: int, a: int, b: int):
-        # columns [a, b) minus the factored panel [k0, k1)'s contribution
-        if a >= b:
-            return
-        w = n(k1 - k0)
-        dsyrk(b"L", b"N", n(b - a), w, minus_one, at(a, k0), ld, one, at(a, a), ld)
-        if b < m:
-            dgemm(b"N", b"T", n(m - b), n(b - a), w, minus_one, at(b, k0), ld, at(a, k0), ld, one, at(b, a), ld)
+        # columns [a, b) minus the factored panel [k0, k1)'s contribution, one
+        # segment [c0, c1) per panel
+        w, lda = _int(k1 - k0), ld(k0)
+        cuts = [a, *range(a - a % _NB + _NB, b, _NB), b]
+        for c0, c1 in zip(cuts, cuts[1:]):
+            dsyrk(b"L", b"N", _int(c1 - c0), w, minus_one, at(c0, k0), lda, one, at(c0, c0), ld(c0))
+            if c1 < m:
+                rows, cols = _int(m - c1), _int(c1 - c0)
+                dgemm(b"N", b"T", rows, cols, w, minus_one, at(c1, k0), lda, at(c0, k0), lda, one, at(c1, c0), ld(c0))
 
     factor(0, min(_NB, m))
     for k0, k1, k2, s in _panel_plan(m):
@@ -523,7 +565,66 @@ def _factor_schur(h: np.ndarray, worker):
         finally:
             if job is not None:
                 job.result()
-    return h.T, True
+    return h
+
+
+def _int(value: int):
+    """A Fortran integer argument."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _panel_cells(h: list[np.ndarray], m: int):
+    """``at(i, j)``, the address of ``H``'s cell ``(i, j)`` in the ``_NB``-wide
+    panel that holds column ``j``, for ``i`` at or past that panel's first
+    column, and ``ld(j)``, that panel's leading dimension as a Fortran array."""
+    bases = [panel.ctypes.data for panel in h]
+
+    def at(i: int, j: int) -> int:
+        k0 = j - j % _NB
+        return bases[j // _NB] + 8 * (i - k0 + (j - k0) * (m - k0))
+
+    def ld(j: int):
+        return _int(m - j + j % _NB)
+
+    return at, ld
+
+
+def _solve_schur(factor: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """``H^-1 rhs`` from the factor panels that ``_factor_schur`` returned.
+
+    Below ``_THREADED_M`` variables one ``cho_solve``.  From it on a forward
+    and a back substitution, panel by panel: ``dtrsv`` on each diagonal tile
+    and ``dgemv`` on the rows below it, which read the factor's triangle
+    alone.
+    """
+    import scipy.linalg
+
+    m = len(rhs)
+    if m < _THREADED_M:
+        return scipy.linalg.cho_solve((factor[0].T, True), rhs, check_finite=False)
+    kernels = _kernels()
+    dtrsv, dgemv = kernels["dtrsv"], kernels["dgemv"]
+    at, ld = _panel_cells(factor, m)
+    x = np.array(rhs, dtype=float)
+    one, minus_one, step = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0)), _int(1)
+    edges = _panel_edges(m)
+    panels = list(zip(edges, edges[1:]))
+
+    def entry(i: int) -> int:
+        return x.ctypes.data + 8 * i
+
+    # L z = rhs, then L^T x = z, both in x
+    for k0, k1 in panels:
+        w, lda = _int(k1 - k0), ld(k0)
+        dtrsv(b"L", b"N", b"N", w, at(k0, k0), lda, entry(k0), step)
+        if k1 < m:
+            dgemv(b"N", _int(m - k1), w, minus_one, at(k1, k0), lda, entry(k0), step, one, entry(k1), step)
+    for k0, k1 in reversed(panels):
+        w, lda = _int(k1 - k0), ld(k0)
+        if k1 < m:
+            dgemv(b"T", _int(m - k1), w, minus_one, at(k1, k0), lda, entry(k1), step, one, entry(k0), step)
+        dtrsv(b"L", b"T", b"N", w, at(k0, k0), lda, entry(k0), step)
+    return x
 
 
 def solve_lmi(problem: LmiProblem) -> LmiSolution:
@@ -561,7 +662,7 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
     best_score = np.inf
     best_it = 0
     best = (y, x_blocks, rel_gap, pinf, dinf)
-    h = None  # H, assembled into one array for the whole solve
+    h = None  # H's panels, assembled into one buffer for the whole solve
     worker = None
     if m >= _THREADED_M and _usable_cpus() >= 2:
         from concurrent.futures import ThreadPoolExecutor
@@ -600,18 +701,19 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
 
             zinv = [_inverse(l) for l in lz]
 
-            # last iteration's factor is dead once the next H is assembled into its array
+            # last iteration's factor is dead once the next H is assembled into its panels
             cho = None
             h = problem.schur(x_blocks, zinv, out=h, worker=worker)
-            jitter = 1e-13 * max(1.0, float(np.trace(h)) / max(m, 1))
+            jitter = 1e-13 * max(1.0, sum(float(np.trace(panel)) for panel in h) / max(m, 1))
             for attempt in range(8):
                 if attempt:
                     # the failed factorization overwrote H: assemble it again
                     h = problem.schur(x_blocks, zinv, out=h, worker=worker)
                     jitter *= 100.0
-                h.flat[:: m + 1] += jitter
+                for panel in h:
+                    panel.flat[:: panel.shape[1] + 1] += jitter
                 try:
-                    # h.T is H + jitter*I in Fortran order, factored in place
+                    # H + jitter*I, factored in its panels
                     cho = _factor_schur(h, worker)
                     break
                 except scipy.linalg.LinAlgError:
@@ -626,7 +728,7 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
                 rhs = sigma_mu * a_vec + b - g_vec
                 if corr_blocks is not None:
                     rhs = rhs - problem.inner(corr_blocks)
-                dy = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+                dy = _solve_schur(cho, rhs)
                 dz = [rb + sb for rb, sb in zip(rd, problem.mat(dy, include_f0=False))]
                 dx = [sigma_mu * zi - xb - xb @ dzb @ zi for xb, dzb, zi in zip(x_blocks, dz, zinv)]
                 if corr_blocks is not None:

@@ -320,12 +320,12 @@ class TestNpa:
         assert main(["npa", "6", "--level", "3", "--json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "m = 46076" in captured.err and "15.8 GiB" in captured.err
+        assert "m = 46076" in captured.err and "7.9 GiB" in captured.err
 
 
 def test_oversize_optimize_is_refused_before_it_allocates(capsys, monkeypatch):
-    # 500 restarts of n = 144 would screen 26 trial rows of 21166 terms each
-    # per restart at once: a 2.1 GiB array
+    # 500 restarts of n = 144 would screen 21166 terms per restart at once:
+    # about 7.6 GiB at the screen's peak
     def fail(*args):
         raise AssertionError("built above the cap")
 
@@ -336,7 +336,7 @@ def test_oversize_optimize_is_refused_before_it_allocates(capsys, monkeypatch):
     assert time.perf_counter() - start < 0.1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "500 restarts for n = 144" in captured.err and "2.1 GiB" in captured.err
+    assert "500 restarts for n = 144" in captured.err and "7.6 GiB" in captured.err
 
 
 @pytest.mark.parametrize("command", ["npa", "dump-paradox"])
@@ -664,7 +664,7 @@ class TestEntryPoint:
 
     @pytest.mark.skipif(resource is None, reason="needs resource limits")
     def test_oversize_npa_program_exits_2_before_it_allocates(self):
-        # m = 46076: the solver's m x m array would take 15.8 GiB.  The child
+        # m = 46076: the solver's packed Schur matrix would take 7.9 GiB.  The child
         # runs the command line in process and then prints its own peak RSS
         code = (
             "import resource, sys\n"
@@ -685,7 +685,7 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert "m = 46076" in proc.stderr and "15.8 GiB" in proc.stderr, proc.stderr
+        assert "m = 46076" in proc.stderr and "7.9 GiB" in proc.stderr, proc.stderr
         # refused once m is known, before its LMI blocks are built
         peak_mb = float(proc.stderr.split()[-1])
         assert peak_mb < 150, proc.stderr

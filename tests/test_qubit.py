@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -263,6 +264,17 @@ class TestValuesOnlyPenalty:
             penalty = _penalty_value(values, problem, mu)
             assert penalty.tobytes() == _penalty(jets, problem, mu)[0].tobytes()
 
+    @pytest.mark.parametrize("name", ["original", 6])
+    def test_rows_in_chunks_are_the_rows_in_one_call(self, monkeypatch, name):
+        # 60 rows in chunks of 7, the last one short: every row is bitwise
+        # what one call on all the rows, and the jets, give
+        problem = _PenaltyProblem(paradox_of(name))
+        X = mixed_scale_vectors(np.random.default_rng(17), 60, problem.n)
+        whole = problem.values(X)
+        monkeypatch.setattr(qubit, "_VALUE_ROWS", 7)
+        assert problem.values(X).tobytes() == whole.tobytes() == problem.jets(X)[0].tobytes()
+        assert problem.values(X[:0]).shape == (0, 1 + len(problem.targets))
+
     @pytest.mark.parametrize("name", ["original", 2, 4, 6])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_penalty_is_equal_too(self, name):
@@ -328,8 +340,35 @@ class TestOptimizerConfig:
         monkeypatch.setattr(_PenaltyProblem, "jets", recorded(jets, 13))
         maximize_hardy(realigned_hardy(6), OptimizerConfig(restarts=40))
         assert max(sizes) <= qubit.screen_bytes(6, 40)
-        # optimize 32 runs (about 440 MB peak); optimize 144 is refused
+        # optimize 32 runs (about 440 MB peak RSS) and optimize 72 would; 74 is refused
+        assert qubit.screen_bytes(72, 500) <= npa.MAX_SCHUR_BYTES < qubit.screen_bytes(74, 500)
         assert qubit.screen_bytes(32, 500) <= npa.MAX_SCHUR_BYTES < qubit.screen_bytes(144, 500)
+
+    def test_values_on_every_trial_row_stay_within_the_screen_estimate(self):
+        # the values-only line-search group at n = 16 with all 500 restarts
+        # pending: 26 trial rows each.  In one piece its temporaries peaked at
+        # about 2.7 times the estimate
+        problem = _PenaltyProblem(realigned_hardy(16))
+        X = np.random.default_rng(3).uniform(-math.pi, math.pi, size=(500 * 26, 1 + 2 * 16))
+        tracemalloc.start()
+        try:
+            problem.values(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= qubit.screen_bytes(16, 500)
+
+    def test_screen_peak_stays_within_its_estimate(self):
+        # the whole run of optimize 6 at its 500 default restarts
+        cfg = OptimizerConfig.for_settings(6)
+        assert cfg.restarts == 500
+        tracemalloc.start()
+        try:
+            maximize_hardy(realigned_hardy(6), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= qubit.screen_bytes(6, 500)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValidationError):

@@ -176,6 +176,31 @@ def bincount_schur(m, f_blocks, u_blocks, v_blocks):
     return h
 
 
+def unpacked(panels):
+    """The ``(m, m)`` C-order array that ``panels`` pack, as ``LmiProblem.schur``
+    and ``sdp._factor_schur`` return them: row ``j`` holds column ``j`` of H's
+    lower triangle, or of its factor, from its panel's first column on, and
+    every other cell is zero.  ``np.triu`` of it is the triangle that
+    ``schur`` fills, and ``np.tril`` of its transpose a factor's triangle."""
+    m = panels[0].shape[1]
+    h = np.zeros((m, m))
+    for panel in panels:
+        k0 = m - panel.shape[1]
+        h[k0 : k0 + len(panel), k0:] = panel
+    return h
+
+
+def packed(h):
+    """The ``(m, m)`` array ``h``, in ``unpacked``'s layout, in fresh panels of
+    ``sdp._schur_panels`` at the gate and panel width set now."""
+    m = len(h)
+    panels = sdp._schur_panels(m)
+    for panel in panels:
+        k0 = m - panel.shape[1]
+        panel[...] = h[k0 : k0 + len(panel), k0:]
+    return panels
+
+
 def random_schur_entries(rng):
     """Entries of two blocks, listed in shuffled variable order; cell (0, 2)
     of the first block is shared by variables 1 and 3, variable 5 has no
@@ -215,7 +240,7 @@ def test_schur_matches_dense_trace_and_bincount_assembly():
     problem = LmiProblem([np.zeros((d, d)) for d in dims], blocks, np.zeros(m))
     u = [random_spd(rng, d) for d in dims]
     v = [random_spd(rng, d) for d in dims]
-    upper = np.triu(problem.schur(u, v))
+    upper = np.triu(unpacked(problem.schur(u, v)))
     oracle = dense_trace_schur(m, blocks, u, v)
     assert np.abs(upper - np.triu(oracle)).max() <= 1e-12 * np.abs(oracle).max()
     assert np.array_equal(upper, np.triu(bincount_schur(m, blocks, u, v).T))
@@ -230,7 +255,7 @@ def test_schur_does_not_depend_on_entry_order():
     v = [random_spd(rng, d) for d in dims]
     h_shuffled = LmiProblem(f0, [block(d, m, e) for d, e in shuffled], np.zeros(m)).schur(u, v)
     h_sorted = LmiProblem(f0, [block(d, m, sorted(e)) for d, e in shuffled], np.zeros(m)).schur(u, v)
-    assert np.array_equal(h_shuffled, h_sorted)
+    assert np.array_equal(unpacked(h_shuffled), unpacked(h_sorted))
 
 
 def test_problem_rejects_misshapen_blocks():
@@ -272,7 +297,7 @@ def schur_inputs(problem, seed):
 def test_schur_is_bitwise_the_bincount_assembly_on_npa_programs(monkeypatch, n, level):
     problem, blocks = recorded_npa_problem(monkeypatch, n, level)
     u, v = schur_inputs(problem, n + level)
-    upper = np.triu(problem.schur(u, v))
+    upper = np.triu(unpacked(problem.schur(u, v)))
     assert np.array_equal(upper, np.triu(bincount_schur(problem.m, blocks, u, v).T))
 
 
@@ -303,7 +328,7 @@ def test_schur_triangle_does_not_depend_on_piece_length(monkeypatch):
         problem = npa._affine_map(npa.build_program(realigned_hardy(2), 3)).problem
         assert len(problem.tails[0]) == len(problem.pieces[0]) == -(-m // piece)
         u, v = schur_inputs(problem, 5)
-        triangles.append(np.triu(problem.schur(u, v)))
+        triangles.append(np.triu(unpacked(problem.schur(u, v))))
     assert all(np.array_equal(t, triangles[0]) for t in triangles[1:])
     assert np.array_equal(triangles[0], np.triu(bincount_schur(m, blocks, u, v).T))
 
@@ -320,7 +345,7 @@ def test_dense_schur_matches_dense_trace_on_random_blocks(monkeypatch):
     for piece in (1, 4, sdp._PIECE):
         monkeypatch.setattr(sdp, "_PIECE", piece)
         problem = LmiProblem([np.zeros((d, d)) for d in dims], blocks, np.zeros(m))
-        assert np.abs(np.triu(problem.schur(u, v) - oracle)).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.abs(np.triu(unpacked(problem.schur(u, v)) - oracle)).max() <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("n,level", [(2, 3), (4, 2), ("original", 3)])
@@ -328,17 +353,23 @@ def test_dense_schur_matches_dense_trace_on_npa_programs(monkeypatch, n, level):
     problem, blocks = recorded_npa_problem(monkeypatch, n, level)
     u, v = schur_inputs(problem, 3)
     oracle = dense_trace_schur(problem.m, blocks, u, v)
-    assert np.abs(np.triu(problem.schur(u, v) - oracle)).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.abs(np.triu(unpacked(problem.schur(u, v)) - oracle)).max() <= 1e-12 * np.abs(oracle).max()
 
 
-def test_solver_reads_only_the_schur_triangle(monkeypatch):
-    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
+@pytest.mark.parametrize("n", [4, 6])
+def test_solver_reads_only_the_schur_triangle(monkeypatch, n):
+    # npa 4 --level 2 (m = 259) holds H in one m x m panel, npa 6 --level 2
+    # (m = 1376) in eight packed ones; in both, the cells of each panel's
+    # diagonal tile above H's lower triangle go unread
+    problem = npa._affine_map(npa.build_program(realigned_hardy(n), 2)).problem
     plain = solve_lmi(problem)
     schur = LmiProblem.schur
 
     def nan_below(self, u_blocks, v_blocks, **kwargs):
         h = schur(self, u_blocks, v_blocks, **kwargs)
-        h[np.tril_indices(self.m, -1)] = np.nan
+        for panel in h:
+            width = len(panel)
+            panel[:, :width][np.tril_indices(width, -1)] = np.nan
         return h
 
     monkeypatch.setattr(LmiProblem, "schur", nan_below)
@@ -403,7 +434,7 @@ def piece_problem(monkeypatch):
 
 def test_schur_reads_no_stale_cells_outside_a_piece_square(monkeypatch):
     problem, blocks, u, v = piece_problem(monkeypatch)
-    assert np.array_equal(np.triu(problem.schur(u, v)), np.triu(bincount_schur(problem.m, blocks, u, v).T))
+    assert np.array_equal(np.triu(unpacked(problem.schur(u, v))), np.triu(bincount_schur(problem.m, blocks, u, v).T))
 
 
 class Worker(ThreadPoolExecutor):
@@ -436,14 +467,14 @@ def test_schur_triangle_does_not_depend_on_the_thread_count(monkeypatch):
     problem, blocks = recorded_npa_problem(monkeypatch, 6, 2)
     assert problem.m == 1376 >= sdp._THREADED_M
     u, v = schur_inputs(problem, 8)
-    serial = np.triu(problem.schur(u, v))
+    serial = np.triu(unpacked(problem.schur(u, v)))
     # thread switches at every chance: a piece taken twice or not at all
     # would change H
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with Worker() as worker:
-            threaded = [np.triu(problem.schur(u, v, worker=worker)) for _ in range(3)]
+            threaded = [np.triu(unpacked(problem.schur(u, v, worker=worker))) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
     assert len(worker.jobs) == 3
@@ -453,7 +484,7 @@ def test_schur_triangle_does_not_depend_on_the_thread_count(monkeypatch):
 
 def test_neighbouring_pieces_on_two_threads_give_the_one_thread_triangle(monkeypatch):
     problem, blocks, u, v = piece_problem(monkeypatch)
-    serial = np.triu(problem.schur(u, v))
+    serial = np.triu(unpacked(problem.schur(u, v)))
     # each piece forms one product per block, and each product waits for one
     # from the other thread: pieces 0 and 1 go to different threads, and so do
     # pieces 2 and 3.  Both products are formed before either is read, so
@@ -469,7 +500,7 @@ def test_neighbouring_pieces_on_two_threads_give_the_one_thread_triangle(monkeyp
 
     monkeypatch.setattr(np, "matmul", paired)
     with Worker() as worker:
-        threaded = np.triu(problem.schur(u, v, worker=worker))
+        threaded = np.triu(unpacked(problem.schur(u, v, worker=worker)))
     assert sorted(collections.Counter(callers).values()) == [4, 4]
     assert np.array_equal(threaded, serial)
     assert np.array_equal(serial, np.triu(bincount_schur(problem.m, blocks, u, v).T))
@@ -506,11 +537,38 @@ def solve_peak_bytes(problem):
 
 
 def test_solver_holds_one_schur_sized_array_at_most():
-    # npa 6 --level 2: m = 1376, so an m x m array is 15 MB; H, factored in
-    # place, is the only one the solver needs at a time
+    # npa 6 --level 2: m = 1376, so an m x m array is 15 MB; H's panels,
+    # factored in place, are the only Schur-sized buffer the solver needs
     problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
     assert problem.m == 1376
     assert solve_peak_bytes(problem) < 1.25 * problem.m**2 * 8
+
+
+def test_solver_holds_the_packed_schur_panels_and_little_else():
+    # npa 6 --level 2 holds H in eight 192-wide panels of its triangle,
+    # 8.6 MB against 15.1 MB for an m x m array; beside them the solve holds
+    # less than a quarter of m^2 doubles
+    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
+    m = problem.m
+    assert sdp.schur_bytes(m) == 8 * sum(192 * (m - k0) for k0 in range(0, 1344, 192)) + 8 * 32 * 32
+    assert solve_peak_bytes(problem) <= sdp.schur_bytes(m) + 0.25 * m**2 * 8
+
+
+def test_schur_bytes_are_the_panels_the_solver_allocates():
+    # one m x m panel below the gate, _NB-wide ones from it on: about 0.53 m^2
+    # doubles at npa 4 --level 3 and 0.50 m^2 at npa 6 --level 3
+    below = sdp._THREADED_M - 1
+    assert sdp.schur_bytes(below) == 8 * below**2
+    assert sdp.schur_bytes(sdp._THREADED_M) < 0.7 * 8 * sdp._THREADED_M**2
+    assert round(sdp.schur_bytes(3103) / 1e6, 1) == 40.9
+    assert round(sdp.schur_bytes(46076) / 2**30, 1) == 7.9
+    for m in (1, below, sdp._THREADED_M, 3103):
+        panels = sdp._schur_panels(m)
+        assert sum(panel.nbytes for panel in panels) == sdp.schur_bytes(m)
+        # one buffer, panel after panel
+        base = panels[0].base
+        assert all(panel.base is base and panel.flags.c_contiguous for panel in panels)
+        assert base.nbytes == sdp.schur_bytes(m)
 
 
 def test_dense_path_holds_two_schur_sized_and_three_block_arrays_at_most():
@@ -539,8 +597,8 @@ def schur_bytes_beside_h(monkeypatch, threads):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert h.nbytes == 8 * problem.m**2
-    return problem, peak - h.nbytes
+    assert sum(panel.nbytes for panel in h) == sdp.schur_bytes(problem.m) < 8 * problem.m**2
+    return problem, peak - sdp.schur_bytes(problem.m)
 
 
 def test_schur_holds_one_pair_of_piece_buffers_beside_h(monkeypatch):
@@ -630,6 +688,61 @@ def test_each_direction_is_one_solve_with_the_schur_factor(monkeypatch):
     assert len(solves) == 2 * (sol.iterations - 1)
 
 
+def test_each_direction_is_one_packed_solve_from_the_gate_on(monkeypatch):
+    # npa 6 --level 2 (m = 1376) holds H's factor in eight panels: each
+    # direction is one forward and one back substitution through them, with
+    # one dtrsv per panel each way and no cho_solve
+    problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
+    m = problem.m
+    assert m >= sdp._THREADED_M and len(sdp._panel_edges(m)) == 9
+    kernels = sdp._kernels()
+    calls, solves, solve_schur = [], [], sdp._solve_schur
+
+    def counted(name):
+        def kernel(*args):
+            calls.append(name)
+            return kernels[name](*args)
+
+        return kernel
+
+    def recorded(factor, rhs):
+        calls.clear()
+        dy = solve_schur(factor, rhs)
+        solves.append(collections.Counter(calls))
+        return dy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cho_solve called from the gate on")
+
+    monkeypatch.setattr(sdp, "_kernels", lambda: {name: counted(name) for name in kernels})
+    monkeypatch.setattr(sdp, "_solve_schur", recorded)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
+    sol = solve_lmi(problem)
+    assert sol.status == STATUS_OPTIMAL
+    assert len(solves) == 2 * (sol.iterations - 1)
+    assert all(counts == {"dtrsv": 16, "dgemv": 14} for counts in solves)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_packed_solve_is_cho_solve_on_the_unpacked_factor(monkeypatch, threads):
+    m = 3 * sdp._NB + 37
+    h = random_schur_matrix(m)
+    monkeypatch.setattr(sdp, "_THREADED_M", 0)
+    panels = packed(h)
+    with Worker() as worker:
+        factor = sdp._factor_schur(panels, worker if threads == 2 else None)
+    assert len(factor) == 4
+    rhs = np.random.default_rng(1).normal(size=(3, m))
+    lower = np.tril(unpacked(factor).T)
+    for b in rhs:
+        dy = sdp._solve_schur(factor, b)
+        oracle = scipy.linalg.cho_solve((lower, True), b, check_finite=False)
+        assert np.abs(dy - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        # the solve leaves its right-hand side and the factor as they were
+        assert np.array_equal(np.tril(unpacked(factor).T), lower)
+    assert np.array_equal(rhs, np.random.default_rng(1).normal(size=(3, m)))
+
+
 def test_failed_factorization_retries_on_a_reassembled_schur_matrix(monkeypatch):
     cho_factor = scipy.linalg.cho_factor
     factored = []
@@ -659,7 +772,7 @@ def test_failed_factorization_retries_on_two_threads(monkeypatch):
     factored, arrays, panels, overwritten, workers = [], [], [], [], set()
 
     def recorded(h, worker):
-        factored.append(h.T.copy())
+        factored.append(unpacked(h).T)
         arrays.append(h)
         panels.clear()
         workers.add(worker)
@@ -669,7 +782,7 @@ def test_failed_factorization_retries_on_two_threads(monkeypatch):
         dpotrf(uplo, n, a, lda, info)
         panels.append(a)
         if len(factored) == 1 and len(panels) == 3:
-            overwritten.append(not np.array_equal(arrays[0].T, factored[0]))
+            overwritten.append(not np.array_equal(unpacked(arrays[0]).T, factored[0]))
             info[0] = 1
 
     monkeypatch.setattr(sdp, "_factor_schur", recorded)
@@ -771,14 +884,14 @@ def check_retry_on_a_reassembled_schur_matrix(monkeypatch, factored):
 
     def recorded(self, u_blocks, v_blocks, **kwargs):
         h = schur(self, u_blocks, v_blocks, **kwargs)
-        assembled.append(h.copy())
+        assembled.append([panel.copy() for panel in h])
         return h
 
     monkeypatch.setattr(LmiProblem, "schur", recorded)
     sol = solve_lmi(problem)
     assert sol.status == STATUS_OPTIMAL
-    jitter = 1e-13 * max(1.0, float(np.trace(assembled[0])) / m)
-    first, second = assembled[:2]
+    jitter = 1e-13 * max(1.0, sum(float(np.trace(panel)) for panel in assembled[0]) / m)
+    first, second = (unpacked(h) for h in assembled[:2])
     first.flat[:: m + 1] += jitter
     second.flat[:: m + 1] += 100.0 * jitter
     assert np.array_equal(factored[0], first.T)
@@ -788,14 +901,16 @@ def check_retry_on_a_reassembled_schur_matrix(monkeypatch, factored):
 
 
 def plan_factor(monkeypatch, h, threads):
-    """The lower triangle of ``sdp._factor_schur``'s factor of a copy of
-    ``h``, with the panel plan at every size, on ``threads`` threads: with a
-    worker for 2, the same calls in turn for 1."""
+    """The lower triangle of ``sdp._factor_schur``'s factor of ``h``, packed
+    in panels of ``_NB`` columns with the panel plan at every size, on
+    ``threads`` threads: with a worker for 2, the same calls in turn for 1."""
     monkeypatch.setattr(sdp, "_THREADED_M", 0)
+    panels = packed(h)
     with Worker() as worker:
-        c, lower = sdp._factor_schur(h.copy(), worker if threads == 2 else None)
-    assert lower is True
-    return np.tril(c)
+        factor = sdp._factor_schur(panels, worker if threads == 2 else None)
+    # the factor overwrites H's panels
+    assert len(factor) == len(panels) and all(f is p for f, p in zip(factor, panels))
+    return np.tril(unpacked(factor).T)
 
 
 def cho_factor_lower(h):
@@ -807,14 +922,14 @@ def npa_schur_matrix(monkeypatch):
     """npa 6 --level 2's Schur matrix (m = 1376) at random SPD inputs, plus
     the solver's diagonal jitter."""
     problem, _ = recorded_npa_problem(monkeypatch, 6, 2)
-    h = problem.schur(*schur_inputs(problem, 8))
+    h = unpacked(problem.schur(*schur_inputs(problem, 8)))
     h.flat[:: problem.m + 1] += 1e-13 * float(np.trace(h)) / problem.m
     return h
 
 
 def random_schur_matrix(m):
-    """A random SPD ``m x m`` matrix in the layout ``schur`` returns: H in the
-    upper triangle, arbitrary values below it."""
+    """A random SPD ``m x m`` matrix in ``unpacked``'s layout: H in the upper
+    triangle, arbitrary values below it."""
     rng = np.random.default_rng(m)
     h = np.triu(random_spd(rng, m)) + np.tril(rng.normal(size=(m, m)), -1)
     return h
@@ -880,11 +995,24 @@ def haswell_thread_claims():
         rng = np.random.default_rng(m)
         a = rng.normal(size=(m, m))
         h = a @ a.T + m * np.eye(m)
+
+        def unpacked(panels):
+            size = panels[0].shape[1]
+            full = np.zeros((size, size))
+            for panel in panels:
+                k0 = size - panel.shape[1]
+                full[k0 : k0 + len(panel), k0:] = panel
+            return full
+
         factors, triangles = [], []
         with sdp._single_blas_thread(), ThreadPoolExecutor(1) as pool:
             for worker in (None, pool):
-                factors.append(np.tril(sdp._factor_schur(h.copy(), worker)[0]))
-                triangles.append(np.triu(problem.schur(u, v, worker=worker)))
+                panels = sdp._schur_panels(m)
+                for panel in panels:
+                    k0 = m - panel.shape[1]
+                    panel[...] = h[k0 : k0 + len(panel), k0:]
+                factors.append(np.tril(unpacked(sdp._factor_schur(panels, worker)).T))
+                triangles.append(np.triu(unpacked(problem.schur(u, v, worker=worker))))
         cores, paths = [], set()
         try:
             with open("/proc/self/maps", encoding="utf-8") as maps:
