@@ -322,20 +322,18 @@ class _PenaltyProblem:
 
         Bitwise equal to ``jets(X)[0]``: the same terms, weighted by the same
         coefficients, are added into each expression in the same term order.
-        The rows are taken ``_VALUE_ROWS`` at a time, so the about ten
-        ``(rows, terms)`` temporaries of a call do not grow past that.
+        More than ``_VALUE_ROWS`` rows are taken that many at a time, so the
+        about ten ``(rows, terms)`` temporaries of a call do not grow past it.
         """
-        width = 1 + len(self.targets)
-        out = np.empty((len(X), width))
-        for start in range(0, len(X), _VALUE_ROWS):
-            chunk = X[start : start + _VALUE_ROWS]
-            rows = len(chunk)
-            p = self.terms.probabilities(chunk)
-            index = np.arange(rows)[:, None] * width + self.segment
-            out[start : start + rows] = np.bincount(
-                index.ravel(), weights=(p * self.c).ravel(), minlength=rows * width
-            ).reshape(rows, width)
-        return out
+        if len(X) > _VALUE_ROWS:
+            starts = range(0, len(X), _VALUE_ROWS)
+            return np.concatenate([self.values(X[start : start + _VALUE_ROWS]) for start in starts])
+        p = self.terms.probabilities(X)
+        rows, width = len(X), 1 + len(self.targets)
+        index = np.arange(rows)[:, None] * width + self.segment
+        return np.bincount(
+            index.ravel(), weights=(p * self.c).ravel(), minlength=rows * width
+        ).reshape(rows, width)
 
     def constraints(self, X: np.ndarray, jets):
         """Values, gradients and Hessians of the KKT finish's constraints at
