@@ -530,7 +530,7 @@ def _factor_schur(h: list[np.ndarray], worker) -> list[np.ndarray]:
         return [scipy.linalg.cho_factor(h[0].T, lower=True, overwrite_a=True, check_finite=False)[0].T]
     kernels = _kernels()
     dpotrf, dtrsm, dsyrk, dgemm = (kernels[name] for name in ("dpotrf", "dtrsm", "dsyrk", "dgemm"))
-    at, ld = _panel_cells(h, m)
+    edges, at, ld = _panel_cells(h)
     one, minus_one = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0))
 
     def factor(k1: int, k2: int):
@@ -547,15 +547,17 @@ def _factor_schur(h: list[np.ndarray], worker) -> list[np.ndarray]:
     def update(k0: int, k1: int, a: int, b: int):
         # columns [a, b) minus the factored panel [k0, k1)'s contribution, one
         # segment [c0, c1) per panel
+        if a >= b:
+            return
         w, lda = _int(k1 - k0), ld(k0)
-        cuts = [a, *range(a - a % _NB + _NB, b, _NB), b]
+        cuts = [a, *(e for e in edges if a < e < b), b]
         for c0, c1 in zip(cuts, cuts[1:]):
             dsyrk(b"L", b"N", _int(c1 - c0), w, minus_one, at(c0, k0), lda, one, at(c0, c0), ld(c0))
             if c1 < m:
                 rows, cols = _int(m - c1), _int(c1 - c0)
                 dgemm(b"N", b"T", rows, cols, w, minus_one, at(c1, k0), lda, at(c0, k0), lda, one, at(c1, c0), ld(c0))
 
-    factor(0, min(_NB, m))
+    factor(edges[0], edges[1])
     for k0, k1, k2, s in _panel_plan(m):
         job = update(k0, k1, s, m) if worker is None else worker.submit(update, k0, k1, s, m)
         try:
@@ -573,20 +575,33 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int(value))
 
 
-def _panel_cells(h: list[np.ndarray], m: int):
-    """``at(i, j)``, the address of ``H``'s cell ``(i, j)`` in the ``_NB``-wide
-    panel that holds column ``j``, for ``i`` at or past that panel's first
-    column, and ``ld(j)``, that panel's leading dimension as a Fortran array."""
+def _panel_cells(h: list[np.ndarray]):
+    """The column edges of the panels ``h`` of ``_schur_panels``, read from
+    their shapes; ``at(i, j)``, the address of ``H``'s cell ``(i, j)`` in the
+    panel that holds column ``j``, for ``j <= i < m``; and ``ld(j)``, that
+    panel's leading dimension as a Fortran array."""
+    m = h[0].shape[1]
+    starts = [m - panel.shape[1] for panel in h]
+    edges = [*starts, m]
     bases = [panel.ctypes.data for panel in h]
 
+    def panel(j: int) -> int:
+        # the panel that holds column j
+        if not 0 <= j < m:
+            raise IndexError(f"column {j} is outside H's {m} columns")
+        return bisect.bisect_right(starts, j) - 1
+
     def at(i: int, j: int) -> int:
-        k0 = j - j % _NB
-        return bases[j // _NB] + 8 * (i - k0 + (j - k0) * (m - k0))
+        if not j <= i < m:
+            raise IndexError(f"cell ({i}, {j}) is outside H's lower triangle")
+        q = panel(j)
+        k0 = starts[q]
+        return bases[q] + 8 * (i - k0 + (j - k0) * (m - k0))
 
     def ld(j: int):
-        return _int(m - j + j % _NB)
+        return _int(m - starts[panel(j)])
 
-    return at, ld
+    return edges, at, ld
 
 
 def _solve_schur(factor: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
@@ -604,10 +619,9 @@ def _solve_schur(factor: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve((factor[0].T, True), rhs, check_finite=False)
     kernels = _kernels()
     dtrsv, dgemv = kernels["dtrsv"], kernels["dgemv"]
-    at, ld = _panel_cells(factor, m)
+    edges, at, ld = _panel_cells(factor)
     x = np.array(rhs, dtype=float)
     one, minus_one, step = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0)), _int(1)
-    edges = _panel_edges(m)
     panels = list(zip(edges, edges[1:]))
 
     def entry(i: int) -> int:

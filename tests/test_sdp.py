@@ -725,14 +725,16 @@ def test_each_direction_is_one_packed_solve_from_the_gate_on(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_packed_solve_is_cho_solve_on_the_unpacked_factor(monkeypatch, threads):
-    m = 3 * sdp._NB + 37
+@pytest.mark.parametrize(
+    "m", [3 * sdp._NB + 37, 2 * sdp._NB, 4 * sdp._NB], ids=["not a multiple of the panel", "2 panels", "4 panels"]
+)
+def test_packed_solve_is_cho_solve_on_the_unpacked_factor(monkeypatch, m, threads):
     h = random_schur_matrix(m)
     monkeypatch.setattr(sdp, "_THREADED_M", 0)
     panels = packed(h)
     with Worker() as worker:
         factor = sdp._factor_schur(panels, worker if threads == 2 else None)
-    assert len(factor) == 4
+    assert len(factor) == -(-m // sdp._NB)
     rhs = np.random.default_rng(1).normal(size=(3, m))
     lower = np.tril(unpacked(factor).T)
     for b in rhs:
@@ -936,12 +938,17 @@ def random_schur_matrix(m):
     return h
 
 
-@pytest.mark.parametrize("m", ["below one panel", "not a multiple of the panel", "npa 6 --level 2"])
+@pytest.mark.parametrize(
+    "m", ["below one panel", "not a multiple of the panel", "2 panels", "4 panels", "npa 6 --level 2"]
+)
 def test_schur_factor_does_not_depend_on_the_thread_count(monkeypatch, m):
-    if m == "npa 6 --level 2":
-        h = npa_schur_matrix(monkeypatch)
-    else:
-        h = random_schur_matrix(sdp._NB - 5 if m == "below one panel" else 3 * sdp._NB + 37)
+    sizes = {
+        "below one panel": sdp._NB - 5,
+        "not a multiple of the panel": 3 * sdp._NB + 37,
+        "2 panels": 2 * sdp._NB,
+        "4 panels": 4 * sdp._NB,
+    }
+    h = npa_schur_matrix(monkeypatch) if m == "npa 6 --level 2" else random_schur_matrix(sizes[m])
     with sdp._single_blas_thread():
         one, two = plan_factor(monkeypatch, h, 1), plan_factor(monkeypatch, h, 2)
         oracle = cho_factor_lower(h)
