@@ -394,9 +394,10 @@ _HALVINGS = (range(1), range(1, 4), range(4, _BACKTRACKS))
 _VALUE_ROWS = 1024
 # doubles per restart and term that the screen holds at its peak: a jets call
 # on every restart's row holds about 62 (its Born terms, their 13 parts, the
-# weighted copy and int64 bins of those, and the bincount), next to about 24
-# that the KKT finish keeps; tracemalloc peaks of maximize_hardy read 93, 85,
-# 86 and 85 at n = 4, 8, 16 and 32
+# weighted copy and int64 bins of those, and the bincount), next to about 8
+# that the screen's own jets and the KKT finish keep; tracemalloc peaks of
+# maximize_hardy read 70, 70, 70 and 70 at n = 4, 8, 16 and 32.  96 keeps
+# the largest n that optimize runs at 72
 _SCREEN_DOUBLES = 96
 
 
@@ -548,6 +549,15 @@ def _solve_rows(A: np.ndarray, b: np.ndarray):
     return x, ok & np.isfinite(x).all(axis=1)
 
 
+def _kkt_arrays(problem: _PenaltyProblem, X: np.ndarray, jets):
+    """What the KKT finish reads at each row of X, given the expression jets
+    there: the expression values, the Hardy term's gradient and Hessian, and
+    the constraints' values, gradients and Hessians.  Copies, so that none of
+    them keeps the jets' other gradients and Hessians alive."""
+    c, J, H = problem.constraints(X, jets)
+    return jets[0], jets[1][:, 0].copy(), jets[2][:, 0].copy(), c, J, H
+
+
 def _kkt_finish(problem: _PenaltyProblem, X: np.ndarray, jets) -> int:
     """Newton's method on every row's first-order conditions for a maximum
     of the Hardy value f subject to the constraints c = 0 of
@@ -557,43 +567,43 @@ def _kkt_finish(problem: _PenaltyProblem, X: np.ndarray, jets) -> int:
     step solves the row's ``(d + K, d + K)`` system ``[[H, J^T], [J, 0]]
     [dx, -lam_new] = [-grad f, -c]``, with H the Hessian of the Lagrangian
     ``f - lam . c``.  A row whose residual is within ``_KKT_TOL`` moves to
-    that point, ``jets`` included, in place; any other row, also one whose
-    system is singular or not finite, stays at its screened point.  Returns
-    the row evaluations made.
+    that point, in ``X`` and in the values ``jets[0]``, in place; any other
+    row, also one whose system is singular or not finite, stays at its
+    screened point.  The gradients and Hessians in ``jets`` are left as the
+    screen left them.  Returns the row evaluations made.
     """
     d = 1 + 2 * problem.n
-    c, J, H = problem.constraints(X, jets)
-    grad = jets[1][:, 0]
+    values, grad, hess, c, J, H = _kkt_arrays(problem, X, jets)
     # least-squares multipliers: (J J^T) lam = J grad f
     JJt = (J[:, :, None] * J[:, None]).sum(axis=3)
     lam, ok = _solve_rows(JJt, (J * grad[:, None]).sum(axis=2))
     active = np.flatnonzero(ok)
-    Z, Z_jets = X[active], tuple(a[active] for a in jets)
-    c, J, H, grad, lam = (a[active] for a in (c, J, H, grad, lam))
+    Z = X[active]
+    values, grad, hess, c, J, H, lam = (a[active] for a in (values, grad, hess, c, J, H, lam))
     evals = 0
     for step in range(_KKT_ITERS + 1):
         residual = np.concatenate((grad - (lam[:, :, None] * J).sum(axis=1), c), axis=1)
         done = np.abs(residual).max(axis=1) <= _KKT_TOL
         X[active[done]] = Z[done]
-        for array, new in zip(jets, Z_jets):
-            array[active[done]] = new[done]
+        jets[0][active[done]] = values[done]
         keep = ~done
         if step == _KKT_ITERS or not keep.any():
             break
         J = J[keep]
         K = np.zeros((len(J), d + J.shape[1], d + J.shape[1]))
-        K[:, :d, :d] = Z_jets[2][keep, 0] - (lam[keep, :, None, None] * H[keep]).sum(axis=1)
+        K[:, :d, :d] = hess[keep] - (lam[keep, :, None, None] * H[keep]).sum(axis=1)
         K[:, :d, d:] = J.transpose(0, 2, 1)
         K[:, d:, :d] = J
         solution, ok = _solve_rows(K, -np.concatenate((grad[keep], c[keep]), axis=1))
         active, Z = active[keep][ok], Z[keep][ok] + solution[ok, :d]
         lam = -solution[ok, d:]
+        # the previous point's arrays are dead: free them before the jets
+        # call, which sets the finish's peak
+        del values, grad, hess, c, J, H, K, solution, residual
         if not len(active):
             break
-        Z_jets = problem.jets(Z)
+        values, grad, hess, c, J, H = _kkt_arrays(problem, Z, problem.jets(Z))
         evals += len(Z)
-        c, J, H = problem.constraints(Z, Z_jets)
-        grad = Z_jets[1][:, 0]
     return evals
 
 

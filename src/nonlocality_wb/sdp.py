@@ -35,31 +35,34 @@ reads only cells of a trailing square ``[lo, dim)^2`` of its block, so the
 products are formed and copied on that square alone.
 
 ``H`` lives in one buffer of column panels of the lower triangle of its
-Fortran view (``_panel_edges``): panel ``[k0, k1)`` is a C-order
-``(k1 - k0, m - k0)`` array that holds ``H_ij`` for ``j`` in the panel and
-``i >= k0``.  Below ``_THREADED_M`` variables there is one panel of width
-``m``, a plain ``m x m`` array; from it on the panels are ``_NB`` wide, so
-``H`` takes about half of ``m^2`` doubles (``schur_bytes``).  The Cholesky
-factor overwrites ``H`` in its panels, and each iteration assembles the next
-``H`` into them, so they are the only Schur-sized buffer the solver holds;
-each search direction is one solve with that factor, and a failed
-factorization assembles ``H`` again into it for its retry.  Problem sizes up
-to a few hundred rows per block and ~10^4 variables stay within desk-scale
-memory; no sparsity is assumed in ``H`` itself.
+Fortran view: panel ``[k0, k1)`` is a C-order ``(k1 - k0, m - k0)`` array
+that holds ``H_ij`` for ``j`` in the panel and ``i >= k0``.  One function,
+``_panel_edges``, chooses the panels from ``m``: one of width ``m``, a plain
+``m x m`` array, below ``_THREADED_M`` variables, and ``_NB``-wide ones from
+it on, so that ``H`` takes about half of ``m^2`` doubles (``schur_bytes``).
+Every other step reads the panels it is given.  The Cholesky factor
+overwrites ``H`` in its panels, and each iteration assembles the next ``H``
+into them, so they are the only Schur-sized buffer the solver holds; each
+search direction is one solve with that factor, and a failed factorization
+assembles ``H`` again into it for its retry.  Problem sizes up to a few
+hundred rows per block and ~10^4 variables stay within desk-scale memory;
+no sparsity is assumed in ``H`` itself.
 
-A solve of at least ``_THREADED_M`` variables, in a process that may run on
-two CPUs, runs one worker thread beside the caller for the whole solve.  The
-Schur assembly (``LmiProblem.schur``) gives it the odd pieces, and the
-factorization of ``H`` by ``_NB``-wide panels (``_factor_schur``) each
-panel's trailing columns ``[s, m)``.  Every row of ``H`` and every column of
-its factor is written by one thread, in one order, so both are bitwise the
-same with the worker or without it.  The threads overlap because
-``np.matmul``, the sparse products and the strided copies release the GIL,
-and the factorization calls ``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm``
-through the function pointers that ``scipy.linalg.cython_lapack`` and
-``cython_blas`` export, by ctypes, which releases it for each call (scipy's
-f2py wrappers hold it).  Smaller programs keep one ``cho_factor`` call and
-its bits.
+One panel is factored by one ``cho_factor`` call and solved with by one
+``cho_solve``, whose checks are nothing next to their work.  Several panels
+are factored by a right-looking blocked factorization (``_factor_schur``),
+and each solve with the factor is a forward and a back substitution by
+panels (``_solve_schur``).  A solve whose ``H`` has several panels, in a
+process that may run on two CPUs, runs one worker thread beside the caller
+for the whole solve.  The Schur assembly (``LmiProblem.schur``) gives it the
+odd pieces, and the blocked factorization each panel's trailing columns
+``[s, m)``.  Every row of ``H`` and every column of its factor is written by
+one thread, in one order, so both are bitwise the same with the worker or
+without it.  The threads overlap because ``np.matmul``, the sparse products
+and the strided copies release the GIL, and the blocked factorization calls
+``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm`` through the function pointers
+that ``scipy.linalg.cython_lapack`` and ``cython_blas`` export, by ctypes,
+which releases it for each call (scipy's f2py wrappers hold it).
 
 ``npa.solve`` is the one place that pins every BLAS and LAPACK call to one
 thread (``_single_blas_thread``): at these sizes a second OpenBLAS thread
@@ -71,10 +74,7 @@ scipy is imported inside the functions that use it, so importing this module,
 ``npa`` or ``cli`` loads no scipy; only a solve does.  The block kernels call
 LAPACK's ``dpotrf``, ``dpotrs``, ``dtrtrs`` and ``dsyevr`` (at ``eigh``'s
 workspace) as ``scipy.linalg``'s wrappers do, bit for bit, minus checks that
-cost more than LAPACK on small blocks.  Below ``_THREADED_M`` variables H
-keeps ``cho_factor`` and ``cho_solve``, whose checks are nothing next to
-their work; from it on each solve with its factor is a forward and a back
-substitution by panels (``_solve_schur``).
+cost more than LAPACK on small blocks.
 """
 
 from __future__ import annotations
@@ -105,27 +105,29 @@ LOG_KEYS = ("rel_gap", "primal_infeasibility", "dual_infeasibility", "mu")
 # the tail of the row gather that starts there; of 4, 8, 16 and 32, 16
 # assembled npa 4 --level 3 fastest, and a piece's buffers grow with it
 _PIECE = 16
-# solves of at least this many variables run a worker thread.  The
-# mean schur call inside solve_lmi on 2 vCPUs, two threads against one: 1.32
+# the layout of H, read by _panel_edges alone: below _THREADED_M variables one
+# m x m panel, factored by one cho_factor call on the caller alone; from it on
+# _NB-wide panels, assembled and factored by blocks on two threads.  The mean
+# schur call inside solve_lmi on 2 vCPUs, two threads against one: 1.32
 # against 0.72 ms at npa 4 --level 2 (m = 259); 4.2 against 4.3 ms and 4.5
 # against 5.0 ms on the first 700 and 800 variables of npa 6 --level 2
 _THREADED_M = 800
-# panel width of H and of its factorization for programs of _THREADED_M
-# variables or more (_panel_edges, _factor_schur): at m = 3103 on 2 vCPUs, 128
-# and 192 factored fastest and 256 was 5% slower.  A multiple of _PIECE, so no
-# Schur piece straddles two panels
+# panel width of H and of its blocked factorization: at m = 3103 on 2 vCPUs,
+# 128 and 192 factored fastest and 256 was 5% slower.  A multiple of _PIECE,
+# so no Schur piece straddles two panels
 _NB = 192
 
 
 def _panel_edges(m: int) -> list[int]:
     """Column edges of the panels that hold ``H``: one panel of width ``m``
-    below ``_THREADED_M`` variables, ``_NB``-wide ones from it on."""
+    below ``_THREADED_M`` variables, ``_NB``-wide ones from it on.  The one
+    place that chooses the layout; the rest of the solver reads the panels."""
     return [0, m] if m < _THREADED_M else [*range(0, m, _NB), m]
 
 
 def schur_bytes(m: int) -> int:
-    """Bytes of the buffer that holds ``H`` for ``m`` variables: ``8 m^2``
-    below ``_THREADED_M``, about half of that in ``_NB``-wide panels from it on."""
+    """Bytes of the buffer that holds ``H``'s panels (``_panel_edges``) for
+    ``m`` variables: ``8 m^2`` in one panel, about half of that in many."""
     edges = _panel_edges(m)
     return 8 * sum((k1 - k0) * (m - k0) for k0, k1 in zip(edges, edges[1:]))
 
@@ -272,14 +274,16 @@ class LmiProblem:
         one-thread executor, the caller assembles the even pieces and the
         worker the odd ones, joined on every exit.
 
-        ``out``, the panels of an earlier ``H`` of this problem such as the
-        previous iteration's, is overwritten and returned instead of fresh
-        panels: each piece zeroes its own rows from its start on before it
-        adds to them, so the triangle does not depend on what ``out`` held.
+        ``out``, panels of ``_schur_panels(m)`` such as the ones ``solve_lmi``
+        allocates once for its iterations, is overwritten and returned
+        instead of fresh panels: each piece zeroes its own rows from its
+        start on before it adds to them, so the triangle does not depend on
+        what ``out`` held.  Each piece finds the panel that holds its rows
+        from the panels' shapes.
         """
         m = self.m
         panels = _schur_panels(m) if out is None else out
-        edges = _panel_edges(m)
+        starts, panel_of = _panel_index(panels)
         width = min(_PIECE, m)
         size = width * max(self.dims, default=0) ** 2
         blocks = list(zip(self.dims, self.pieces, self.tails, self.lo, u_blocks, v_blocks))
@@ -298,8 +302,8 @@ class LmiProblem:
             for p in share:
                 start = p * _PIECE
                 # the piece's rows of H from its start on, in the one panel that holds them
-                q = bisect.bisect_right(edges, start) - 1
-                k0 = edges[q]
+                q = panel_of(start)
+                k0 = starts[q]
                 rows = panels[q][start - k0 : start - k0 + _PIECE, start - k0 :]
                 rows[...] = 0.0
                 for (dim, pieces, tails, los, u, v), x in zip(blocks, xs):
@@ -483,23 +487,23 @@ def _kernels() -> dict:
     return kernels
 
 
-def _panel_plan(m: int) -> list[tuple[int, int, int, int]]:
-    """``(k0, k1, k2, s)`` for each panel ``[k0, k1)`` of ``_factor_schur`` but the last.
+def _panel_plan(edges: list[int]) -> list[tuple[int, int, int, int]]:
+    """``(k0, k1, k2, s)`` for each panel ``[k0, k1)`` of ``edges`` but the last.
 
     ``[k1, k2)`` is the next panel.  The worker's share of the panel's
     trailing update, columns ``[s, m)``, is a triangle of ``(m - s)^2 / 2``
     cells; the caller's is the trapezoid of columns ``[k1, s)`` plus the next
     panel's ``dpotrf`` and ``dtrsm``, counted at their multiply-adds per
-    panel column.  ``s`` splits the two about evenly and depends on ``m``
-    alone.
+    column of the panel ``[k0, k1)``.  ``s`` splits the two about evenly and
+    depends on the edges alone.
     """
     import math
 
-    edges = _panel_edges(m)
+    m = edges[-1]
     plan = []
     for k0, k1, k2 in zip(edges, edges[1:], edges[2:]):
         w = k2 - k1
-        cells = (m - k1) * (m - k1 + 1) / 2 + (w**3 / 3 + (m - k2) * w * w / 2) / _NB
+        cells = (m - k1) * (m - k1 + 1) / 2 + (w**3 / 3 + (m - k2) * w * w / 2) / (k1 - k0)
         side = round((math.sqrt(1 + 4 * cells) - 1) / 2)
         plan.append((k0, k1, k2, min(m, max(k2, m - side))))
     return plan
@@ -509,28 +513,27 @@ def _factor_schur(h: list[np.ndarray], worker) -> list[np.ndarray]:
     """Cholesky factor of ``H`` in the panels of ``_schur_panels``, in place.
 
     Each panel, as a Fortran array, holds its columns of ``H``'s lower
-    triangle, which the factor's columns overwrite.  Programs below
-    ``_THREADED_M`` variables, one ``m x m`` panel, make one ``cho_factor``
-    call.  Larger ones run a right-looking blocked factorization of their
-    ``_NB``-wide panels, with one panel of lookahead: while the caller brings
-    the next panel up to date with the current one, factors it and updates
-    the columns ``[k2, s)``, the ``worker`` (a one-thread executor) updates
-    the columns ``[s, m)``, or without one the caller does first.  Each
-    update is one ``dsyrk`` and one ``dgemm`` per panel it reaches, at that
-    panel's leading dimension.  Which BLAS and LAPACK calls run, with which
-    arguments, depends on ``m`` alone (``_panel_plan``), so the factor is
-    bitwise the same either way.  Each panel's job is joined before the next
-    panel starts, and before a panel that is not positive definite raises
-    ``scipy.linalg.LinAlgError``.
+    triangle, which the factor's columns overwrite.  One panel is factored
+    by one ``cho_factor`` call.  Several run a right-looking blocked
+    factorization by panels, with one panel of lookahead: while the caller
+    brings the next panel up to date with the current one, factors it and
+    updates the columns ``[k2, s)``, the ``worker`` (a one-thread executor)
+    updates the columns ``[s, m)``, or without one the caller does first.
+    Each update is one ``dsyrk`` and one ``dgemm`` per panel it reaches, at
+    that panel's leading dimension.  Which BLAS and LAPACK calls run, with
+    which arguments, depends on the panels alone (``_panel_plan``), so the
+    factor is bitwise the same either way.  Each panel's job is joined
+    before the next panel starts, and before a panel that is not positive
+    definite raises ``scipy.linalg.LinAlgError``.
     """
     import scipy.linalg
 
-    m = h[0].shape[1]
-    if m < _THREADED_M:
+    if len(h) == 1:
         return [scipy.linalg.cho_factor(h[0].T, lower=True, overwrite_a=True, check_finite=False)[0].T]
     kernels = _kernels()
     dpotrf, dtrsm, dsyrk, dgemm = (kernels[name] for name in ("dpotrf", "dtrsm", "dsyrk", "dgemm"))
     edges, at, ld = _panel_cells(h)
+    m = edges[-1]
     one, minus_one = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0))
 
     def factor(k1: int, k2: int):
@@ -558,7 +561,7 @@ def _factor_schur(h: list[np.ndarray], worker) -> list[np.ndarray]:
                 dgemm(b"N", b"T", rows, cols, w, minus_one, at(c1, k0), lda, at(c0, k0), lda, one, at(c1, c0), ld(c0))
 
     factor(edges[0], edges[1])
-    for k0, k1, k2, s in _panel_plan(m):
+    for k0, k1, k2, s in _panel_plan(edges):
         job = update(k0, k1, s, m) if worker is None else worker.submit(update, k0, k1, s, m)
         try:
             update(k0, k1, k1, k2)
@@ -575,21 +578,30 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int(value))
 
 
-def _panel_cells(h: list[np.ndarray]):
-    """The column edges of the panels ``h`` of ``_schur_panels``, read from
-    their shapes; ``at(i, j)``, the address of ``H``'s cell ``(i, j)`` in the
-    panel that holds column ``j``, for ``j <= i < m``; and ``ld(j)``, that
-    panel's leading dimension as a Fortran array."""
+def _panel_index(h: list[np.ndarray]):
+    """The first column of each of the panels ``h`` of ``_schur_panels``,
+    read from their shapes, and ``panel(j)``, the index of the one that holds
+    column ``j`` of ``H``."""
     m = h[0].shape[1]
     starts = [m - panel.shape[1] for panel in h]
-    edges = [*starts, m]
-    bases = [panel.ctypes.data for panel in h]
 
     def panel(j: int) -> int:
-        # the panel that holds column j
         if not 0 <= j < m:
             raise IndexError(f"column {j} is outside H's {m} columns")
         return bisect.bisect_right(starts, j) - 1
+
+    return starts, panel
+
+
+def _panel_cells(h: list[np.ndarray]):
+    """The column edges of the panels ``h`` of ``_schur_panels``;
+    ``at(i, j)``, the address of ``H``'s cell ``(i, j)`` in the panel that
+    holds column ``j``, for ``j <= i < m``; and ``ld(j)``, that panel's
+    leading dimension as a Fortran array."""
+    m = h[0].shape[1]
+    starts, panel = _panel_index(h)
+    edges = [*starts, m]
+    bases = [p.ctypes.data for p in h]
 
     def at(i: int, j: int) -> int:
         if not j <= i < m:
@@ -607,15 +619,14 @@ def _panel_cells(h: list[np.ndarray]):
 def _solve_schur(factor: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
     """``H^-1 rhs`` from the factor panels that ``_factor_schur`` returned.
 
-    Below ``_THREADED_M`` variables one ``cho_solve``.  From it on a forward
-    and a back substitution, panel by panel: ``dtrsv`` on each diagonal tile
-    and ``dgemv`` on the rows below it, which read the factor's triangle
-    alone.
+    One panel takes one ``cho_solve``.  Several take a forward and a back
+    substitution, panel by panel: ``dtrsv`` on each diagonal tile and
+    ``dgemv`` on the rows below it, which read the factor's triangle alone.
     """
     import scipy.linalg
 
     m = len(rhs)
-    if m < _THREADED_M:
+    if len(factor) == 1:
         return scipy.linalg.cho_solve((factor[0].T, True), rhs, check_finite=False)
     kernels = _kernels()
     dtrsv, dgemv = kernels["dtrsv"], kernels["dgemv"]
@@ -676,9 +687,10 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
     best_score = np.inf
     best_it = 0
     best = (y, x_blocks, rel_gap, pinf, dinf)
-    h = None  # H's panels, assembled into one buffer for the whole solve
+    # H's panels, in one buffer that every iteration assembles H into
+    h = _schur_panels(m)
     worker = None
-    if m >= _THREADED_M and _usable_cpus() >= 2:
+    if len(h) > 1 and _usable_cpus() >= 2:
         from concurrent.futures import ThreadPoolExecutor
 
         worker = ThreadPoolExecutor(1)
@@ -717,12 +729,12 @@ def solve_lmi(problem: LmiProblem) -> LmiSolution:
 
             # last iteration's factor is dead once the next H is assembled into its panels
             cho = None
-            h = problem.schur(x_blocks, zinv, out=h, worker=worker)
+            problem.schur(x_blocks, zinv, out=h, worker=worker)
             jitter = 1e-13 * max(1.0, sum(float(np.trace(panel)) for panel in h) / max(m, 1))
             for attempt in range(8):
                 if attempt:
                     # the failed factorization overwrote H: assemble it again
-                    h = problem.schur(x_blocks, zinv, out=h, worker=worker)
+                    problem.schur(x_blocks, zinv, out=h, worker=worker)
                     jitter *= 100.0
                 for panel in h:
                     panel.flat[:: panel.shape[1] + 1] += jitter

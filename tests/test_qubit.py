@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -309,6 +310,20 @@ class TestGradients:
                     assert fd_c == pytest.approx(grad[k], abs=1e-4 * (1 + abs(grad[k])))
 
 
+@functools.cache
+def optimize_6_peak() -> int:
+    """tracemalloc's peak over ``optimize 6`` at its 500 default restarts."""
+    cfg = OptimizerConfig.for_settings(6)
+    assert cfg.restarts == 500
+    tracemalloc.start()
+    try:
+        maximize_hardy(realigned_hardy(6), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
@@ -360,15 +375,15 @@ class TestOptimizerConfig:
 
     def test_screen_peak_stays_within_its_estimate(self):
         # the whole run of optimize 6 at its 500 default restarts
-        cfg = OptimizerConfig.for_settings(6)
-        assert cfg.restarts == 500
-        tracemalloc.start()
-        try:
-            maximize_hardy(realigned_hardy(6), cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= qubit.screen_bytes(6, 500)
+        assert optimize_6_peak() <= qubit.screen_bytes(6, 500)
+
+    def test_kkt_finish_keeps_only_what_it_reads(self):
+        # the finish keeps the values, the Hardy term's gradient and Hessian
+        # and the constraint arrays of its rows, and frees the previous point's
+        # before each jets call: optimize 6 peaks at about 0.73 of the
+        # estimate.  A copy of every active row's jets, held through the next
+        # jets call, takes it to about 0.88
+        assert optimize_6_peak() <= 0.8 * qubit.screen_bytes(6, 500)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValidationError):

@@ -458,8 +458,9 @@ class Worker(ThreadPoolExecutor):
 
 
 def use_solve_worker(monkeypatch):
-    """Give every solve its worker, whatever the program's size and the CPUs
-    this process may run on; a lowered gate also factors H by panels."""
+    """Hold H in ``_NB``-wide panels whatever the program's size, and give
+    every solve whose H has several panels its worker, whatever the CPUs
+    this process may run on."""
     monkeypatch.setattr(sdp, "_THREADED_M", 0)
     monkeypatch.setattr(sdp, "_usable_cpus", lambda: 2)
 
@@ -797,11 +798,11 @@ def test_failed_factorization_retries_on_two_threads(monkeypatch):
     assert len(workers) == 1 and None not in workers
 
 
-def count_worker_threads(monkeypatch):
+def count_worker_threads(monkeypatch, cpus=2):
     """Patch ``threading`` and the executor to record, in the returned lists,
     each thread started and the name of each function submitted to a worker;
-    every solve is given two usable CPUs."""
-    monkeypatch.setattr(sdp, "_usable_cpus", lambda: 2)
+    every solve is given ``cpus`` usable CPUs."""
+    monkeypatch.setattr(sdp, "_usable_cpus", lambda: cpus)
     start, submit = threading.Thread.start, ThreadPoolExecutor.submit
     started, submitted = [], []
 
@@ -834,6 +835,78 @@ def test_a_solve_starts_one_worker_from_the_gate_on(monkeypatch):
         assert len(started) == workers
         assert set(submitted) == ({"assemble", "update"} if workers else set())
         assert threading.enumerate() == before
+
+
+def npa_4_level_2_in_panels(monkeypatch, width):
+    """npa 4 --level 2's problem (m = 259), with H held in ``width``-wide
+    panels: the gate lowered to 0 and ``_NB`` set to ``width``."""
+    problem = npa._affine_map(npa.build_program(realigned_hardy(4), 2)).problem
+    monkeypatch.setattr(sdp, "_THREADED_M", 0)
+    monkeypatch.setattr(sdp, "_NB", width)
+    return problem
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("width, panels", [(64, 5), (1024, 1)], ids=["5 panels", "one panel"])
+def test_a_solve_starts_its_worker_exactly_when_h_has_several_panels_and_two_cpus(monkeypatch, width, panels, cpus):
+    # the same program, one m = 259 below the gate, in each layout
+    problem = npa_4_level_2_in_panels(monkeypatch, width)
+    assert len(sdp._panel_edges(problem.m)) == panels + 1
+    started, submitted = count_worker_threads(monkeypatch, cpus)
+    before = threading.enumerate()
+    assert solve_lmi(problem).status == STATUS_OPTIMAL
+    threaded = panels > 1 and cpus >= 2
+    assert len(started) == threaded
+    assert set(submitted) == ({"assemble", "update"} if threaded else set())
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("width, panels", [(64, 5), (1024, 1)], ids=["5 panels", "one panel"])
+def test_the_panel_count_alone_picks_the_factor_and_solve_route(monkeypatch, width, panels):
+    # at one m, one panel takes one cho_factor per factorization and one
+    # cho_solve per direction, and no ctypes kernel; several panels take the
+    # blocked kernels, and neither cho_factor nor cho_solve
+    problem = npa_4_level_2_in_panels(monkeypatch, width)
+    calls, routes = [], []
+    counted_kernels(monkeypatch, calls)
+    counted_cho_calls(monkeypatch, calls)
+    for name in ("_factor_schur", "_solve_schur"):
+
+        def recorded(*args, _function=getattr(sdp, name), _name=name):
+            calls.clear()
+            result = _function(*args)
+            routes.append((_name, collections.Counter(calls)))
+            return result
+
+        monkeypatch.setattr(sdp, name, recorded)
+    sol = solve_lmi(problem)
+    assert sol.status == STATUS_OPTIMAL
+    factors = [counts for name, counts in routes if name == "_factor_schur"]
+    solves = [counts for name, counts in routes if name == "_solve_schur"]
+    assert len(factors) >= sol.iterations - 1
+    assert len(solves) == 2 * (sol.iterations - 1)
+    if panels == 1:
+        assert all(counts == {"cho_factor": 1} for counts in factors)
+        assert all(counts == {"cho_solve": 1} for counts in solves)
+    else:
+        assert all(counts == {"dpotrf": 5, "dtrsm": 4, "dsyrk": 10, "dgemm": 6} for counts in factors)
+        assert all(counts == {"dtrsv": 10, "dgemv": 8} for counts in solves)
+
+
+def test_panel_plan_is_pinned_at_npa_6_level_2_and_npa_4_level_3():
+    # the splits s of the two-thread factorization, which set its calls and
+    # so its bits: every plan entry's panel is _NB wide, so the plan's
+    # normalization by that panel's width is a division by _NB
+    assert sdp._panel_plan(sdp._panel_edges(1376)) == [
+        (0, 192, 384, 477), (192, 384, 576, 614), (384, 576, 768, 768), (576, 768, 960, 960),
+        (768, 960, 1152, 1152), (960, 1152, 1344, 1344), (1152, 1344, 1376, 1376),
+    ]  # fmt: skip
+    assert sdp._panel_plan(sdp._panel_edges(3103)) == [
+        (0, 192, 384, 979), (192, 384, 576, 1115), (384, 576, 768, 1251), (576, 768, 960, 1387),
+        (768, 960, 1152, 1523), (960, 1152, 1344, 1659), (1152, 1344, 1536, 1796), (1344, 1536, 1728, 1932),
+        (1536, 1728, 1920, 2068), (1728, 1920, 2112, 2205), (1920, 2112, 2304, 2342), (2112, 2304, 2496, 2496),
+        (2304, 2496, 2688, 2688), (2496, 2688, 2880, 2880), (2688, 2880, 3072, 3072), (2880, 3072, 3103, 3103),
+    ]  # fmt: skip
 
 
 @pytest.mark.parametrize("failure", ["dsyrk raises", "a factorization fails once"])
@@ -905,14 +978,16 @@ def check_retry_on_a_reassembled_schur_matrix(monkeypatch, factored):
 
 def plan_factor(monkeypatch, h, threads):
     """The lower triangle of ``sdp._factor_schur``'s factor of ``h``, packed
-    in panels of ``_NB`` columns with the panel plan at every size, on
-    ``threads`` threads: with a worker for 2, the same calls in turn for 1."""
+    in panels of ``_NB`` columns at every size, on ``threads`` threads: with
+    a worker for 2, the same calls in turn for 1."""
     monkeypatch.setattr(sdp, "_THREADED_M", 0)
     panels = packed(h)
     with Worker() as worker:
         factor = sdp._factor_schur(panels, worker if threads == 2 else None)
-    # the factor overwrites H's panels
-    assert len(factor) == len(panels) and all(f is p for f, p in zip(factor, panels))
+    # the factor overwrites H's panels: the blocked route returns them, and
+    # cho_factor's one panel is a view of the one it overwrote
+    assert len(factor) == len(panels)
+    assert all(f.shape == p.shape and np.shares_memory(f, p) for f, p in zip(factor, panels))
     return np.tril(unpacked(factor).T)
 
 
@@ -939,11 +1014,11 @@ def random_schur_matrix(m):
 
 
 @pytest.mark.parametrize(
-    "m", ["below one panel", "not a multiple of the panel", "2 panels", "4 panels", "npa 6 --level 2"]
+    "m", ["one panel and 5 columns", "not a multiple of the panel", "2 panels", "4 panels", "npa 6 --level 2"]
 )
 def test_schur_factor_does_not_depend_on_the_thread_count(monkeypatch, m):
     sizes = {
-        "below one panel": sdp._NB - 5,
+        "one panel and 5 columns": sdp._NB + 5,
         "not a multiple of the panel": 3 * sdp._NB + 37,
         "2 panels": 2 * sdp._NB,
         "4 panels": 4 * sdp._NB,
@@ -956,10 +1031,10 @@ def test_schur_factor_does_not_depend_on_the_thread_count(monkeypatch, m):
     assert np.abs(one - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
-@pytest.mark.parametrize("m", [1, 7, sdp._NB])
-def test_schur_factor_of_one_panel_is_one_dpotrf_and_cho_factors(monkeypatch, m):
+def counted_kernels(monkeypatch, calls):
+    """Patch ``sdp._kernels`` to append each ctypes kernel's name to ``calls``
+    when it is called."""
     kernels = sdp._kernels()
-    calls = []
 
     def counted(name):
         def kernel(*args):
@@ -969,11 +1044,35 @@ def test_schur_factor_of_one_panel_is_one_dpotrf_and_cho_factors(monkeypatch, m)
         return kernel
 
     monkeypatch.setattr(sdp, "_kernels", lambda: {name: counted(name) for name in kernels})
+
+
+def counted_cho_calls(monkeypatch, calls):
+    """Patch ``scipy.linalg.cho_factor`` and ``cho_solve`` to append their
+    names to ``calls`` when they are called."""
+    for name in ("cho_factor", "cho_solve"):
+        function = getattr(scipy.linalg, name)
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            calls.append(_name)
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+
+
+@pytest.mark.parametrize("m", [1, 7, sdp._NB])
+def test_schur_factor_of_one_panel_is_one_dpotrf_and_cho_factors(monkeypatch, m):
+    # with the gate lowered, a program of at most _NB variables still has one
+    # panel, so it takes LAPACK's one-call route: one cho_factor, whose one
+    # dpotrf gives the bits a lone blocked dpotrf gave, and no ctypes kernel
+    calls = []
+    counted_kernels(monkeypatch, calls)
+    counted_cho_calls(monkeypatch, calls)
     h = random_schur_matrix(m)
     with sdp._single_blas_thread():
-        factor = plan_factor(monkeypatch, h, 2)
         oracle = cho_factor_lower(h)
-    assert calls == ["dpotrf"]
+        calls.clear()
+        factor = plan_factor(monkeypatch, h, 2)
+    assert calls == ["cho_factor"]
     assert np.array_equal(factor, oracle)
 
 
