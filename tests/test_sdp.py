@@ -465,6 +465,34 @@ def use_solve_worker(monkeypatch):
     monkeypatch.setattr(sdp, "_usable_cpus", lambda: 2)
 
 
+def counted_kernels(monkeypatch, calls):
+    """Patch ``sdp._kernels`` to append each ctypes kernel's name to ``calls``
+    when it is called."""
+    kernels = sdp._kernels()
+
+    def counted(name):
+        def kernel(*args):
+            calls.append(name)
+            return kernels[name](*args)
+
+        return kernel
+
+    monkeypatch.setattr(sdp, "_kernels", lambda: {name: counted(name) for name in kernels})
+
+
+def counted_cho_calls(monkeypatch, calls):
+    """Patch ``scipy.linalg.cho_factor`` and ``cho_solve`` to append their
+    names to ``calls`` when they are called."""
+    for name in ("cho_factor", "cho_solve"):
+        function = getattr(scipy.linalg, name)
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            calls.append(_name)
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+
+
 def test_schur_triangle_does_not_depend_on_the_thread_count(monkeypatch):
     problem, blocks = recorded_npa_problem(monkeypatch, 6, 2)
     assert problem.m == 1376 >= sdp._THREADED_M
@@ -697,15 +725,8 @@ def test_each_direction_is_one_packed_solve_from_the_gate_on(monkeypatch):
     problem = npa._affine_map(npa.build_program(realigned_hardy(6), 2)).problem
     m = problem.m
     assert m >= sdp._THREADED_M and len(sdp._panel_edges(m)) == 9
-    kernels = sdp._kernels()
     calls, solves, solve_schur = [], [], sdp._solve_schur
-
-    def counted(name):
-        def kernel(*args):
-            calls.append(name)
-            return kernels[name](*args)
-
-        return kernel
+    counted_kernels(monkeypatch, calls)
 
     def recorded(factor, rhs):
         calls.clear()
@@ -716,7 +737,6 @@ def test_each_direction_is_one_packed_solve_from_the_gate_on(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cho_solve called from the gate on")
 
-    monkeypatch.setattr(sdp, "_kernels", lambda: {name: counted(name) for name in kernels})
     monkeypatch.setattr(sdp, "_solve_schur", recorded)
     monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
     sol = solve_lmi(problem)
@@ -900,13 +920,13 @@ def test_panel_plan_is_pinned_at_npa_6_level_2_and_npa_4_level_3():
     assert sdp._panel_plan(sdp._panel_edges(1376)) == [
         (0, 192, 384, 477), (192, 384, 576, 614), (384, 576, 768, 768), (576, 768, 960, 960),
         (768, 960, 1152, 1152), (960, 1152, 1344, 1344), (1152, 1344, 1376, 1376),
-    ]  # fmt: skip
+    ]
     assert sdp._panel_plan(sdp._panel_edges(3103)) == [
         (0, 192, 384, 979), (192, 384, 576, 1115), (384, 576, 768, 1251), (576, 768, 960, 1387),
         (768, 960, 1152, 1523), (960, 1152, 1344, 1659), (1152, 1344, 1536, 1796), (1344, 1536, 1728, 1932),
         (1536, 1728, 1920, 2068), (1728, 1920, 2112, 2205), (1920, 2112, 2304, 2342), (2112, 2304, 2496, 2496),
         (2304, 2496, 2688, 2688), (2496, 2688, 2880, 2880), (2688, 2880, 3072, 3072), (2880, 3072, 3103, 3103),
-    ]  # fmt: skip
+    ]
 
 
 @pytest.mark.parametrize("failure", ["dsyrk raises", "a factorization fails once"])
@@ -1029,34 +1049,6 @@ def test_schur_factor_does_not_depend_on_the_thread_count(monkeypatch, m):
         oracle = cho_factor_lower(h)
     assert np.array_equal(one, two)
     assert np.abs(one - oracle).max() <= 1e-13 * np.abs(oracle).max()
-
-
-def counted_kernels(monkeypatch, calls):
-    """Patch ``sdp._kernels`` to append each ctypes kernel's name to ``calls``
-    when it is called."""
-    kernels = sdp._kernels()
-
-    def counted(name):
-        def kernel(*args):
-            calls.append(name)
-            return kernels[name](*args)
-
-        return kernel
-
-    monkeypatch.setattr(sdp, "_kernels", lambda: {name: counted(name) for name in kernels})
-
-
-def counted_cho_calls(monkeypatch, calls):
-    """Patch ``scipy.linalg.cho_factor`` and ``cho_solve`` to append their
-    names to ``calls`` when they are called."""
-    for name in ("cho_factor", "cho_solve"):
-        function = getattr(scipy.linalg, name)
-
-        def counted(*args, _name=name, _function=function, **kwargs):
-            calls.append(_name)
-            return _function(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, name, counted)
 
 
 @pytest.mark.parametrize("m", [1, 7, sdp._NB])
